@@ -47,7 +47,8 @@ pub struct ClusterBenchConfig {
 impl ClusterBenchConfig {
     /// Paper-scale defaults: the Figure 7 platform (64/32/16) with a
     /// 1024-chunk astro-shaped workload — large enough that the root
-    /// merge round's similarity graph dominates, like the real suite.
+    /// merge round's heap-driven merges dominate, like the real suite
+    /// (building the sparse similarity graph takes about 5% of it).
     pub fn paper_scale(seed: u64) -> Self {
         ClusterBenchConfig {
             seed,

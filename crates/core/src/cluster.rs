@@ -8,8 +8,11 @@
 //! * **Stage 1 (clustering)** — greedy agglomerative merging: repeatedly
 //!   merge the two clusters whose tags have the maximal dot product
 //!   (a cluster's tag is the bitwise *sum* — a per-chunk count vector —
-//!   of its members' tags). If there are fewer clusters than children,
-//!   the largest clusters are split until the counts match.
+//!   of its members' tags). Only pairs that share data are scored: the
+//!   dot products start from the sparse similarity graph and are kept up
+//!   to date additively, and a heap picks each merge. If there are fewer
+//!   clusters than children, the largest clusters are split until the
+//!   counts match.
 //! * **Stage 2 (load balancing)** — greedy eviction from oversized to
 //!   undersized clusters within the *balance threshold* `BThres`,
 //!   choosing the evicted chunk to maximize the dot product with the
@@ -19,17 +22,13 @@
 //! After `log` levels the leaves each hold one cluster: the set of
 //! iteration chunks that client node will execute.
 
+use crate::graph::SimilarityGraph;
 use crate::tags::IterationChunk;
 use cachemap_obs::Profile;
 use cachemap_par::Pool;
 use cachemap_storage::topology::{CacheLevel, HierarchyTree, NodeId};
 use cachemap_util::{BitSet, CountVec};
-
-/// Minimum cluster count before the pairwise similarity build and the
-/// initial best-partner scans go parallel; below this the spawn cost of
-/// a scoped fan-out exceeds the dot-product work. Results are identical
-/// either way — this is purely a work-size cutoff.
-const PAR_MIN_SIM_CLUSTERS: usize = 96;
+use std::collections::BinaryHeap;
 
 /// Minimum total item count at a tree node before its per-subtree
 /// recursion fans out onto the pool.
@@ -169,18 +168,17 @@ impl Cluster {
         }
     }
 
-    fn singleton(item: WorkItem, tag: &BitSet) -> Self {
-        let mut c = Cluster::empty(tag.len());
-        c.tag.add_bitset(tag);
-        c.size = item.len() as u64;
-        c.items.push(item);
-        c
-    }
-
-    fn absorb(&mut self, other: Cluster) {
-        self.tag.add(&other.tag);
-        self.size += other.size;
-        self.items.extend(other.items);
+    /// The cluster holding `items`, in order.
+    fn of(items: Vec<WorkItem>, chunks: &[IterationChunk]) -> Self {
+        let mut tag = CountVec::new(chunks.first().map_or(0, |c| c.tag.len()));
+        for i in &items {
+            tag.add_bitset(&chunks[i.chunk].tag);
+        }
+        Cluster {
+            size: items.iter().map(|i| i.len() as u64).sum(),
+            tag,
+            items,
+        }
     }
 }
 
@@ -197,15 +195,14 @@ pub fn distribute(
     distribute_profiled(chunks, tree, params, &mut Profile::disabled())
 }
 
-/// [`distribute_profiled`] on a worker pool: the pairwise similarity
-/// build, the initial best-partner scans, and the per-subtree recursion
-/// at each hierarchy level fan out onto `pool`.
+/// [`distribute_profiled`] on a worker pool: at each hierarchy level the
+/// per-subtree recursion fans out onto `pool`.
 ///
 /// The result — the distribution *and* every profile counter — is
-/// byte-identical to the sequential kernel for any pool size: work is
-/// split by item index, per-subtree profiles are absorbed in child
-/// order, and the greedy merge loop itself (inherently sequential)
-/// never moves off the calling thread. `Pool::sequential()` recovers
+/// byte-identical to the sequential kernel for any pool size: each
+/// node's greedy merge loop (inherently sequential) runs on one thread,
+/// and per-subtree profiles are absorbed in child order.
+/// `Pool::sequential()` recovers
 /// [`distribute_profiled`] exactly.
 pub fn distribute_pooled(
     chunks: &[IterationChunk],
@@ -236,7 +233,7 @@ pub fn distribute_pooled(
 /// [`distribute`] with phase accounting: one span per hierarchy level
 /// (`level:root` → `level:storage` → `level:io`), each carrying the
 /// merge/split/balance-move counters for that level plus a
-/// `similarity-graph` child span for the pairwise dot-product build.
+/// `similarity-graph` child span for the sparse similarity-graph build.
 /// Sibling subtrees at the same depth accumulate into one span, so the
 /// profile mirrors the levels of Figure 5, not the tree fan-out. With a
 /// disabled profile this is exactly [`distribute`].
@@ -281,7 +278,7 @@ fn distribute_at_node(
     prof.push(level_span_name(tn.level));
     prof.count("items", items.len() as u64);
     let num_clusters = tn.children.len();
-    let mut clusters = partition_into(chunks, items, num_clusters, params, pool, prof);
+    let mut clusters = partition_into(chunks, items, num_clusters, params, prof);
     // Hand clusters to children in a deterministic order: by the
     // earliest iteration chunk each cluster contains (this also matches
     // the per-client assignment of the paper's worked example,
@@ -369,19 +366,18 @@ fn partition_into(
     items: Vec<WorkItem>,
     num_clusters: usize,
     params: &ClusterParams,
-    pool: &Pool,
     prof: &mut Profile,
 ) -> Vec<Cluster> {
     let r = chunks.first().map_or(0, |c| c.tag.len());
-    let mut clusters: Vec<Cluster> = items
-        .into_iter()
-        .filter(|i| !i.is_empty())
-        .map(|i| Cluster::singleton(i, &chunks[i.chunk].tag))
-        .collect();
-
-    if clusters.len() > num_clusters {
-        merge_stage(&mut clusters, num_clusters, params.linkage, pool, prof);
-    }
+    let items: Vec<WorkItem> = items.into_iter().filter(|i| !i.is_empty()).collect();
+    let mut clusters: Vec<Cluster> = if items.len() > num_clusters {
+        merge_stage(chunks, items, num_clusters, params.linkage, prof)
+    } else {
+        items
+            .into_iter()
+            .map(|i| Cluster::of(vec![i], chunks))
+            .collect()
+    };
     while clusters.len() < num_clusters {
         // "Select cαq such that S(cαq) is max; break it into two."
         let idx = clusters
@@ -419,301 +415,241 @@ struct PairKey {
     j: usize,
 }
 
-impl PairKey {
-    fn better_than(&self, other: &PairKey) -> bool {
-        match (self.num * other.den).cmp(&(other.num * self.den)) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => match self.combined.cmp(&other.combined) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => (self.i, self.j) < (other.i, other.j),
-            },
-        }
+impl Ord for PairKey {
+    /// `Greater` is the better merge candidate.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.num * other.den)
+            .cmp(&(other.num * self.den))
+            .then(other.combined.cmp(&self.combined))
+            .then((other.i, other.j).cmp(&(self.i, self.j)))
     }
 }
 
-/// Stage 1: greedy agglomerative merging by maximal tag dot product.
-///
-/// Two incremental structures keep this fast:
-/// * the pairwise dot-product matrix — merging `p` and `q` updates row
-///   `p` additively (`dot(p∪q, x) = dot(p, x) + dot(q, x)`);
-/// * a **best-partner cache** per cluster — only partners pointing at
-///   the merged pair (or beaten by the new cluster) are recomputed, so
-///   a merge costs `O(n)` plus the occasional rescan instead of the
-///   naive `O(n²)` full pair search.
-fn merge_stage(
-    clusters: &mut Vec<Cluster>,
-    target: usize,
-    linkage: Linkage,
-    pool: &Pool,
-    prof: &mut Profile,
-) {
-    let n = clusters.len();
-    let mut dots = vec![0u64; n * n];
-    let par = !pool.is_sequential() && n >= PAR_MIN_SIM_CLUSTERS;
-    prof.scope("similarity-graph", |prof| {
-        let mut nonzero = 0u64;
-        if par {
-            // Row i of the strict upper triangle is a pure function of
-            // the (immutable) cluster tags: build rows in parallel,
-            // then mirror them into the symmetric matrix in order.
-            let row_ids: Vec<usize> = (0..n).collect();
-            let rows: Vec<(Vec<u64>, u64)> = pool.map(&row_ids, |_, &i| {
-                let mut row = Vec::with_capacity(n - i - 1);
-                let mut row_nonzero = 0u64;
-                for j in (i + 1)..n {
-                    let d = clusters[i].tag.dot(&clusters[j].tag);
-                    row_nonzero += u64::from(d > 0);
-                    row.push(d);
-                }
-                (row, row_nonzero)
-            });
-            for (i, (row, row_nonzero)) in rows.into_iter().enumerate() {
-                for (off, d) in row.into_iter().enumerate() {
-                    let j = i + 1 + off;
-                    dots[i * n + j] = d;
-                    dots[j * n + i] = d;
-                }
-                nonzero += row_nonzero;
-            }
-        } else {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d = clusters[i].tag.dot(&clusters[j].tag);
-                    dots[i * n + j] = d;
-                    dots[j * n + i] = d;
-                    nonzero += u64::from(d > 0);
-                }
-            }
-        }
-        prof.count("pairs", (n * (n - 1) / 2) as u64);
-        prof.count("nonzero", nonzero);
-    });
-    let mut members = vec![1u64; n]; // iteration chunks per cluster
-    let mut alive: Vec<bool> = vec![true; n];
-    let mut alive_count = n;
+impl PartialOrd for PairKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
-    let key = |dots: &[u64], members: &[u64], clusters: &[Cluster], a: usize, b: usize| {
+impl PartialEq for PairKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for PairKey {}
+
+/// Stage 1's clusters, indexed by the item each one started from. A
+/// cluster absorbed by another keeps a `parent` link towards it.
+struct Stage1 {
+    /// Items per cluster, in merge order.
+    items: Vec<Vec<WorkItem>>,
+    /// Iterations per cluster.
+    size: Vec<u64>,
+    /// Items merged into each cluster.
+    members: Vec<u64>,
+    parent: Vec<usize>,
+    /// Bumped by every merge a cluster takes part in, which invalidates
+    /// the heap entries that name it.
+    generation: Vec<u32>,
+    alive: usize,
+}
+
+impl Stage1 {
+    fn is_alive(&self, i: usize) -> bool {
+        self.parent[i] == i
+    }
+
+    /// The cluster that has absorbed `x` (with path compression).
+    fn find(&mut self, x: usize) -> usize {
+        let mut root = x;
+        while self.parent[root] != root {
+            root = self.parent[root];
+        }
+        let mut x = x;
+        while self.parent[x] != root {
+            x = std::mem::replace(&mut self.parent[x], root);
+        }
+        root
+    }
+
+    /// Merges `q` into `p`.
+    fn merge(&mut self, p: usize, q: usize) {
+        let moved = std::mem::take(&mut self.items[q]);
+        self.items[p].extend(moved);
+        self.size[p] += self.size[q];
+        self.members[p] += self.members[q];
+        self.parent[q] = p;
+        self.generation[p] += 1;
+        self.generation[q] += 1;
+        self.alive -= 1;
+    }
+
+    /// The heap entry for merging `a` and `b`, whose tags' dot product
+    /// is `dot`.
+    fn entry(&self, linkage: Linkage, dot: u64, a: usize, b: usize) -> (PairKey, [u32; 2]) {
         let (i, j) = (a.min(b), a.max(b));
-        let d = dots[i * n + j];
+        let d = u128::from(dot);
+        let m = u128::from(self.members[i] * self.members[j]);
         let (num, den) = match linkage {
-            Linkage::Total => (d as u128, 1u128),
-            Linkage::Average => (d as u128, (members[i] * members[j]) as u128),
+            Linkage::Total => (d, 1),
+            Linkage::Average => (d, m),
             // d/√(mi·mj) compared by squaring both sides.
-            Linkage::Sqrt => ((d as u128) * (d as u128), (members[i] * members[j]) as u128),
+            Linkage::Sqrt => (d * d, m),
         };
-        PairKey {
+        let combined = self.size[i] + self.size[j];
+        let key = PairKey {
             num,
             den,
-            combined: clusters[i].size + clusters[j].size,
+            combined,
             i,
             j,
-        }
-    };
+        };
+        (key, [self.generation[i], self.generation[j]])
+    }
 
-    // best[i] = the partner j maximizing key(i, j) over alive j ≠ i
-    // with a **nonzero** dot, cached together with its key. A cached
-    // key only goes stale when one of its endpoints is merged — exactly
-    // the cases the repair rules below rescan — so the argmax loop can
-    // compare cached keys instead of recomputing them every round.
-    // Zero-dot pairs are never cached: they can't beat any nonzero pair
-    // under the key order, and once only zero pairs remain the loop
-    // hands off to `zero_phase_merges` (the same tie-break order).
-    let scan_best = |dots: &[u64],
-                     members: &[u64],
-                     clusters: &[Cluster],
-                     alive: &[bool],
-                     i: usize|
-     -> Option<(usize, PairKey)> {
-        let mut best: Option<(usize, PairKey)> = None;
-        for (j, &alive_j) in alive.iter().enumerate() {
-            if j == i || !alive_j {
-                continue;
-            }
-            if dots[i.min(j) * n + i.max(j)] == 0 {
-                continue;
-            }
-            let k = key(dots, members, clusters, i, j);
-            match &best {
-                Some((_, bk)) if !k.better_than(bk) => {}
-                _ => best = Some((j, k)),
-            }
-        }
-        best
-    };
+    /// True unless a merge has touched either cluster since `entry` was
+    /// made.
+    fn is_current(&self, (key, stamp): &(PairKey, [u32; 2])) -> bool {
+        *stamp == [self.generation[key.i], self.generation[key.j]]
+    }
+}
 
-    // The initial scans are independent per cluster (everything is
-    // still alive); `scan_best` itself is deterministic, so parallel
-    // and sequential builds of the cache are identical.
-    let mut best: Vec<Option<(usize, PairKey)>> = if par {
-        let ids: Vec<usize> = (0..n).collect();
-        pool.map(&ids, |_, &i| {
-            scan_best(&dots, &members, clusters, &alive, i)
+/// Stage 1: greedy agglomerative merging by maximal tag dot product,
+/// from one singleton cluster per item down to `target` clusters.
+///
+/// Only pairs that share data are ever scored. The initial weights are
+/// the sparse [`SimilarityGraph`] of the item tags; each cluster keeps a
+/// row of `(cluster, dot)` entries, and merging `p` and `q` sums their
+/// rows (`dot(p∪q, x) = dot(p, x) + dot(q, x)`). Other rows are left
+/// alone: their entries for `p` and `q` resolve to the merged cluster
+/// through [`Stage1::find`] and add up to its dot product the next time
+/// that row is merged. A max-heap holds one entry per scored pair under
+/// [`PairKey`]'s order, stamped with both clusters' generations; a merge
+/// bumps the generations of its pair, so the entries it outdates are
+/// skipped when popped, and pushes fresh ones for the merged cluster.
+/// When no nonzero pair is left, [`zero_phase_merges`] finishes by size.
+fn merge_stage(
+    chunks: &[IterationChunk],
+    items: Vec<WorkItem>,
+    target: usize,
+    linkage: Linkage,
+    prof: &mut Profile,
+) -> Vec<Cluster> {
+    let n = items.len();
+    let graph = prof.scope("similarity-graph", |prof| {
+        let tags: Vec<&BitSet> = items.iter().map(|i| &chunks[i.chunk].tag).collect();
+        let graph = SimilarityGraph::from_tags(&tags);
+        let nonzero: usize = (0..n).map(|i| graph.neighbors(i).len()).sum();
+        prof.count("pairs", (n * (n - 1) / 2) as u64);
+        prof.count("nonzero", (nonzero / 2) as u64);
+        graph
+    });
+    let mut rows: Vec<Vec<(usize, u64)>> = (0..n)
+        .map(|i| {
+            let row = graph.neighbors(i).iter();
+            row.map(|&(j, w)| (j, u64::from(w))).collect()
         })
-    } else {
-        (0..n)
-            .map(|i| scan_best(&dots, &members, clusters, &alive, i))
-            .collect()
+        .collect();
+    drop(graph);
+    let mut st = Stage1 {
+        size: items.iter().map(|i| i.len() as u64).collect(),
+        items: items.into_iter().map(|i| vec![i]).collect(),
+        members: vec![1; n],
+        parent: (0..n).collect(),
+        generation: vec![0; n],
+        alive: n,
     };
+    let mut entries = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let upper = row.iter().filter(|&&(j, _)| j > i);
+        entries.extend(upper.map(|&(j, d)| st.entry(linkage, d, i, j)));
+    }
+    let mut heap = BinaryHeap::from(entries);
+    let mut swept = heap.len().max(n);
 
-    while alive_count > target {
-        // Global argmax over the per-cluster best partners (keys come
-        // from the cache, kept fresh by the repair rules below).
-        let mut top: Option<PairKey> = None;
-        for i in 0..n {
-            if !alive[i] {
-                continue;
-            }
-            if let Some((_, k)) = &best[i] {
-                match &top {
-                    Some(tk) if !k.better_than(tk) => {}
-                    _ => top = Some(*k),
-                }
-            }
-        }
-        let Some(top) = top else {
-            // Every remaining alive pair has a zero dot product (the
-            // cache only holds nonzero-similarity partners), so the
-            // greedy order reduces to the size/index tie-break.
-            zero_phase_merges(
-                clusters,
-                &mut members,
-                &mut alive,
-                &mut alive_count,
-                target,
-                prof,
-            );
+    // `dot[x]`: the merged cluster's dot product with live cluster `x`.
+    let mut dot = vec![0u64; n];
+    let mut touched: Vec<usize> = Vec::new();
+    while st.alive > target {
+        let Some(top) = heap.pop() else {
+            zero_phase_merges(&mut st, target, prof);
             break;
         };
-
-        // Once the best remaining dot product is zero, every remaining
-        // pair is zero (dots only ever sum), so the greedy order reduces
-        // to the tie-break: repeatedly merge the two smallest clusters
-        // (lowest indices on ties). Finish in O(n log n) instead of
-        // paying cache-repair rescans for meaningless merges.
-        if top.num == 0 {
-            zero_phase_merges(
-                clusters,
-                &mut members,
-                &mut alive,
-                &mut alive_count,
-                target,
-                prof,
-            );
-            break;
+        if !st.is_current(&top) {
+            continue;
         }
-        let (p, q) = (top.i, top.j);
+        let (p, q) = (top.0.i, top.0.j);
+        let merged = [std::mem::take(&mut rows[p]), std::mem::take(&mut rows[q])];
+        for &(x, w) in merged.iter().flatten() {
+            let x = st.find(x);
+            if dot[x] == 0 {
+                touched.push(x);
+            }
+            dot[x] += w;
+        }
         prof.count("merges", 1);
-        prof.count("merge_dot_sum", dots[p * n + q]);
-
-        // Merge q into p.
-        let q_cluster = std::mem::replace(&mut clusters[q], Cluster::empty(0));
-        clusters[p].absorb(q_cluster);
-        members[p] += members[q];
-        alive[q] = false;
-        best[q] = None;
-        alive_count -= 1;
-        // dot(p', x) = dot(p, x) + dot(q, x); the diagonal is unused.
-        for x in 0..n {
+        prof.count("merge_dot_sum", dot[q]);
+        st.merge(p, q);
+        let mut row = Vec::with_capacity(touched.len());
+        for x in touched.drain(..) {
+            let d = std::mem::take(&mut dot[x]);
             if x != p && x != q {
-                let d = dots[p * n + x] + dots[q * n + x];
-                dots[p * n + x] = d;
-                dots[x * n + p] = d;
+                row.push((x, d));
+                heap.push(st.entry(linkage, d, p, x));
             }
         }
-        if alive_count <= target {
-            break;
-        }
-
-        // Repair the best-partner cache: p changed, q died.
-        best[p] = scan_best(&dots, &members, clusters, &alive, p);
-        for i in 0..n {
-            if !alive[i] || i == p {
-                continue;
-            }
-            match best[i] {
-                Some((b, _)) if b == p || b == q => {
-                    // The cached partner changed or died: full rescan.
-                    best[i] = scan_best(&dots, &members, clusters, &alive, i);
-                }
-                // Only pair (i, p) changed; adopt it if it now wins. A
-                // zero dot can never beat the cached (nonzero) key.
-                Some((_, cur)) if dots[i.min(p) * n + i.max(p)] > 0 => {
-                    let with_p = key(&dots, &members, clusters, i, p);
-                    if with_p.better_than(&cur) {
-                        best[i] = Some((p, with_p));
-                    }
-                }
-                Some(_) => {}
-                // An all-zero row stays all-zero: dot(p∪q, i) is the sum
-                // of two entries that were both zero, so nothing to do.
-                None => {}
-            }
+        rows[p] = row;
+        // Stale entries left deep in a large heap cost a cache miss per
+        // level when popped one by one; once the heap has doubled since
+        // the last sweep, drop them all in one linear pass.
+        if heap.len() > 2 * swept {
+            heap.retain(|e| st.is_current(e));
+            swept = heap.len().max(n);
         }
     }
 
-    let mut out: Vec<Cluster> = Vec::with_capacity(target);
-    for (i, keep) in alive.iter().enumerate() {
-        if *keep {
-            out.push(std::mem::replace(&mut clusters[i], Cluster::empty(0)));
-        }
-    }
-    *clusters = out;
+    let Stage1 { items, parent, .. } = st;
+    items
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| parent[i] == i)
+        .map(|(_, items)| Cluster::of(items, chunks))
+        .collect()
 }
 
 /// Merges clusters down to `target` when no remaining pair shares any
 /// data: pure tie-break order — smallest combined size first, lowest
 /// indices on ties (matching [`PairKey`]'s order for zero scores).
-fn zero_phase_merges(
-    clusters: &mut [Cluster],
-    members: &mut [u64],
-    alive: &mut [bool],
-    alive_count: &mut usize,
-    target: usize,
-    prof: &mut Profile,
-) {
+fn zero_phase_merges(st: &mut Stage1, target: usize, prof: &mut Profile) {
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = alive
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| **a)
-        .map(|(i, _)| Reverse((clusters[i].size, i)))
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..st.parent.len())
+        .filter(|&i| st.is_alive(i))
+        .map(|i| Reverse((st.size[i], i)))
         .collect();
-    while *alive_count > target {
-        // Invariant: alive_count > target ≥ 1 keeps at least two alive
-        // clusters in the heap (plus stale entries); exhaustion can only
-        // mean the invariant broke, so stop merging rather than panic.
-        let Some(Reverse((sp, p))) = heap.pop() else {
-            debug_assert!(false, "heap exhausted while above target");
-            break;
-        };
-        // Skip stale heap entries.
-        if !alive[p] || clusters[p].size != sp {
-            continue;
-        }
-        let mut second = None;
+    let smallest = |st: &Stage1, heap: &mut BinaryHeap<Reverse<(u64, usize)>>| {
+        // Skip stale entries: merging only ever grows a cluster.
         while let Some(Reverse((s, i))) = heap.pop() {
-            if alive[i] && clusters[i].size == s {
-                second = Some(i);
-                break;
+            if st.is_alive(i) && st.size[i] == s {
+                return Some(i);
             }
         }
-        let Some(q) = second else {
+        None
+    };
+    while st.alive > target {
+        // Invariant: alive > target ≥ 1 keeps at least two alive
+        // clusters in the heap; exhaustion can only mean the invariant
+        // broke, so stop merging rather than panic.
+        let (Some(p), Some(q)) = (smallest(st, &mut heap), smallest(st, &mut heap)) else {
             debug_assert!(false, "at least two clusters remain");
             break;
         };
         // Merge the higher index into the lower, as PairKey's (i, j)
         // tie-break does.
         let (lo, hi) = (p.min(q), p.max(q));
-        let hi_cluster = std::mem::replace(&mut clusters[hi], Cluster::empty(0));
-        clusters[lo].absorb(hi_cluster);
-        members[lo] += members[hi];
-        alive[hi] = false;
-        *alive_count -= 1;
+        st.merge(lo, hi);
         prof.count("zero_merges", 1);
-        heap.push(Reverse((clusters[lo].size, lo)));
+        heap.push(Reverse((st.size[lo], lo)));
     }
 }
 
@@ -1700,5 +1636,226 @@ mod balance_probe {
             max / mean < 1.45 && min / mean > 0.55,
             "imbalance: min {min} mean {mean:.1} max {max} per={per:?}"
         );
+    }
+}
+
+/// Stage 1 against a brute-force greedy reference.
+#[cfg(test)]
+mod greedy_oracle {
+    use super::*;
+    use cachemap_util::check::{cases, Gen};
+
+    /// A survivor: its items in order, iteration count and tag.
+    type Survivor = (Vec<WorkItem>, u64, CountVec);
+
+    /// `pairs`, `nonzero`, `merges`, `merge_dot_sum`, `zero_merges`.
+    type Counters = [u64; 5];
+
+    /// The greedy reference: every round rescans every alive pair with
+    /// `CountVec::dot` and merges the best one under `PairKey`'s order,
+    /// the higher index into the lower. Once every dot is zero it merges
+    /// the two smallest clusters instead (lowest indices on ties).
+    fn reference(
+        chunks: &[IterationChunk],
+        items: &[WorkItem],
+        target: usize,
+        linkage: Linkage,
+    ) -> (Vec<Survivor>, Counters) {
+        let n = items.len();
+        let mut clusters: Vec<Cluster> = items
+            .iter()
+            .map(|&i| Cluster::of(vec![i], chunks))
+            .collect();
+        let mut members = vec![1u64; n];
+        let mut alive = vec![true; n];
+        let mut counters = [(n * (n - 1) / 2) as u64, 0, 0, 0, 0];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                counters[1] += u64::from(clusters[i].tag.dot(&clusters[j].tag) > 0);
+            }
+        }
+        for _ in target..n {
+            let live: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
+            let mut best: Option<(PairKey, u64)> = None;
+            for (a, &i) in live.iter().enumerate() {
+                for &j in &live[a + 1..] {
+                    let d = clusters[i].tag.dot(&clusters[j].tag);
+                    if d == 0 {
+                        continue;
+                    }
+                    let m = u128::from(members[i] * members[j]);
+                    let (num, den) = match linkage {
+                        Linkage::Total => (u128::from(d), 1),
+                        Linkage::Average => (u128::from(d), m),
+                        Linkage::Sqrt => (u128::from(d) * u128::from(d), m),
+                    };
+                    let key = PairKey {
+                        num,
+                        den,
+                        combined: clusters[i].size + clusters[j].size,
+                        i,
+                        j,
+                    };
+                    if best.is_none_or(|(b, _)| key > b) {
+                        best = Some((key, d));
+                    }
+                }
+            }
+            let (p, q) = match best {
+                Some((key, d)) => {
+                    counters[2] += 1;
+                    counters[3] += d;
+                    (key.i, key.j)
+                }
+                None => {
+                    let mut by_size = live;
+                    by_size.sort_by_key(|&i| (clusters[i].size, i));
+                    counters[4] += 1;
+                    (by_size[0].min(by_size[1]), by_size[0].max(by_size[1]))
+                }
+            };
+            let absorbed = std::mem::replace(&mut clusters[q], Cluster::empty(0));
+            clusters[p].tag.add(&absorbed.tag);
+            clusters[p].size += absorbed.size;
+            clusters[p].items.extend(absorbed.items);
+            members[p] += members[q];
+            alive[q] = false;
+        }
+        let survivors = (0..n)
+            .filter(|&i| alive[i])
+            .map(|i| {
+                let c = &clusters[i];
+                (c.items.clone(), c.size, c.tag.clone())
+            })
+            .collect();
+        (survivors, counters)
+    }
+
+    /// `merge_stage`'s survivors, with the counters it records.
+    fn kernel(
+        chunks: &[IterationChunk],
+        items: &[WorkItem],
+        target: usize,
+        linkage: Linkage,
+    ) -> (Vec<Survivor>, Counters) {
+        let mut prof = Profile::enabled();
+        prof.push("stage1");
+        let clusters = merge_stage(chunks, items.to_vec(), target, linkage, &mut prof);
+        prof.pop();
+        let stage = prof.root_named("stage1").expect("stage span");
+        let graph = stage
+            .children
+            .iter()
+            .map(|&k| prof.node(k))
+            .find(|s| s.name == "similarity-graph")
+            .expect("similarity-graph span");
+        let survivors = clusters
+            .into_iter()
+            .map(|c| (c.items, c.size, c.tag))
+            .collect();
+        let counters = [
+            graph.count("pairs").unwrap_or(0),
+            graph.count("nonzero").unwrap_or(0),
+            stage.count("merges").unwrap_or(0),
+            stage.count("merge_dot_sum").unwrap_or(0),
+            stage.count("zero_merges").unwrap_or(0),
+        ];
+        (survivors, counters)
+    }
+
+    /// Tag shapes the generator draws from.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Shape {
+        /// A few random bits per tag.
+        Random,
+        /// Random bits plus data chunk 0 in every tag (Figure 6's
+        /// chunk 0).
+        HotChunk,
+        /// Every iteration chunk owns its data chunks: all dots zero.
+        Disjoint,
+    }
+
+    /// Iteration chunks of one shape, and their work items; a chunk is
+    /// sometimes split into two items that carry the same tag.
+    fn arb_input(g: &mut Gen, shape: Shape) -> (Vec<IterationChunk>, Vec<WorkItem>, bool) {
+        let m = if g.usize_in(0, 8) == 0 {
+            g.usize_in(24, 48)
+        } else {
+            g.usize_in(2, 16)
+        };
+        let r = match shape {
+            Shape::Disjoint => 2 * m,
+            _ => g.usize_in(1, 24),
+        };
+        let mut chunks = Vec::new();
+        let mut items = Vec::new();
+        let mut split = false;
+        for k in 0..m {
+            let bits = match shape {
+                Shape::Random => g.vec_usize(0..5, 0..r),
+                Shape::HotChunk => {
+                    let mut b = g.vec_usize(0..4, 0..r);
+                    b.push(0);
+                    b
+                }
+                Shape::Disjoint => vec![2 * k, 2 * k + g.usize_in(0, 2)],
+            };
+            // Few distinct lengths, so size ties reach the index tie-break.
+            let len = g.usize_in(1, 4);
+            chunks.push(IterationChunk {
+                nest: 0,
+                tag: BitSet::from_bits(r, bits),
+                points: (0..len).map(|i| vec![(k * 8 + i) as i64]).collect(),
+            });
+            if len >= 2 && g.usize_in(0, 3) == 0 {
+                let cut = g.usize_in(1, len);
+                items.push(WorkItem {
+                    chunk: k,
+                    start: 0,
+                    end: cut,
+                });
+                items.push(WorkItem {
+                    chunk: k,
+                    start: cut,
+                    end: len,
+                });
+                split = true;
+            } else {
+                items.push(WorkItem::whole(k, len));
+            }
+        }
+        (chunks, items, split)
+    }
+
+    #[test]
+    fn merge_stage_matches_the_greedy_reference() {
+        let linkages = [Linkage::Total, Linkage::Average, Linkage::Sqrt];
+        let shapes = [Shape::Random, Shape::HotChunk, Shape::Disjoint];
+        // Cases per linkage, shape, split input, and target 1 / 2 / n−1.
+        let mut seen = [0usize; 10];
+        cases(0x5E1_0001, 240, |g| {
+            let linkage = g.choose(&linkages);
+            let shape = g.choose(&shapes);
+            let (chunks, items, split) = arb_input(g, shape);
+            let n = items.len();
+            let target = match g.usize_in(0, 4) {
+                0 => 1,
+                1 => 2.min(n - 1),
+                2 => n - 1,
+                _ => g.usize_in(1, n),
+            };
+            seen[linkages.iter().position(|&l| l == linkage).unwrap()] += 1;
+            seen[3 + shapes.iter().position(|&s| s == shape).unwrap()] += 1;
+            seen[6] += usize::from(split);
+            seen[7] += usize::from(target == 1);
+            seen[8] += usize::from(target == 2 && n > 3);
+            seen[9] += usize::from(target == n - 1 && n > 3);
+            assert_eq!(
+                kernel(&chunks, &items, target, linkage),
+                reference(&chunks, &items, target, linkage),
+                "n={n} target={target} {linkage:?} {shape:?}"
+            );
+        });
+        assert!(seen.iter().all(|&k| k >= 10), "coverage: {seen:?}");
     }
 }

@@ -23,9 +23,9 @@ use cachemap_util::{BitSet, Json, ToJson};
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
 
 fn arb_chunks(g: &mut Gen) -> Vec<IterationChunk> {
-    // Mostly small, but occasionally past `PAR_MIN_SIM_CLUSTERS` so the
-    // parallel similarity-graph and initial-scan paths get exercised,
-    // not just the subtree fan-out.
+    // Mostly small, but occasionally past the 32 work items at which a
+    // node's subtrees fan out onto the pool (`PAR_MIN_FANOUT_ITEMS`), so
+    // the parallel recursion runs below long root merges.
     let nspecs = if g.usize_in(0, 7) == 0 {
         g.usize_in(96, 120)
     } else {

@@ -176,3 +176,42 @@ fn scheduled_version_keeps_the_distribution() {
         assert_eq!(collect(&inter), collect(&sched), "client {c}");
     }
 }
+
+/// FNV-1a/128 fingerprints (`util::fingerprint_json`) of every suite
+/// app's mappings at test scale on [`platform`], one line per app:
+/// name, `inter-processor` digest, `inter-processor+sched` digest. Any
+/// change to tagging, clustering, balancing, scheduling or codegen that
+/// moves a single op shows up here; update a line only for a change
+/// that is meant to alter mappings.
+const MAPPING_DIGESTS: &str = "\
+hf        45fb77b19fd8463a046881eed708bd1a ba193d51902a3a5324465d8daeb24b42
+sar       0b727ef9d6fcfed2074c237e9c628550 0b727ef9d6fcfed2074c237e9c628550
+contour   d5b821bf9d9abe461b66ce631ef1c8df d5b821bf9d9abe461b66ce631ef1c8df
+astro     5f73c562b78b3472bd2a5235216f92b8 5f73c562b78b3472bd2a5235216f92b8
+e_elem    c8567bf7b2a30861d119d517ef838f0c c8567bf7b2a30861d119d517ef838f0c
+apsi      ab3c2de68ded7d9db81e64c4513e33e1 ab3c2de68ded7d9db81e64c4513e33e1
+madbench2 4442f19f1f1d804b5e8e1f3bd4639c12 4442f19f1f1d804b5e8e1f3bd4639c12
+wupwise   edb1f24ffc2c1d91c840b468ddeaf84e 9cf9baca2d4f2fd771c6ac753443e046";
+
+#[test]
+fn inter_processor_mappings_match_pinned_digests() {
+    use cachemap::util::{fingerprint_json, ToJson};
+    let platform = platform();
+    let tree = HierarchyTree::from_config(&platform).unwrap();
+    let mapper = Mapper::paper_defaults();
+    let apps = cachemap::workloads::suite(Scale::Test);
+    let lines: Vec<&str> = MAPPING_DIGESTS.lines().collect();
+    assert_eq!(apps.len(), lines.len());
+    for (app, line) in apps.iter().zip(lines) {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(fields.len(), 3, "{line}");
+        assert_eq!(app.name, fields[0]);
+        let data = DataSpace::new(&app.program.arrays, platform.chunk_bytes);
+        let versions = [Version::InterProcessor, Version::InterProcessorScheduled];
+        for (version, want) in versions.into_iter().zip(&fields[1..]) {
+            let mapped = mapper.map(&app.program, &data, &platform, &tree, version);
+            let got = fingerprint_json(&mapped.to_json()).to_hex();
+            assert_eq!(&got, want, "{} {}", app.name, version.label());
+        }
+    }
+}
