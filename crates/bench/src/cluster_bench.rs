@@ -47,8 +47,9 @@ pub struct ClusterBenchConfig {
 impl ClusterBenchConfig {
     /// Paper-scale defaults: the Figure 7 platform (64/32/16) with a
     /// 1024-chunk astro-shaped workload — large enough that the root
-    /// merge round's heap-driven merges dominate, like the real suite
-    /// (building the sparse similarity graph takes about 5% of it).
+    /// merge round dominates, like the real suite. About half of a run
+    /// repairs stale best-partner bounds in Stage 1, and building the
+    /// sparse similarity graphs takes about 15%.
     pub fn paper_scale(seed: u64) -> Self {
         ClusterBenchConfig {
             seed,

@@ -10,9 +10,10 @@
 //!   (a cluster's tag is the bitwise *sum* — a per-chunk count vector —
 //!   of its members' tags). Only pairs that share data are scored: the
 //!   dot products start from the sparse similarity graph and are kept up
-//!   to date additively, and a heap picks each merge. If there are fewer
-//!   clusters than children, the largest clusters are split until the
-//!   counts match.
+//!   to date additively, and each cluster keeps a bound on its best
+//!   partner, so a heap of one entry per cluster picks each merge. If
+//!   there are fewer clusters than children, the largest clusters are
+//!   split until the counts match.
 //! * **Stage 2 (load balancing)** — greedy eviction from oversized to
 //!   undersized clusters within the *balance threshold* `BThres`,
 //!   choosing the evicted chunk to maximize the dot product with the
@@ -425,6 +426,13 @@ impl Ord for PairKey {
     }
 }
 
+impl PairKey {
+    /// True if `c` is one of the pair's clusters.
+    fn names(&self, c: usize) -> bool {
+        self.i == c || self.j == c
+    }
+}
+
 impl PartialOrd for PairKey {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -442,6 +450,7 @@ impl Eq for PairKey {}
 /// Stage 1's clusters, indexed by the item each one started from. A
 /// cluster absorbed by another keeps a `parent` link towards it.
 struct Stage1 {
+    linkage: Linkage,
     /// Items per cluster, in merge order.
     items: Vec<Vec<WorkItem>>,
     /// Iterations per cluster.
@@ -449,10 +458,19 @@ struct Stage1 {
     /// Items merged into each cluster.
     members: Vec<u64>,
     parent: Vec<usize>,
-    /// Bumped by every merge a cluster takes part in, which invalidates
-    /// the heap entries that name it.
-    generation: Vec<u32>,
     alive: usize,
+    /// `(cluster, dot)` entries per live cluster: every cluster it
+    /// shares data with, though an entry may still name a cluster that
+    /// has since been absorbed, and then holds only that part's dot.
+    rows: Vec<Vec<(usize, u64)>>,
+    /// A key no worse than any pair of the cluster, exact (the key of
+    /// its best pair) unless `dirty`; `None` when it shares no data.
+    best: Vec<Option<PairKey>>,
+    dirty: Vec<bool>,
+    /// Working space for [`Stage1::fold`]: the dot being summed per
+    /// cluster, and which clusters have one.
+    dot: Vec<u64>,
+    touched: Vec<usize>,
 }
 
 impl Stage1 {
@@ -480,38 +498,60 @@ impl Stage1 {
         self.size[p] += self.size[q];
         self.members[p] += self.members[q];
         self.parent[q] = p;
-        self.generation[p] += 1;
-        self.generation[q] += 1;
         self.alive -= 1;
     }
 
-    /// The heap entry for merging `a` and `b`, whose tags' dot product
-    /// is `dot`.
-    fn entry(&self, linkage: Linkage, dot: u64, a: usize, b: usize) -> (PairKey, [u32; 2]) {
+    /// The key for merging `a` and `b`, whose tags' dot product is `dot`.
+    fn key(&self, dot: u64, a: usize, b: usize) -> PairKey {
         let (i, j) = (a.min(b), a.max(b));
         let d = u128::from(dot);
         let m = u128::from(self.members[i] * self.members[j]);
-        let (num, den) = match linkage {
+        let (num, den) = match self.linkage {
             Linkage::Total => (d, 1),
             Linkage::Average => (d, m),
             // d/√(mi·mj) compared by squaring both sides.
             Linkage::Sqrt => (d * d, m),
         };
-        let combined = self.size[i] + self.size[j];
-        let key = PairKey {
+        PairKey {
             num,
             den,
-            combined,
+            combined: self.size[i] + self.size[j],
             i,
             j,
-        };
-        (key, [self.generation[i], self.generation[j]])
+        }
     }
 
-    /// True unless a merge has touched either cluster since `entry` was
-    /// made.
-    fn is_current(&self, (key, stamp): &(PairKey, [u32; 2])) -> bool {
-        *stamp == [self.generation[key.i], self.generation[key.j]]
+    /// Sums `parts` into one row with a single entry per live cluster:
+    /// entries for absorbed clusters add up in their survivor.
+    fn fold(&mut self, parts: &[Vec<(usize, u64)>]) -> Vec<(usize, u64)> {
+        for &(x, w) in parts.iter().flatten() {
+            let x = self.find(x);
+            if self.dot[x] == 0 {
+                self.touched.push(x);
+            }
+            self.dot[x] += w;
+        }
+        let row = (self.touched.iter())
+            .map(|&x| (x, std::mem::take(&mut self.dot[x])))
+            .collect();
+        self.touched.clear();
+        row
+    }
+
+    /// The best key among `x`'s pairs with the clusters in `row`.
+    fn best_in(&self, x: usize, row: &[(usize, u64)]) -> Option<PairKey> {
+        row.iter().map(|&(y, d)| self.key(d, x, y)).max()
+    }
+
+    /// Makes `x`'s row and best key exact again.
+    fn repair(&mut self, x: usize) -> Option<PairKey> {
+        let stale = [std::mem::take(&mut self.rows[x])];
+        let row = self.fold(&stale);
+        let best = self.best_in(x, &row);
+        self.rows[x] = row;
+        self.best[x] = best;
+        self.dirty[x] = false;
+        best
     }
 }
 
@@ -521,14 +561,19 @@ impl Stage1 {
 /// Only pairs that share data are ever scored. The initial weights are
 /// the sparse [`SimilarityGraph`] of the item tags; each cluster keeps a
 /// row of `(cluster, dot)` entries, and merging `p` and `q` sums their
-/// rows (`dot(p∪q, x) = dot(p, x) + dot(q, x)`). Other rows are left
-/// alone: their entries for `p` and `q` resolve to the merged cluster
-/// through [`Stage1::find`] and add up to its dot product the next time
-/// that row is merged. A max-heap holds one entry per scored pair under
-/// [`PairKey`]'s order, stamped with both clusters' generations; a merge
-/// bumps the generations of its pair, so the entries it outdates are
-/// skipped when popped, and pushes fresh ones for the merged cluster.
-/// When no nonzero pair is left, [`zero_phase_merges`] finishes by size.
+/// rows (`dot(p∪q, x) = dot(p, x) + dot(q, x)`) through
+/// [`Stage1::find`]. The merge order follows the "generic" algorithm of
+/// Müllner, *Modern hierarchical, agglomerative clustering algorithms*
+/// (2011): each cluster keeps one best-partner key under [`PairKey`]'s
+/// order, and a max-heap holds one current entry per live cluster. After
+/// a merge, each neighbour `x` of the merged cluster takes the new pair
+/// as its best if that pair beats `best[x]`; if `best[x]` named `p` or
+/// `q` it becomes *dirty* — still no worse than every pair of `x`, since
+/// the only pair that changed scored below it, but perhaps not a pair
+/// that exists. A dirty cluster that reaches the top of the heap is
+/// repaired (its row re-summed, its best key recomputed) and pushed
+/// again; a clean top is the best pair overall. When no nonzero pair is
+/// left, [`zero_phase_merges`] finishes by size.
 fn merge_stage(
     chunks: &[IterationChunk],
     items: Vec<WorkItem>,
@@ -545,7 +590,7 @@ fn merge_stage(
         prof.count("nonzero", (nonzero / 2) as u64);
         graph
     });
-    let mut rows: Vec<Vec<(usize, u64)>> = (0..n)
+    let rows: Vec<Vec<(usize, u64)>> = (0..n)
         .map(|i| {
             let row = graph.neighbors(i).iter();
             row.map(|&(j, w)| (j, u64::from(w))).collect()
@@ -553,59 +598,67 @@ fn merge_stage(
         .collect();
     drop(graph);
     let mut st = Stage1 {
+        linkage,
         size: items.iter().map(|i| i.len() as u64).collect(),
         items: items.into_iter().map(|i| vec![i]).collect(),
         members: vec![1; n],
         parent: (0..n).collect(),
-        generation: vec![0; n],
         alive: n,
+        rows,
+        best: vec![None; n],
+        dirty: vec![false; n],
+        dot: vec![0; n],
+        touched: Vec::new(),
     };
-    let mut entries = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let upper = row.iter().filter(|&&(j, _)| j > i);
-        entries.extend(upper.map(|&(j, d)| st.entry(linkage, d, i, j)));
+    for x in 0..n {
+        st.best[x] = st.best_in(x, &st.rows[x]);
     }
-    let mut heap = BinaryHeap::from(entries);
-    let mut swept = heap.len().max(n);
+    // `(best[x], x)` entries. Each change of `best[x]` pushes a new one;
+    // only the entry matching a live cluster's current key counts.
+    let mut heap: BinaryHeap<(PairKey, usize)> =
+        (0..n).filter_map(|x| st.best[x].map(|k| (k, x))).collect();
 
-    // `dot[x]`: the merged cluster's dot product with live cluster `x`.
-    let mut dot = vec![0u64; n];
-    let mut touched: Vec<usize> = Vec::new();
     while st.alive > target {
-        let Some(top) = heap.pop() else {
+        let Some((top, x)) = heap.pop() else {
             zero_phase_merges(&mut st, target, prof);
             break;
         };
-        if !st.is_current(&top) {
+        if !st.is_alive(x) || st.best[x] != Some(top) {
             continue;
         }
-        let (p, q) = (top.0.i, top.0.j);
-        let merged = [std::mem::take(&mut rows[p]), std::mem::take(&mut rows[q])];
-        for &(x, w) in merged.iter().flatten() {
-            let x = st.find(x);
-            if dot[x] == 0 {
-                touched.push(x);
+        if st.dirty[x] {
+            prof.count("repairs", 1);
+            if let Some(k) = st.repair(x) {
+                heap.push((k, x));
             }
-            dot[x] += w;
+            continue;
         }
+        let (p, q) = (top.i, top.j);
+        let merged = [p, q].map(|c| std::mem::take(&mut st.rows[c]));
+        let mut row = st.fold(&merged);
+        let merge_dot = row.iter().find(|&&(y, _)| y == q).map_or(0, |&(_, d)| d);
         prof.count("merges", 1);
-        prof.count("merge_dot_sum", dot[q]);
+        prof.count("merge_dot_sum", merge_dot);
         st.merge(p, q);
-        let mut row = Vec::with_capacity(touched.len());
-        for x in touched.drain(..) {
-            let d = std::mem::take(&mut dot[x]);
-            if x != p && x != q {
-                row.push((x, d));
-                heap.push(st.entry(linkage, d, p, x));
+        row.retain(|&(y, _)| y != p && y != q);
+        let mut best_p = None;
+        for &(x, d) in &row {
+            let k = st.key(d, p, x);
+            best_p = best_p.max(Some(k));
+            match st.best[x] {
+                Some(b) if b >= k => st.dirty[x] |= b.names(p) || b.names(q),
+                _ => {
+                    st.best[x] = Some(k);
+                    st.dirty[x] = false;
+                    heap.push((k, x));
+                }
             }
         }
-        rows[p] = row;
-        // Stale entries left deep in a large heap cost a cache miss per
-        // level when popped one by one; once the heap has doubled since
-        // the last sweep, drop them all in one linear pass.
-        if heap.len() > 2 * swept {
-            heap.retain(|e| st.is_current(e));
-            swept = heap.len().max(n);
+        st.rows[p] = row;
+        st.best[p] = best_p;
+        st.dirty[p] = false;
+        if let Some(k) = best_p {
+            heap.push((k, p));
         }
     }
 
@@ -1731,13 +1784,14 @@ mod greedy_oracle {
         (survivors, counters)
     }
 
-    /// `merge_stage`'s survivors, with the counters it records.
+    /// `merge_stage`'s survivors, with the counters it records, and its
+    /// `repairs` count (which the reference has no counterpart for).
     fn kernel(
         chunks: &[IterationChunk],
         items: &[WorkItem],
         target: usize,
         linkage: Linkage,
-    ) -> (Vec<Survivor>, Counters) {
+    ) -> (Vec<Survivor>, Counters, u64) {
         let mut prof = Profile::enabled();
         prof.push("stage1");
         let clusters = merge_stage(chunks, items.to_vec(), target, linkage, &mut prof);
@@ -1760,7 +1814,7 @@ mod greedy_oracle {
             stage.count("merge_dot_sum").unwrap_or(0),
             stage.count("zero_merges").unwrap_or(0),
         ];
-        (survivors, counters)
+        (survivors, counters, stage.count("repairs").unwrap_or(0))
     }
 
     /// Tag shapes the generator draws from.
@@ -1773,6 +1827,11 @@ mod greedy_oracle {
         HotChunk,
         /// Every iteration chunk owns its data chunks: all dots zero.
         Disjoint,
+        /// Equal-length items in groups that each share one group chunk,
+        /// plus a first item that holds every group chunk: the index
+        /// tie-break makes it the best partner of all the others, so
+        /// each merge into it leaves their bounds to repair.
+        Hub,
     }
 
     /// Iteration chunks of one shape, and their work items; a chunk is
@@ -1783,8 +1842,13 @@ mod greedy_oracle {
         } else {
             g.usize_in(2, 16)
         };
+        let groups = match shape {
+            Shape::Hub => g.usize_in(2, 5),
+            _ => 1,
+        };
         let r = match shape {
             Shape::Disjoint => 2 * m,
+            Shape::Hub => groups + m,
             _ => g.usize_in(1, 24),
         };
         let mut chunks = Vec::new();
@@ -1799,9 +1863,14 @@ mod greedy_oracle {
                     b
                 }
                 Shape::Disjoint => vec![2 * k, 2 * k + g.usize_in(0, 2)],
+                Shape::Hub if k == 0 => (0..groups).collect(),
+                Shape::Hub => vec![k % groups, groups + k],
             };
             // Few distinct lengths, so size ties reach the index tie-break.
-            let len = g.usize_in(1, 4);
+            let len = match shape {
+                Shape::Hub => 1,
+                _ => g.usize_in(1, 4),
+            };
             chunks.push(IterationChunk {
                 nest: 0,
                 tag: BitSet::from_bits(r, bits),
@@ -1830,9 +1899,10 @@ mod greedy_oracle {
     #[test]
     fn merge_stage_matches_the_greedy_reference() {
         let linkages = [Linkage::Total, Linkage::Average, Linkage::Sqrt];
-        let shapes = [Shape::Random, Shape::HotChunk, Shape::Disjoint];
-        // Cases per linkage, shape, split input, and target 1 / 2 / n−1.
-        let mut seen = [0usize; 10];
+        let shapes = [Shape::Random, Shape::HotChunk, Shape::Disjoint, Shape::Hub];
+        // Cases per linkage, shape, split input, target 1 / 2 / n−1, and
+        // hub inputs that repaired a stale bound.
+        let mut seen = [0usize; 12];
         cases(0x5E1_0001, 240, |g| {
             let linkage = g.choose(&linkages);
             let shape = g.choose(&shapes);
@@ -1846,12 +1916,14 @@ mod greedy_oracle {
             };
             seen[linkages.iter().position(|&l| l == linkage).unwrap()] += 1;
             seen[3 + shapes.iter().position(|&s| s == shape).unwrap()] += 1;
-            seen[6] += usize::from(split);
-            seen[7] += usize::from(target == 1);
-            seen[8] += usize::from(target == 2 && n > 3);
-            seen[9] += usize::from(target == n - 1 && n > 3);
+            seen[7] += usize::from(split);
+            seen[8] += usize::from(target == 1);
+            seen[9] += usize::from(target == 2 && n > 3);
+            seen[10] += usize::from(target == n - 1 && n > 3);
+            let (survivors, counters, repairs) = kernel(&chunks, &items, target, linkage);
+            seen[11] += usize::from(shape == Shape::Hub && repairs > 0);
             assert_eq!(
-                kernel(&chunks, &items, target, linkage),
+                (survivors, counters),
                 reference(&chunks, &items, target, linkage),
                 "n={n} target={target} {linkage:?} {shape:?}"
             );

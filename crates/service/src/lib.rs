@@ -89,8 +89,10 @@ const LATENCY_BUCKETS: [f64; 14] = [
 
 /// Stage names of the request-trace taxonomy, in service-path order.
 /// `parse` only appears when the front end reports an ingress duration;
-/// `serialize` is appended at finalization by the front end.
-pub const TRACE_STAGES: [&str; 9] = [
+/// `handoff` runs from the end of `compute` until the waiting submitter
+/// resumes (the worker's cache inserts and metrics, then the reply
+/// wake-up); `serialize` is appended at finalization by the front end.
+pub const TRACE_STAGES: [&str; 10] = [
     "parse",
     "fingerprint",
     "l1",
@@ -99,6 +101,7 @@ pub const TRACE_STAGES: [&str; 9] = [
     "coalesce",
     "queue_wait",
     "compute",
+    "handoff",
     "serialize",
 ];
 
@@ -897,12 +900,17 @@ impl Inner {
         }?;
         // Splice the worker-side measurements into this request's
         // timeline: queue wait from the push timestamp, then compute
-        // (carrying the mapper's profile span tree as a child).
+        // (carrying the mapper's profile span tree as a child), then the
+        // handoff from compute end until this thread resumed.
         if let (Some(t0), Some(t), Some(w)) = (t_push, tctx.as_mut(), wtrace) {
+            let resumed = t.offset(Instant::now());
             let off = t.offset(t0);
+            let computed = off + w.queue_wait_us + w.compute_us;
             t.record.push_stage("queue_wait", off, w.queue_wait_us);
             t.record
                 .push_profiled("compute", off + w.queue_wait_us, w.compute_us, w.profile);
+            t.record
+                .push_stage("handoff", computed, resumed.saturating_sub(computed));
         }
         Ok(mapping)
     }

@@ -1,6 +1,7 @@
 //! Full-pipeline integration tests over the evaluation suite (test
 //! scale): every application × every version maps, lowers, and simulates;
 //! all versions execute the same accesses; results are deterministic.
+//! Mapping digests are pinned at test scale and at paper scale.
 
 use cachemap::prelude::*;
 
@@ -193,25 +194,58 @@ apsi      ab3c2de68ded7d9db81e64c4513e33e1 ab3c2de68ded7d9db81e64c4513e33e1
 madbench2 4442f19f1f1d804b5e8e1f3bd4639c12 4442f19f1f1d804b5e8e1f3bd4639c12
 wupwise   edb1f24ffc2c1d91c840b468ddeaf84e 9cf9baca2d4f2fd771c6ac753443e046";
 
-#[test]
-fn inter_processor_mappings_match_pinned_digests() {
+/// `inter-processor+sched` fingerprints of every suite app at paper
+/// scale on `PlatformConfig::paper_default()`, one `name digest` line
+/// per app. Paper-scale merge rounds are far longer than test-scale
+/// ones, so this pins the clustering kernel on the inputs the benchmark
+/// measures.
+const PAPER_MAPPING_DIGESTS: &str = "\
+hf        a31de21e1e562e3d01fce781bf8944ae
+sar       435e49e0f56bda77c804a1400b1bff6a
+contour   fd9c7161f75589e0c663fb94c55ef08c
+astro     bc3e010e8b147aa5c2ee638bc9841178
+e_elem    41f413b9033c651564873d400fdfa9f8
+apsi      f9048c3ae36991619b4b46c24a065516
+madbench2 f2d453c00a147cc1ef23cf765d1ed676
+wupwise   bc7156eb770f1b4cdff6719bf7064183";
+
+/// Maps every suite app at `scale` on `platform` in each of `versions`
+/// and checks the fingerprints against `table`: one line per app, its
+/// name and then one digest per version.
+fn assert_pinned_digests(
+    scale: Scale,
+    platform: &PlatformConfig,
+    versions: &[Version],
+    table: &str,
+) {
     use cachemap::util::{fingerprint_json, ToJson};
-    let platform = platform();
-    let tree = HierarchyTree::from_config(&platform).unwrap();
+    let tree = HierarchyTree::from_config(platform).unwrap();
     let mapper = Mapper::paper_defaults();
-    let apps = cachemap::workloads::suite(Scale::Test);
-    let lines: Vec<&str> = MAPPING_DIGESTS.lines().collect();
+    let apps = cachemap::workloads::suite(scale);
+    let lines: Vec<&str> = table.lines().collect();
     assert_eq!(apps.len(), lines.len());
     for (app, line) in apps.iter().zip(lines) {
         let fields: Vec<&str> = line.split_whitespace().collect();
-        assert_eq!(fields.len(), 3, "{line}");
+        assert_eq!(fields.len(), 1 + versions.len(), "{line}");
         assert_eq!(app.name, fields[0]);
         let data = DataSpace::new(&app.program.arrays, platform.chunk_bytes);
-        let versions = [Version::InterProcessor, Version::InterProcessorScheduled];
-        for (version, want) in versions.into_iter().zip(&fields[1..]) {
-            let mapped = mapper.map(&app.program, &data, &platform, &tree, version);
+        for (&version, want) in versions.iter().zip(&fields[1..]) {
+            let mapped = mapper.map(&app.program, &data, platform, &tree, version);
             let got = fingerprint_json(&mapped.to_json()).to_hex();
             assert_eq!(&got, want, "{} {}", app.name, version.label());
         }
     }
+}
+
+#[test]
+fn inter_processor_mappings_match_pinned_digests() {
+    let versions = [Version::InterProcessor, Version::InterProcessorScheduled];
+    assert_pinned_digests(Scale::Test, &platform(), &versions, MAPPING_DIGESTS);
+}
+
+#[test]
+fn paper_scale_scheduled_mappings_match_pinned_digests() {
+    let platform = PlatformConfig::paper_default();
+    let versions = [Version::InterProcessorScheduled];
+    assert_pinned_digests(Scale::Paper, &platform, &versions, PAPER_MAPPING_DIGESTS);
 }
