@@ -7,8 +7,8 @@
 //! of re-scanning the buffer. A connection whose first line starts
 //! with `GET ` / `HEAD ` flips into HTTP mode: headers are drained
 //! until the blank line, then one [`Frame::Http`] is emitted and the
-//! response closes the connection (exactly the legacy threaded
-//! server's scrape behavior).
+//! response closes the connection, so ordinary scrapers need no
+//! special client.
 //!
 //! Writes go through a buffer with an explicit offset so a short
 //! `write(2)` resumes mid-response; the event loop keeps `EPOLLOUT`
@@ -216,8 +216,7 @@ impl Conn {
                     self.http_request_line = Some(request_line);
                 }
             } else if trimmed.is_empty() {
-                // Blank JSON-lines input is skipped, as in the
-                // threaded server.
+                // Blank JSON-lines input is skipped.
             } else if trimmed.starts_with("GET ") || trimmed.starts_with("HEAD ") {
                 self.http_request_line = Some(trimmed.to_string());
             } else {

@@ -174,6 +174,9 @@ pub trait Dispatch: Send + Sync + 'static {
     }
     /// A connection was closed for idling past its read budget.
     fn on_idle_timeout(&self) {}
+    /// A connection was refused at the door because every slot was
+    /// taken.
+    fn on_over_capacity(&self) {}
 }
 
 /// Loop-level counters, readable from any thread.
@@ -492,6 +495,7 @@ impl LoopState {
                         self.stats
                             .rejected_capacity_total
                             .fetch_add(1, Ordering::Relaxed);
+                        self.dispatch.on_over_capacity();
                         let mut s = stream;
                         let _ = s.write_all(self.cfg.over_capacity_reply.as_bytes());
                         let _ = s.write_all(b"\n");

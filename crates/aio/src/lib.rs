@@ -1,9 +1,9 @@
 //! # cachemap-aio — a dependency-free epoll front end
 //!
-//! The mapping service's original TCP server spends a thread per
-//! connection; at the "millions of users" scale the ROADMAP aims for,
-//! thread stacks and context switches dominate before the mapper ever
-//! runs. This crate is the replacement substrate: **one** event-loop
+//! A thread-per-connection server spends a stack and a context switch
+//! per client; at the "millions of users" scale the ROADMAP aims for,
+//! those dominate before the mapper ever runs. This crate is the
+//! mapping service's only TCP substrate: **one** event-loop
 //! thread owns every socket through a level-triggered epoll instance
 //! (raw FFI, no `libc` crate — see [`sys`]), frames newline-delimited
 //! JSON with partial-frame resumption ([`conn`]), enforces idle

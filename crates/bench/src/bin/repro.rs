@@ -103,8 +103,8 @@ fn worked_example() -> String {
 }
 
 /// Updates one section of the committed `BENCH_service.json`, which
-/// holds `{"router": {…}, "serve": {…}, "storm": {…}}`. A missing file
-/// or a pre-split single-report file starts a fresh sectioned object.
+/// holds `{"open": {…}, "router": {…}, "storm": {…}}`. A missing file
+/// or one with any other top-level key starts a fresh sectioned object.
 fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Result<()> {
     use cachemap_util::Json;
     let path = "BENCH_service.json";
@@ -115,7 +115,7 @@ fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Re
         Some(Json::Object(pairs))
             if pairs
                 .iter()
-                .all(|(k, _)| k == "serve" || k == "storm" || k == "router" || k == "open") =>
+                .all(|(k, _)| k == "open" || k == "router" || k == "storm") =>
         {
             pairs
         }
@@ -148,27 +148,24 @@ fn usage() -> String {
      \x20 chaos[:<seed>[:<plans>]]      seeded fault-plan campaign\n\
      \x20 chaos-replay <file...>        re-run shrunk repro plans\n\
      mapping service:\n\
-     \x20 serve[:<addr>]                long-running mapping server\n\
-     \x20                               (default 127.0.0.1:7411;\n\
+     \x20 serve[:<addr>]                long-running epoll/batching mapping\n\
+     \x20                               server (default 127.0.0.1:7411;\n\
      \x20                               CACHEMAP_L2_DIR enables the durable\n\
      \x20                               L2 tier, CACHEMAP_L2_TTL_SECS its TTL,\n\
-     \x20                               CACHEMAP_TRACING=off disables request\n\
+     \x20                               CACHEMAP_TRACING=1 enables request\n\
      \x20                               tracing + the flight recorder)\n\
-     \x20 serve-async[:<addr>]          long-running epoll/batching server\n\
-     \x20                               (default 127.0.0.1:7412; same\n\
-     \x20                               JSON-lines protocol as serve)\n\
-     \x20 serve-bench[:<seed>[:<requests>]]\n\
-     \x20                               closed-loop SLO load campaign\n\
-     \x20                               (default seed 42, 1200 requests)\n\
      \x20 serve-open[:<rps>[:<secs>]]   open-loop Poisson campaign against\n\
-     \x20                               the async server: offered vs\n\
+     \x20                               the server: offered vs\n\
      \x20                               achieved RPS, p99 gate, 10k idle\n\
      \x20                               connections parked (default\n\
      \x20                               1200 req/s for 8 s, seed 42)\n\
      \x20 serve-storm[:<seed>]          robustness storm: hot-fingerprint\n\
      \x20                               coalescing barrage, mid-campaign\n\
      \x20                               kill + torn-tail restart, graceful\n\
-     \x20                               drain under load (default seed 42)\n\
+     \x20                               drain under load; L2 segments and\n\
+     \x20                               flight dumps stay in\n\
+     \x20                               l2-cache/storm-<seed>/ (default\n\
+     \x20                               seed 42)\n\
      \x20 router-storm[:<seed>]         replica-fleet failover storm:\n\
      \x20                               3-replica consistent-hash router\n\
      \x20                               under network faults, mid-campaign\n\
@@ -731,30 +728,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            s if s == "serve-async" || s.starts_with("serve-async:") => {
-                let addr = s.strip_prefix("serve-async:").unwrap_or("127.0.0.1:7412");
-                let mut cfg = cachemap_service::ServiceConfig::default();
-                if let Ok(t) = std::env::var("CACHEMAP_TRACING") {
-                    cfg.tracing = !matches!(t.as_str(), "" | "0" | "off" | "false");
-                }
-                let service = std::sync::Arc::new(cachemap_service::MapService::start(cfg));
-                let server = cachemap_service::aserver::AsyncServer::spawn(
-                    addr,
-                    std::sync::Arc::clone(&service),
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot bind {addr}: {e}");
-                    std::process::exit(2);
-                });
-                println!(
-                    "async mapping service listening on {} (epoll event loop, batching\n\
-                     dispatch; JSON-lines; GET /metrics for Prometheus;\n\
-                     send {{\"op\":\"shutdown\",\"id\":0}} to stop)",
-                    server.addr()
-                );
-                server.join();
-                service.shutdown();
-            }
             s if s == "serve-open" || s.starts_with("serve-open:") => {
                 let mut parts = s.splitn(3, ':').skip(1);
                 let mut cfg = cachemap_bench::open_loop::OpenLoopConfig::default();
@@ -831,14 +804,17 @@ fn main() {
                     );
                 }
                 let service = std::sync::Arc::new(cachemap_service::MapService::start(cfg));
-                let server =
-                    cachemap_service::server::Server::spawn(addr, std::sync::Arc::clone(&service))
-                        .unwrap_or_else(|e| {
-                            eprintln!("cannot bind {addr}: {e}");
-                            std::process::exit(2);
-                        });
+                let server = cachemap_service::aserver::AsyncServer::spawn(
+                    addr,
+                    std::sync::Arc::clone(&service),
+                )
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot bind {addr}: {e}");
+                    std::process::exit(2);
+                });
                 println!(
-                    "mapping service listening on {} (JSON-lines; GET /metrics for Prometheus;\n\
+                    "mapping service listening on {} (epoll event loop, batching dispatch;\n\
+                     JSON-lines; GET /metrics for Prometheus;\n\
                      send {{\"op\":\"shutdown\",\"id\":0}} to stop)",
                     server.addr()
                 );
@@ -909,38 +885,6 @@ fn main() {
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
                 }
             }
-            s if s == "serve-bench" || s.starts_with("serve-bench:") => {
-                let mut parts = s.splitn(3, ':').skip(1);
-                let mut cfg = cachemap_bench::serve::ServeBenchConfig::default();
-                if let Some(p) = parts.next() {
-                    cfg.seed = p
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad serve-bench seed: {p}"));
-                }
-                if let Some(p) = parts.next() {
-                    cfg.requests = p
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad serve-bench request count: {p}"));
-                }
-                eprintln!(
-                    "[serve-bench: seed {}, {} requests, {} closed-loop clients …]",
-                    cfg.seed, cfg.requests, cfg.clients
-                );
-                let report = cachemap_bench::serve::run(&cfg).unwrap_or_else(|e| {
-                    eprintln!("serve-bench failed: {e}");
-                    std::process::exit(1);
-                });
-                println!("{}", cachemap_bench::serve::render(&report));
-                match merge_bench_service("serve", report.to_json()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_service.json, section \"serve\"]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
-                }
-                let scratch = format!("BENCH_service-{}", cfg.seed);
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
-            }
             s if s == "serve-storm" || s.starts_with("serve-storm:") => {
                 let seed: u64 = s.strip_prefix("serve-storm").map_or(42, |rest| {
                     let rest = rest.strip_prefix(':').unwrap_or("");
@@ -951,7 +895,7 @@ fn main() {
                             .unwrap_or_else(|_| panic!("bad serve-storm seed: {rest}"))
                     }
                 });
-                let cfg = if test_scale {
+                let mut cfg = if test_scale {
                     cachemap_bench::storm::StormConfig::smoke(seed)
                 } else {
                     cachemap_bench::storm::StormConfig {
@@ -959,10 +903,18 @@ fn main() {
                         ..cachemap_bench::storm::StormConfig::default()
                     }
                 };
+                // Run in a fresh directory that outlives the campaign,
+                // so its L2 segments and flight dumps stay inspectable
+                // (`repro trace <dir>/flight/flight-drain-*.json`).
+                let dir = std::path::PathBuf::from(format!("l2-cache/storm-{seed}"));
+                let _ = std::fs::remove_dir_all(&dir);
+                cfg.l2_dir = Some(dir.clone());
                 eprintln!(
                     "[serve-storm: seed {seed}, {} barrage connections, {} zipf requests, \
-                     kill + torn-tail restart + drain …]",
-                    cfg.storm_connections, cfg.zipf_requests
+                     kill + torn-tail restart + drain in {} …]",
+                    cfg.storm_connections,
+                    cfg.zipf_requests,
+                    dir.display()
                 );
                 let report = cachemap_bench::storm::run(&cfg).unwrap_or_else(|e| {
                     eprintln!("serve-storm failed: {e}");

@@ -1,174 +1,27 @@
-//! Closed-loop load harness for the mapping service (`repro serve-bench`).
+//! Shared pieces of the serving load harnesses (`repro serve-open`,
+//! `repro serve-storm`, `repro router-storm`): the request template
+//! pool with each template's cold-pipeline oracle bytes, the zipf
+//! sampler that picks from it, the client socket setup, and the
+//! `GET /metrics` scrape plus the Prometheus schema check the
+//! live-server harnesses run after their load windows.
 //!
-//! Spawns a live TCP server, replays a seeded zipf-skewed mix of the
-//! eight workload applications against it from several closed-loop
-//! client threads, and reports throughput, cache hit rate, and p50/p99
-//! latency. Three invariants are asserted while the load runs:
-//!
-//! 1. **No silent drops** — every request is answered either with a
-//!    mapping or with a typed `ServiceError` code.
-//! 2. **Byte identity** — every served mapping (hit or miss) serializes
-//!    to exactly the bytes of an uncached `Mapper::map` run.
-//! 3. **Memoization works** — the hit rate over the zipf mix reaches at
-//!    least 50% (the template pool is far smaller than the request
-//!    count, so misses are bounded by the pool size).
-//!
-//! The harness is deterministic for a given `(seed, requests, clients)`
-//! triple in everything but wall-clock timings.
-//!
-//! With `tracing` enabled (the default) every reply carries the
-//! service's per-request trace; the harness aggregates the per-stage
-//! durations around the median request into attribution columns
-//! (`queue_wait_us`, `coalesce_us`, `l2_us`, `compute_us`,
-//! `serialize_us`, …) whose sum must land within 10% of the
-//! service-observed p50 (the median trace total) — a standing check
-//! that the trace timeline actually tiles the latency it claims to
-//! explain. The client-measured p50 is reported alongside; the gap
-//! between the two is the wire: writing megabyte request/response
-//! lines and the client's own parse + byte-identity check, none of
-//! which the server can attribute.
+//! Every client request leaves as one `write` of `line + "\n"` on a
+//! `TCP_NODELAY` socket ([`frames`], [`connect`]). With the terminator
+//! in a second write, Nagle's algorithm holds it until the server's
+//! delayed ACK, which costs tens of milliseconds per request.
 
 use cachemap_core::{Mapper, MapperConfig, Version};
-use cachemap_par::Pool;
 use cachemap_polyhedral::DataSpace;
-use cachemap_service::server::Server;
-use cachemap_service::{MapRequest, MapService, ServiceConfig};
+use cachemap_service::MapRequest;
 use cachemap_storage::{HierarchyTree, PlatformConfig};
 use cachemap_util::check::Gen;
-use cachemap_util::{json, Json, ToJson};
+use cachemap_util::ToJson;
 use cachemap_workloads::{suite, Scale};
-use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Instant;
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 
-/// Load-campaign knobs.
-#[derive(Debug, Clone)]
-pub struct ServeBenchConfig {
-    /// RNG seed for the zipf template sequence.
-    pub seed: u64,
-    /// Total requests across all client threads.
-    pub requests: usize,
-    /// Closed-loop client threads (one TCP connection each).
-    pub clients: usize,
-    /// Limit on workload applications in the template pool
-    /// (`0` = the full eight-application suite); debug-build tests use
-    /// a small pool to keep the cold-oracle phase fast.
-    pub apps: usize,
-    /// Run the service with request tracing on and report per-stage
-    /// latency attribution (off measures the trace-free wire format).
-    pub tracing: bool,
-    /// Flight-recorder dump directory override; `None` keeps the
-    /// service default (`reports/`). Tests point this at a temp dir.
-    pub flight_dir: Option<std::path::PathBuf>,
-}
-
-impl Default for ServeBenchConfig {
-    fn default() -> Self {
-        ServeBenchConfig {
-            seed: 42,
-            requests: 1200,
-            clients: 8,
-            apps: 0,
-            tracing: true,
-            flight_dir: None,
-        }
-    }
-}
-
-/// Aggregated campaign results.
-#[derive(Debug, Clone)]
-pub struct ServeBenchReport {
-    /// The seed the campaign ran with.
-    pub seed: u64,
-    /// Requests sent (= answered; the harness asserts no silent drops).
-    pub requests: usize,
-    /// Distinct request templates in the zipf pool.
-    pub templates: usize,
-    /// Successful responses served from the fingerprint cache.
-    pub hits: u64,
-    /// Successful responses computed by the pipeline.
-    pub computed: u64,
-    /// Typed rejections by `ServiceError` code.
-    pub rejections: BTreeMap<String, u64>,
-    /// Cache hit rate over successful responses.
-    pub hit_rate: f64,
-    /// Requests per second over the whole campaign.
-    pub throughput_rps: f64,
-    /// Median end-to-end latency (µs).
-    pub p50_us: u64,
-    /// 99th-percentile end-to-end latency (µs).
-    pub p99_us: u64,
-    /// 99.9th-percentile end-to-end latency (µs).
-    pub p999_us: u64,
-    /// Successful replies that carried a trace object.
-    pub traced: u64,
-    /// Median service-side total (µs) over all traces — the latency
-    /// the server itself observed, parse through serialize. The gap to
-    /// `p50_us` is wire transfer plus client-side parse.
-    pub service_p50_us: u64,
-    /// Per-stage latency attribution (µs), averaged over the traces
-    /// whose total sits in the middle decile around the median — so the
-    /// stage values sum to (about) the median request's timeline.
-    pub stages: BTreeMap<String, u64>,
-    /// Sum of the attribution columns (µs); checked against
-    /// `service_p50_us`.
-    pub stage_sum_us: u64,
-    /// Campaign wall-clock (ms).
-    pub elapsed_ms: f64,
-    /// Scraped `/metrics` passed the Prometheus schema check.
-    pub metrics_schema_ok: bool,
-}
-
-impl ToJson for ServeBenchReport {
-    fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![
-            ("bench".into(), Json::Str("serve".into())),
-            // Closed-loop: clients wait for each reply before sending
-            // again, so `throughput_rps` tracks round-trip latency, not
-            // offered load — compare with the `open` section's
-            // offered/achieved split before quoting it.
-            ("loop".into(), Json::Str("closed".into())),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("requests".into(), Json::UInt(self.requests as u64)),
-            ("templates".into(), Json::UInt(self.templates as u64)),
-            ("hits".into(), Json::UInt(self.hits)),
-            ("computed".into(), Json::UInt(self.computed)),
-            (
-                "rejections".into(),
-                Json::Object(
-                    self.rejections
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::UInt(*v)))
-                        .collect(),
-                ),
-            ),
-            ("hit_rate".into(), Json::Float(self.hit_rate)),
-            ("throughput_rps".into(), Json::Float(self.throughput_rps)),
-            ("p50_us".into(), Json::UInt(self.p50_us)),
-            ("p99_us".into(), Json::UInt(self.p99_us)),
-            ("p999_us".into(), Json::UInt(self.p999_us)),
-            ("traced".into(), Json::UInt(self.traced)),
-            ("service_p50_us".into(), Json::UInt(self.service_p50_us)),
-        ];
-        // Per-stage attribution columns, one `<stage>_us` key each, in
-        // the trace's stage order.
-        for stage in cachemap_service::TRACE_STAGES {
-            if let Some(us) = self.stages.get(stage) {
-                pairs.push((format!("{stage}_us"), Json::UInt(*us)));
-            }
-        }
-        pairs.push(("stage_sum_us".into(), Json::UInt(self.stage_sum_us)));
-        pairs.push(("elapsed_ms".into(), Json::Float(self.elapsed_ms)));
-        pairs.push((
-            "metrics_schema_ok".into(),
-            Json::Bool(self.metrics_schema_ok),
-        ));
-        Json::Object(pairs)
-    }
-}
-
+/// One pooled request: its JSON-lines form (no terminator) and the
+/// mapping bytes an uncached `Mapper::map` run produces for it.
 pub(crate) struct Template {
     pub(crate) line: String,
     pub(crate) cold_bytes: String,
@@ -218,6 +71,24 @@ pub(crate) fn build_templates(app_limit: usize) -> Vec<Template> {
     out
 }
 
+/// `line + "\n"` for every template, built once so each request is a
+/// single write.
+pub(crate) fn frames(templates: &[Template]) -> Vec<Vec<u8>> {
+    templates
+        .iter()
+        .map(|t| format!("{}\n", t.line).into_bytes())
+        .collect()
+}
+
+/// A client connection with Nagle off.
+pub(crate) fn connect(addr: SocketAddr) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("nodelay: {e}"))?;
+    Ok(stream)
+}
+
 /// Zipf(s = 1.2) sampler over `n` ranks via inverse-CDF table lookup.
 pub(crate) struct Zipf {
     cdf: Vec<f64>,
@@ -245,111 +116,6 @@ impl Zipf {
             .position(|&c| u < c)
             .unwrap_or(self.cdf.len() - 1)
     }
-}
-
-pub(crate) struct ClientTally {
-    pub(crate) hits: u64,
-    pub(crate) computed: u64,
-    pub(crate) rejections: BTreeMap<String, u64>,
-    pub(crate) latencies_us: Vec<u64>,
-    /// Per traced reply: `(trace total_us, per-stage duration sums)`.
-    pub(crate) traces: Vec<(u64, BTreeMap<String, u64>)>,
-    /// Traced replies whose coalesce stage was tagged `follower`.
-    pub(crate) follower_spans: u64,
-}
-
-/// Pulls `(total_us, per-stage sums)` out of a reply's `trace` object,
-/// plus whether the request waited on another request's computation.
-fn digest_trace(trace: &Json) -> Option<(u64, BTreeMap<String, u64>, bool)> {
-    let total = trace.get("total_us").and_then(Json::as_u64)?;
-    let mut stages: BTreeMap<String, u64> = BTreeMap::new();
-    let mut follower = false;
-    for s in trace.get("stages").and_then(Json::as_array)? {
-        let name = s.get("name").and_then(Json::as_str)?;
-        let dur = s.get("dur_us").and_then(Json::as_u64)?;
-        *stages.entry(name.to_string()).or_insert(0) += dur;
-        if name == "coalesce" && s.get("role").and_then(Json::as_str) == Some("follower") {
-            follower = true;
-        }
-    }
-    Some((total, stages, follower))
-}
-
-pub(crate) fn drive_client(
-    addr: std::net::SocketAddr,
-    templates: &[Template],
-    zipf: &Zipf,
-    seed: u64,
-    requests: usize,
-) -> Result<ClientTally, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut g = Gen::from_seed(seed);
-    let mut tally = ClientTally {
-        hits: 0,
-        computed: 0,
-        rejections: BTreeMap::new(),
-        latencies_us: Vec::with_capacity(requests),
-        traces: Vec::new(),
-        follower_spans: 0,
-    };
-    let mut reply = String::new();
-    for k in 0..requests {
-        let t = &templates[zipf.sample(&mut g)];
-        let t0 = Instant::now();
-        writer
-            .write_all(t.line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("request {k}: write: {e}"))?;
-        reply.clear();
-        reader
-            .read_line(&mut reply)
-            .map_err(|e| format!("request {k}: read: {e}"))?;
-        tally.latencies_us.push(t0.elapsed().as_micros() as u64);
-        if reply.is_empty() {
-            return Err(format!("request {k}: connection closed without a reply"));
-        }
-        let v = json::parse(&reply).map_err(|e| format!("request {k}: bad reply json: {e}"))?;
-        match v.get("status").and_then(Json::as_str) {
-            Some("ok") => {
-                let mapping = v
-                    .get("mapping")
-                    .ok_or_else(|| format!("request {k}: ok reply without a mapping"))?;
-                // Invariant 2: hit or miss, the bytes match the cold run.
-                let got = mapping.to_string_compact();
-                if got != t.cold_bytes {
-                    return Err(format!(
-                        "request {k}: mapping diverged from the cold pipeline \
-                         ({} vs {} bytes)",
-                        got.len(),
-                        t.cold_bytes.len()
-                    ));
-                }
-                if v.get("cached") == Some(&Json::Bool(true)) {
-                    tally.hits += 1;
-                } else {
-                    tally.computed += 1;
-                }
-                if let Some((total, stages, follower)) = v.get("trace").and_then(digest_trace) {
-                    tally.traces.push((total, stages));
-                    tally.follower_spans += u64::from(follower);
-                }
-            }
-            Some("error") => {
-                // Invariant 1: rejections carry a typed code.
-                let code = v
-                    .get("error")
-                    .and_then(|e| e.get("code"))
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("request {k}: error reply without a code"))?;
-                *tally.rejections.entry(code.to_string()).or_insert(0) += 1;
-            }
-            other => return Err(format!("request {k}: unrecognized status {other:?}")),
-        }
-    }
-    Ok(tally)
 }
 
 /// Checks one Prometheus text exposition for schema validity: every
@@ -406,8 +172,8 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 }
 
 /// Scrapes `GET /metrics` from a live server over plain HTTP.
-pub fn scrape_metrics(addr: std::net::SocketAddr) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+pub fn scrape_metrics(addr: SocketAddr) -> Result<String, String> {
+    let mut stream = connect(addr)?;
     stream
         .write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\n\r\n")
         .map_err(|e| format!("write: {e}"))?;
@@ -426,217 +192,6 @@ pub fn scrape_metrics(addr: std::net::SocketAddr) -> Result<String, String> {
         .map(|(_, b)| b.to_string())
         .ok_or("no body")?;
     Ok(body)
-}
-
-/// Runs the full campaign: spawn server, drive the load, scrape
-/// metrics, aggregate. Panics on invariant violations (no-silent-drop,
-/// byte-identity, hit-rate floor).
-pub fn run(cfg: &ServeBenchConfig) -> Result<ServeBenchReport, String> {
-    let templates = build_templates(cfg.apps);
-    let zipf = Zipf::new(templates.len());
-    let mut svc_cfg = ServiceConfig {
-        tracing: cfg.tracing,
-        ..ServiceConfig::default()
-    };
-    if let Some(dir) = &cfg.flight_dir {
-        svc_cfg.flight_dir = dir.clone();
-    }
-    let service = Arc::new(MapService::start(svc_cfg));
-    let server =
-        Server::spawn("127.0.0.1:0", Arc::clone(&service)).map_err(|e| format!("bind: {e}"))?;
-    let addr = server.addr();
-
-    let clients = cfg.clients.max(1);
-    let t0 = Instant::now();
-    // The closed-loop load generator runs through the shared pool: one
-    // task per client, `CACHEMAP_THREADS` bounding how many drive the
-    // server at once (all of them by default). Tallies come back in
-    // client order, so the aggregation below is deterministic.
-    let client_ids: Vec<usize> = (0..clients).collect();
-    let tallies = Pool::from_env_or(clients)
-        .try_map(&client_ids, |_, &c| {
-            // Spread the remainder so the totals add up exactly.
-            let share = cfg.requests / clients + usize::from(c < cfg.requests % clients);
-            let seed = cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (c as u64 + 1);
-            drive_client(addr, &templates, &zipf, seed, share)
-        })
-        .map_err(|e| format!("client worker panicked: {e}"))?;
-
-    let mut hits = 0u64;
-    let mut computed = 0u64;
-    let mut rejections: BTreeMap<String, u64> = BTreeMap::new();
-    let mut latencies: Vec<u64> = Vec::with_capacity(cfg.requests);
-    let mut traces: Vec<(u64, BTreeMap<String, u64>)> = Vec::new();
-    for tally in tallies {
-        let tally = tally?;
-        hits += tally.hits;
-        computed += tally.computed;
-        for (code, n) in tally.rejections {
-            *rejections.entry(code).or_insert(0) += n;
-        }
-        latencies.extend(tally.latencies_us);
-        traces.extend(tally.traces);
-    }
-    let elapsed = t0.elapsed();
-
-    // Invariant 1 (no silent drops): every request is accounted for.
-    let rejected: u64 = rejections.values().sum();
-    let answered = hits + computed + rejected;
-    assert_eq!(
-        answered as usize, cfg.requests,
-        "requests dropped without a typed ServiceError"
-    );
-
-    let served = hits + computed;
-    let hit_rate = if served == 0 {
-        0.0
-    } else {
-        hits as f64 / served as f64
-    };
-    // Invariant 3: the zipf mix must actually exercise memoization.
-    if cfg.requests >= 4 * templates.len() {
-        assert!(
-            hit_rate >= 0.5,
-            "hit rate {hit_rate:.3} below the 0.5 floor ({hits} hits / {served} served)"
-        );
-    }
-
-    let metrics = scrape_metrics(addr)?;
-    validate_prometheus(&metrics)?;
-    if !metrics.contains("cachemap_service_cache_hits_total") {
-        return Err("metrics scrape is missing the cache-hit counter".into());
-    }
-
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let idx = ((latencies.len() as f64 * p).ceil() as usize).clamp(1, latencies.len()) - 1;
-            latencies[idx]
-        }
-    };
-
-    // Tracing coverage: every successful reply must carry a trace.
-    let traced = traces.len() as u64;
-    if cfg.tracing {
-        assert_eq!(
-            traced,
-            served,
-            "tracing was on but {} of {served} served replies had no trace",
-            served - traced
-        );
-    } else {
-        assert_eq!(traced, 0, "tracing was off but replies carried traces");
-    }
-
-    // Per-stage attribution: average the traces whose total sits in the
-    // middle decile around the median, so the columns describe the
-    // median request's timeline (and therefore sum to ≈ the service-
-    // observed p50).
-    traces.sort_by_key(|(total, _)| *total);
-    let service_p50_us = traces.get(traces.len() / 2).map_or(0, |(t, _)| *t);
-    let (stages, stage_sum_us) = if traces.is_empty() {
-        (BTreeMap::new(), 0)
-    } else {
-        let lo = traces.len() * 45 / 100;
-        let hi = (traces.len() * 55 / 100 + 1).min(traces.len());
-        let window = &traces[lo..hi];
-        let mut sums: BTreeMap<String, u64> = BTreeMap::new();
-        for (_, per_stage) in window {
-            for (name, us) in per_stage {
-                *sums.entry(name.clone()).or_insert(0) += us;
-            }
-        }
-        let n = window.len() as u64;
-        let stages: BTreeMap<String, u64> = sums.into_iter().map(|(k, v)| (k, v / n)).collect();
-        let sum = stages.values().sum();
-        (stages, sum)
-    };
-    // The attribution must explain the latency it claims to: at real
-    // campaign sizes the stage sum lands within 10% of the service-
-    // observed p50. (The client p50 is not the baseline — it also
-    // carries wire transfer and the client's parse + byte-identity
-    // check, which no server-side trace can see.)
-    if cfg.tracing && cfg.requests >= 400 {
-        let p50 = service_p50_us as f64;
-        let sum = stage_sum_us as f64;
-        assert!(
-            (sum - p50).abs() <= 0.10 * p50.max(1.0),
-            "stage attribution sum {stage_sum_us} µs strays more than 10% \
-             from the service p50 {service_p50_us} µs"
-        );
-    }
-
-    let report = ServeBenchReport {
-        seed: cfg.seed,
-        requests: cfg.requests,
-        templates: templates.len(),
-        hits,
-        computed,
-        rejections,
-        hit_rate,
-        throughput_rps: cfg.requests as f64 / elapsed.as_secs_f64(),
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        p999_us: pct(0.999),
-        traced,
-        service_p50_us,
-        stages,
-        stage_sum_us,
-        elapsed_ms: elapsed.as_secs_f64() * 1e3,
-        metrics_schema_ok: true,
-    };
-
-    server.shutdown();
-    service.shutdown();
-    Ok(report)
-}
-
-/// Renders the human-readable campaign summary.
-pub fn render(report: &ServeBenchReport) -> String {
-    let rej: u64 = report.rejections.values().sum();
-    let mut out = format!(
-        "== serve-bench — seed {} ==\n\
-         requests      {:>8}   ({} templates, {} clients closed-loop)\n\
-         served        {:>8}   ({} cached + {} computed, hit rate {:.1}%)\n\
-         rejected      {:>8}   (all with typed ServiceError codes)\n\
-         throughput    {:>8.0} req/s\n\
-         latency       p50 {} µs, p99 {} µs, p99.9 {} µs",
-        report.seed,
-        report.requests,
-        report.templates,
-        ServeBenchConfig::default().clients,
-        report.hits + report.computed,
-        report.hits,
-        report.computed,
-        report.hit_rate * 100.0,
-        rej,
-        report.throughput_rps,
-        report.p50_us,
-        report.p99_us,
-        report.p999_us,
-    );
-    if !report.stages.is_empty() {
-        let cols: Vec<String> = cachemap_service::TRACE_STAGES
-            .iter()
-            .filter_map(|s| report.stages.get(*s).map(|us| format!("{s} {us}")))
-            .collect();
-        out.push_str(&format!(
-            "\nattribution   {} µs  (Σ {} µs ≈ service p50 {} µs over {} traces;\n\
-             \x20             client p50 − service p50 = wire + client parse)",
-            cols.join(" | "),
-            report.stage_sum_us,
-            report.service_p50_us,
-            report.traced,
-        ));
-    }
-    out.push_str(&format!(
-        "\nwall clock    {:>8.1} ms\n\
-         metrics       Prometheus schema OK",
-        report.elapsed_ms,
-    ));
-    out
 }
 
 #[cfg(test)]
@@ -669,66 +224,5 @@ mod tests {
         ] {
             assert!(validate_prometheus(bad).is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn tiny_campaign_meets_all_invariants() {
-        // Two apps keep the cold-oracle phase fast in debug builds; the
-        // full eight-app pool runs under `repro serve-bench` in release.
-        let flight = std::env::temp_dir().join(format!("cachemap-serve-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&flight);
-        let report = run(&ServeBenchConfig {
-            seed: 7,
-            requests: 64,
-            clients: 4,
-            apps: 2,
-            tracing: true,
-            flight_dir: Some(flight.clone()),
-        })
-        .unwrap();
-        assert_eq!(report.requests, 64);
-        assert_eq!(report.templates, 8);
-        assert!(report.hit_rate >= 0.5);
-        assert!(report.metrics_schema_ok);
-        // Tracing: every served reply carried a trace and the stage
-        // columns aggregated into a non-empty attribution.
-        assert_eq!(report.traced, report.hits + report.computed);
-        assert!(report.stage_sum_us > 0, "empty stage attribution");
-        assert!(report.service_p50_us > 0, "no service-side p50");
-        assert!(
-            report.stages.contains_key("fingerprint"),
-            "every trace starts with the fingerprint stage"
-        );
-        // The graceful shutdown dumped a drain flight record.
-        let drains: Vec<_> = std::fs::read_dir(&flight)
-            .expect("flight dir exists")
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| n.starts_with("flight-drain-") && n.ends_with(".json"))
-            })
-            .collect();
-        assert_eq!(drains.len(), 1, "expected exactly one drain dump");
-        let dump = std::fs::read_to_string(drains[0].path()).unwrap();
-        cachemap_obs::validate_flight_record(&json::parse(&dump).unwrap())
-            .expect("drain dump matches the flight-record schema");
-        let _ = std::fs::remove_dir_all(&flight);
-    }
-
-    #[test]
-    fn untraced_campaign_has_no_trace_fields() {
-        let report = run(&ServeBenchConfig {
-            seed: 11,
-            requests: 24,
-            clients: 2,
-            apps: 1,
-            tracing: false,
-            flight_dir: None,
-        })
-        .unwrap();
-        assert_eq!(report.traced, 0);
-        assert!(report.stages.is_empty());
-        assert_eq!(report.stage_sum_us, 0);
     }
 }

@@ -1,14 +1,19 @@
 //! Robustness storm for the mapping service (`repro serve-storm`).
 //!
-//! Where `serve-bench` measures steady-state SLOs, this harness attacks
-//! the failure paths of the two-tier cache stack, in four phases over
-//! one live TCP server + crash-durable L2 directory:
+//! This harness attacks the failure paths of the two-tier cache stack,
+//! in four phases over one live [`AsyncServer`] + crash-durable L2
+//! directory:
 //!
 //! 1. **Hot-fingerprint barrage** — many connections fire the *same*
 //!    request simultaneously at a cold service. Exactly **one** reply
 //!    may report `cached: false` (single pipeline run, asserted both on
 //!    the wire and against the service's miss counter); every reply
-//!    must be byte-identical to the cold oracle.
+//!    must be byte-identical to the cold oracle. The server runs with
+//!    `batch_max: 1`, so each barrage frame is its own service
+//!    submission: batch dedup would otherwise answer identical lines in
+//!    one batch with one dispatch and fan that single `cached: false`
+//!    reply out to every shooter. At least one request must attach to
+//!    the in-flight computation, so the coalescer is really exercised.
 //! 2. **Pre-kill zipf campaign** — closed-loop clients replay a seeded
 //!    zipf mix; mid-campaign the service is **killed** (crash
 //!    simulation: workers stop, nothing is flushed) and every
@@ -17,19 +22,26 @@
 //!    truncated (a partial final write), the service is restarted on
 //!    the same directory, and the zipf campaign re-runs. Recovery must
 //!    succeed and the warm hit rate must reach at least 80% of the
-//!    pre-kill rate.
+//!    pre-kill rate. Every served reply of this phase must carry a
+//!    trace, and the per-stage durations around the median request
+//!    (`parse_us`, `l1_us`, `serialize_us`, …) must sum to within 10%
+//!    of the service-observed p50 — a standing check that the trace
+//!    timeline tiles the latency it claims to explain.
 //! 4. **Drain under load** — with clients still hammering, a graceful
 //!    shutdown runs; every in-flight and queued request is answered
 //!    (mapping or typed error — zero untyped drops), and the drain
 //!    duration lands in the stats.
 
-use crate::serve::{build_templates, drive_client, scrape_metrics, validate_prometheus, Zipf};
-use cachemap_service::server::Server;
-use cachemap_service::{MapService, ServiceConfig};
+use crate::serve::{
+    build_templates, connect, frames, scrape_metrics, validate_prometheus, Template, Zipf,
+};
+use cachemap_service::aserver::{AsyncServer, AsyncServerConfig};
+use cachemap_service::{MapService, ServiceConfig, TRACE_STAGES};
+use cachemap_util::check::Gen;
 use cachemap_util::{json, Json, ToJson};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -110,10 +122,26 @@ pub struct StormReport {
     pub torn_bytes: u64,
     /// L2 index entries recovered at restart.
     pub recovered_entries: u64,
+    /// Successful zipf replies after the restart.
+    pub postrestart_served: u64,
     /// Cache hit rate over the post-restart zipf phase.
     pub postrestart_hit_rate: f64,
     /// `postrestart_hit_rate / prekill_hit_rate` (the ≥ 0.8 gate).
     pub warm_ratio: f64,
+    /// Post-restart replies that carried a trace (must equal
+    /// `postrestart_served`).
+    pub traced: u64,
+    /// Median post-restart trace total (µs) — the latency the service
+    /// itself observed, parse through serialize.
+    pub service_p50_us: u64,
+    /// Per-stage latency attribution (µs), averaged over the
+    /// post-restart traces whose total sits in the middle decile around
+    /// the median — so the stage values sum to (about) the median
+    /// request's timeline.
+    pub stages: BTreeMap<String, u64>,
+    /// Sum of the attribution columns (µs); gated within 10% of
+    /// `service_p50_us`.
+    pub stage_sum_us: u64,
     /// Requests issued during the drain-under-load phase.
     pub drain_requests: u64,
     /// Of those, served with a mapping.
@@ -128,9 +156,13 @@ pub struct StormReport {
     pub metrics_schema_ok: bool,
 }
 
+fn owned(pairs: Vec<(&str, Json)>) -> Vec<(String, Json)> {
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
 impl ToJson for StormReport {
     fn to_json(&self) -> Json {
-        Json::object(vec![
+        let mut pairs = owned(vec![
             ("bench", Json::Str("serve-storm".into())),
             ("seed", Json::UInt(self.seed)),
             (
@@ -151,11 +183,24 @@ impl ToJson for StormReport {
             ("prekill_hit_rate", Json::Float(self.prekill_hit_rate)),
             ("torn_bytes", Json::UInt(self.torn_bytes)),
             ("recovered_entries", Json::UInt(self.recovered_entries)),
+            ("postrestart_served", Json::UInt(self.postrestart_served)),
             (
                 "postrestart_hit_rate",
                 Json::Float(self.postrestart_hit_rate),
             ),
             ("warm_ratio", Json::Float(self.warm_ratio)),
+            ("traced", Json::UInt(self.traced)),
+            ("service_p50_us", Json::UInt(self.service_p50_us)),
+        ]);
+        // Per-stage attribution columns, one `<stage>_us` key each, in
+        // the trace's stage order.
+        for stage in TRACE_STAGES {
+            if let Some(us) = self.stages.get(stage) {
+                pairs.push((format!("{stage}_us"), Json::UInt(*us)));
+            }
+        }
+        pairs.extend(owned(vec![
+            ("stage_sum_us", Json::UInt(self.stage_sum_us)),
             ("drain_requests", Json::UInt(self.drain_requests)),
             ("drain_served", Json::UInt(self.drain_served)),
             (
@@ -165,7 +210,8 @@ impl ToJson for StormReport {
             ("drain_seconds", Json::Float(self.drain_seconds)),
             ("elapsed_ms", Json::Float(self.elapsed_ms)),
             ("metrics_schema_ok", Json::Bool(self.metrics_schema_ok)),
-        ])
+        ]));
+        Json::Object(pairs)
     }
 }
 
@@ -182,6 +228,21 @@ fn service_config(dir: &Path) -> ServiceConfig {
         flight_dir: dir.join("flight"),
         ..ServiceConfig::default()
     }
+}
+
+/// Fronts `service` with an async server that dispatches one frame per
+/// batch, so identical barrage lines reach the service's coalescer
+/// instead of being deduped in the batch.
+fn spawn_server(service: &Arc<MapService>) -> Result<AsyncServer, String> {
+    AsyncServer::spawn_with(
+        "127.0.0.1:0",
+        Arc::clone(service),
+        AsyncServerConfig {
+            batch_max: 1,
+            ..AsyncServerConfig::default()
+        },
+    )
+    .map_err(|e| format!("bind: {e}"))
 }
 
 /// Counts `flight-<trigger>-*.json` dumps in the flight directory.
@@ -201,26 +262,20 @@ fn count_dumps(dir: &Path, trigger: &str) -> u64 {
 }
 
 /// One barrage shooter: connect, wait for the barrier, fire the hot
-/// line once, parse the reply. Returns `(cached, follower)` — whether
+/// frame once, parse the reply. Returns `(cached, follower)` — whether
 /// the reply came from cache, and whether its trace carries a coalesce
 /// span tagged `follower` (the request waited on the leader's compute).
 fn fire_hot(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     barrier: &Barrier,
-    line: &str,
+    frame: &[u8],
     cold_bytes: &str,
 ) -> Result<(bool, bool), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    let mut reader = BufReader::new(stream);
+    let mut stream = connect(addr)?;
     barrier.wait();
-    writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("write: {e}"))?;
+    stream.write_all(frame).map_err(|e| format!("write: {e}"))?;
     let mut reply = String::new();
-    reader
+    BufReader::new(stream)
         .read_line(&mut reply)
         .map_err(|e| format!("read: {e}"))?;
     let v = json::parse(&reply).map_err(|e| format!("bad reply json: {e}"))?;
@@ -247,6 +302,139 @@ fn fire_hot(
     Ok((v.get("cached") == Some(&Json::Bool(true)), follower))
 }
 
+struct ClientTally {
+    hits: u64,
+    computed: u64,
+    rejections: BTreeMap<String, u64>,
+    /// Per traced reply: `(trace total_us, per-stage duration sums)`.
+    traces: Vec<(u64, BTreeMap<String, u64>)>,
+}
+
+/// Pulls `(total_us, per-stage sums)` out of a reply's `trace` object.
+fn digest_trace(trace: &Json) -> Option<(u64, BTreeMap<String, u64>)> {
+    let total = trace.get("total_us").and_then(Json::as_u64)?;
+    let mut stages: BTreeMap<String, u64> = BTreeMap::new();
+    for s in trace.get("stages").and_then(Json::as_array)? {
+        let name = s.get("name").and_then(Json::as_str)?;
+        let dur = s.get("dur_us").and_then(Json::as_u64)?;
+        *stages.entry(name.to_string()).or_insert(0) += dur;
+    }
+    Some((total, stages))
+}
+
+/// One closed-loop client: `requests` zipf-picked templates over one
+/// connection, each reply checked before the next request goes out.
+/// Served mappings must match the cold oracle byte for byte, and
+/// rejections must carry a typed code.
+fn drive_client(
+    addr: SocketAddr,
+    templates: &[Template],
+    zipf: &Zipf,
+    seed: u64,
+    requests: usize,
+) -> Result<ClientTally, String> {
+    let frames = frames(templates);
+    let mut conn = BufReader::new(connect(addr)?);
+    let mut g = Gen::from_seed(seed);
+    let mut tally = ClientTally {
+        hits: 0,
+        computed: 0,
+        rejections: BTreeMap::new(),
+        traces: Vec::new(),
+    };
+    let mut reply = String::new();
+    for k in 0..requests {
+        let pick = zipf.sample(&mut g);
+        conn.get_mut()
+            .write_all(&frames[pick])
+            .map_err(|e| format!("request {k}: write: {e}"))?;
+        reply.clear();
+        conn.read_line(&mut reply)
+            .map_err(|e| format!("request {k}: read: {e}"))?;
+        if reply.is_empty() {
+            return Err(format!("request {k}: connection closed without a reply"));
+        }
+        let v = json::parse(&reply).map_err(|e| format!("request {k}: bad reply json: {e}"))?;
+        match v.get("status").and_then(Json::as_str) {
+            Some("ok") => {
+                let mapping = v
+                    .get("mapping")
+                    .ok_or_else(|| format!("request {k}: ok reply without a mapping"))?;
+                let got = mapping.to_string_compact();
+                let want = &templates[pick].cold_bytes;
+                if &got != want {
+                    return Err(format!(
+                        "request {k}: mapping diverged from the cold pipeline \
+                         ({} vs {} bytes)",
+                        got.len(),
+                        want.len()
+                    ));
+                }
+                if v.get("cached") == Some(&Json::Bool(true)) {
+                    tally.hits += 1;
+                } else {
+                    tally.computed += 1;
+                }
+                if let Some(trace) = v.get("trace").and_then(digest_trace) {
+                    tally.traces.push(trace);
+                }
+            }
+            Some("error") => {
+                let code = v
+                    .get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| format!("request {k}: error reply without a code"))?;
+                *tally.rejections.entry(code.to_string()).or_insert(0) += 1;
+            }
+            other => return Err(format!("request {k}: unrecognized status {other:?}")),
+        }
+    }
+    Ok(tally)
+}
+
+/// Per-stage latency attribution over one phase's traces.
+struct Attribution {
+    /// Median trace total (µs).
+    service_p50_us: u64,
+    /// Per-stage means (µs) over the middle decile around the median.
+    stages: BTreeMap<String, u64>,
+    /// Sum of `stages` (µs).
+    stage_sum_us: u64,
+}
+
+/// Averages the traces whose total sits in the middle decile around the
+/// median, so the columns describe the median request's timeline (and
+/// therefore sum to ≈ the service-observed p50).
+fn attribute(mut traces: Vec<(u64, BTreeMap<String, u64>)>) -> Attribution {
+    traces.sort_by_key(|(total, _)| *total);
+    let service_p50_us = traces.get(traces.len() / 2).map_or(0, |(t, _)| *t);
+    if traces.is_empty() {
+        return Attribution {
+            service_p50_us,
+            stages: BTreeMap::new(),
+            stage_sum_us: 0,
+        };
+    }
+    let lo = traces.len() * 45 / 100;
+    let hi = (traces.len() * 55 / 100 + 1).min(traces.len());
+    let window = &traces[lo..hi];
+    let mut sums: BTreeMap<String, u64> = BTreeMap::new();
+    for (_, per_stage) in window {
+        for (name, us) in per_stage {
+            *sums.entry(name.clone()).or_insert(0) += us;
+        }
+    }
+    let n = window.len() as u64;
+    let stages: BTreeMap<String, u64> = sums.into_iter().map(|(k, v)| (k, v / n)).collect();
+    let stage_sum_us = stages.values().sum();
+    Attribution {
+        service_p50_us,
+        stages,
+        stage_sum_us,
+    }
+}
+
 /// The newest `seg-*.log` file in the L2 directory.
 fn last_segment(dir: &Path) -> Option<PathBuf> {
     let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -267,6 +455,7 @@ struct ZipfOutcome {
     rejected: u64,
     hit_rate: f64,
     rejections: BTreeMap<String, u64>,
+    traces: Vec<(u64, BTreeMap<String, u64>)>,
 }
 
 /// Answered-request total so far (all cache tiers + computes + waits).
@@ -278,8 +467,8 @@ fn answered(svc: &MapService) -> u64 {
 /// Runs one closed-loop zipf campaign; optionally kills `victim` once
 /// roughly half the phase's requests have been answered.
 fn zipf_phase(
-    addr: std::net::SocketAddr,
-    templates: &[crate::serve::Template],
+    addr: SocketAddr,
+    templates: &[Template],
     cfg: &StormConfig,
     phase_seed: u64,
     victim: Option<&Arc<MapService>>,
@@ -303,7 +492,7 @@ fn zipf_phase(
 
     // Scoped threads (not the shared pool): the kill must be able to
     // land while clients are mid-flight.
-    let tallies: Vec<Result<crate::serve::ClientTally, String>> = std::thread::scope(|s| {
+    let tallies: Vec<Result<ClientTally, String>> = std::thread::scope(|s| {
         let joins: Vec<_> = (0..clients)
             .map(|c| {
                 let share =
@@ -328,6 +517,7 @@ fn zipf_phase(
     let mut served = 0u64;
     let mut hits = 0u64;
     let mut rejections: BTreeMap<String, u64> = BTreeMap::new();
+    let mut traces = Vec::new();
     for tally in tallies {
         let tally = tally?;
         served += tally.hits + tally.computed;
@@ -335,6 +525,7 @@ fn zipf_phase(
         for (code, n) in tally.rejections {
             *rejections.entry(code).or_insert(0) += n;
         }
+        traces.extend(tally.traces);
     }
     let rejected: u64 = rejections.values().sum();
     // Zero untyped drops: every request in the phase is accounted for.
@@ -354,6 +545,7 @@ fn zipf_phase(
         rejected,
         hit_rate,
         rejections,
+        traces,
     })
 }
 
@@ -375,20 +567,19 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
 
     // ---- Phase 1 + 2: cold service, hot barrage, then zipf + kill.
     let service = Arc::new(MapService::start(service_config(&dir)));
-    let server =
-        Server::spawn("127.0.0.1:0", Arc::clone(&service)).map_err(|e| format!("bind: {e}"))?;
+    let server = spawn_server(&service)?;
     let addr = server.addr();
 
     let shooters = cfg.storm_connections.max(2);
     let barrier = Arc::new(Barrier::new(shooters));
-    let hot_line = templates[0].line.clone();
+    let hot_frame = frames(&templates[..1]).remove(0);
     let hot_cold = templates[0].cold_bytes.clone();
     let storm_joins: Vec<_> = (0..shooters)
         .map(|_| {
             let b = Arc::clone(&barrier);
-            let line = hot_line.clone();
+            let frame = hot_frame.clone();
             let cold = hot_cold.clone();
-            std::thread::spawn(move || fire_hot(addr, &b, &line, &cold))
+            std::thread::spawn(move || fire_hot(addr, &b, &frame, &cold))
         })
         .collect();
     let mut storm_computes = 0u64;
@@ -412,6 +603,11 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
             storm_stats.misses
         ));
     }
+    // Without an attach the follower-span check below is 0 == 0 and
+    // proves nothing about the coalescer.
+    if storm_stats.coalesced == 0 {
+        return Err("hot barrage: no request attached to the in-flight compute".into());
+    }
     // Attribution invariant: every coalesced waiter's trace points at
     // the computation it waited on — a `follower` span per attach.
     if storm_follower_spans != storm_stats.coalesced {
@@ -424,7 +620,7 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
     let prekill = zipf_phase(addr, &templates, cfg, cfg.seed, Some(&service))?;
     // The kill must not leave untyped wreckage: everything rejected
     // during the window carried a code (zipf_phase already summed it).
-    server.shutdown();
+    // Dropping the server stops its loop and joins its threads.
     drop(server);
     drop(service);
 
@@ -446,8 +642,7 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
     };
     let service2 = Arc::new(MapService::start(service_config(&dir)));
     let recovered_entries = service2.l2_entries().unwrap_or(0) as u64;
-    let server2 =
-        Server::spawn("127.0.0.1:0", Arc::clone(&service2)).map_err(|e| format!("re-bind: {e}"))?;
+    let server2 = spawn_server(&service2)?;
     let addr2 = server2.addr();
 
     let post = zipf_phase(addr2, &templates, cfg, cfg.seed ^ 0x5a5a, None)?;
@@ -460,6 +655,26 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
         return Err(format!(
             "warm restart regressed: post-restart hit rate {:.3} < 80% of pre-kill {:.3}",
             post.hit_rate, prekill.hit_rate
+        ));
+    }
+    // Tracing coverage and attribution over the post-restart phase: the
+    // stage columns must explain the service-side latency they claim
+    // to. (Client latency is not the baseline — it also carries the
+    // wire and the client's parse + byte-identity check, which no
+    // server-side trace can see.)
+    let traced = post.traces.len() as u64;
+    if traced != post.served {
+        return Err(format!(
+            "tracing was on but {traced} of {} served replies carried a trace",
+            post.served
+        ));
+    }
+    let attribution = attribute(post.traces);
+    let p50 = attribution.service_p50_us as f64;
+    if (attribution.stage_sum_us as f64 - p50).abs() > 0.10 * p50.max(1.0) {
+        return Err(format!(
+            "stage attribution sum {} µs strays more than 10% from the service p50 {} µs",
+            attribution.stage_sum_us, attribution.service_p50_us
         ));
     }
 
@@ -506,7 +721,6 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
         }
     }
 
-    server2.shutdown();
     drop(server2);
     drop(service2);
 
@@ -543,8 +757,13 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
         prekill_hit_rate: prekill.hit_rate,
         torn_bytes,
         recovered_entries,
+        postrestart_served: post.served,
         postrestart_hit_rate: post.hit_rate,
         warm_ratio,
+        traced,
+        service_p50_us: attribution.service_p50_us,
+        stages: attribution.stages,
+        stage_sum_us: attribution.stage_sum_us,
         drain_requests,
         drain_served: drain.served,
         drain_rejected_typed: drain.rejected,
@@ -556,13 +775,18 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
 
 /// Renders the human-readable storm summary.
 pub fn render(report: &StormReport) -> String {
+    let cols: Vec<String> = TRACE_STAGES
+        .iter()
+        .filter_map(|s| report.stages.get(*s).map(|us| format!("{s} {us}")))
+        .collect();
     format!(
         "== serve-storm — seed {} ==\n\
          barrage       {:>8} connections, {} compute, {} coalesced\n\
-         attribution   {:>8} follower spans (one per coalesce attach)\n\
+         followers     {:>8} follower spans (one per coalesce attach)\n\
          pre-kill      {:>8} served + {} typed rejections (hit rate {:.1}%)\n\
          torn tail     {:>8} bytes cut; {} L2 entries recovered\n\
-         post-restart  hit rate {:.1}%  (warm ratio {:.2}, gate ≥ 0.80)\n\
+         post-restart  {:>8} served, hit rate {:.1}%  (warm ratio {:.2}, gate ≥ 0.80)\n\
+         attribution   {} µs  (Σ {} µs ≈ service p50 {} µs over {} traces)\n\
          drain         {:>8} requests: {} served, {} typed, 0 untyped drops\n\
          drain time    {:>8.3} s\n\
          flight dumps  {:>8} slow_request, {} recovery, {} drain\n\
@@ -578,8 +802,13 @@ pub fn render(report: &StormReport) -> String {
         report.prekill_hit_rate * 100.0,
         report.torn_bytes,
         report.recovered_entries,
+        report.postrestart_served,
         report.postrestart_hit_rate * 100.0,
         report.warm_ratio,
+        cols.join(" | "),
+        report.stage_sum_us,
+        report.service_p50_us,
+        report.traced,
         report.drain_requests,
         report.drain_served,
         report.drain_rejected_typed,
@@ -599,7 +828,16 @@ mod tests {
     fn smoke_storm_meets_all_invariants() {
         let report = run(&StormConfig::smoke(7)).unwrap();
         assert_eq!(report.storm_computes, 1);
+        assert!(
+            report.storm_coalesced >= 1,
+            "the coalescer was never reached"
+        );
         assert_eq!(report.storm_follower_spans, report.storm_coalesced);
+        assert_eq!(report.traced, report.postrestart_served);
+        assert!(
+            report.stages.contains_key("fingerprint"),
+            "every trace starts with the fingerprint stage"
+        );
         assert!(report.warm_ratio >= 0.8);
         assert!(report.drain_seconds > 0.0);
         assert!(report.slow_dumps >= 1);

@@ -128,12 +128,6 @@ impl Pool {
         Pool::new(parse_threads(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or(fallback))
     }
 
-    /// Like [`Pool::from_env`], but with an explicit fallback instead of
-    /// the machine's available parallelism.
-    pub fn from_env_or(fallback: usize) -> Pool {
-        Pool::new(parse_threads(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or(fallback))
-    }
-
     /// The configured worker count (always ≥ 1).
     pub fn threads(&self) -> usize {
         self.threads

@@ -1,15 +1,14 @@
-//! The event-loop front end: [`AsyncServer`] serves the same protocol
-//! as [`crate::server::Server`] on a `cachemap-aio` event loop.
+//! The TCP front end: [`AsyncServer`] serves the JSON-lines protocol
+//! (plus `GET /metrics`) on a `cachemap-aio` event loop.
 //!
 //! One `aio` thread owns every socket (10k+ connections on a few MB
 //! instead of 10k thread stacks); decoded frames arrive in **batches**
 //! at a small dispatcher pool which (1) dedups byte-identical request
 //! lines inside each batch — the same-fingerprint case, answered once
-//! and fanned out verbatim — and (2) runs the shared
-//! [`crate::dispatch`] protocol module, so the two front ends cannot
-//! disagree about a single reply byte. Replies flow back through the
-//! loop's completion queue; a stale connection generation drops the
-//! reply instead of writing into a recycled slot.
+//! and fanned out verbatim — and (2) runs the [`crate::dispatch`]
+//! protocol module, which owns every reply byte. Replies flow back
+//! through the loop's completion queue; a stale connection generation
+//! drops the reply instead of writing into a recycled slot.
 //!
 //! Loop-level health is exported on the *service's* metric registry
 //! (`cachemap_aio_*`, preregistered at zero so the first scrape
@@ -367,6 +366,10 @@ impl Dispatch for Batcher {
 
     fn on_idle_timeout(&self) {
         self.service.count_front_end_rejection("read_timeout");
+    }
+
+    fn on_over_capacity(&self) {
+        self.service.count_front_end_rejection("conn_limit");
     }
 }
 

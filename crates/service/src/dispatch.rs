@@ -1,21 +1,21 @@
-//! Protocol dispatch shared by both front ends.
+//! Protocol dispatch: a decoded line goes in, reply bytes come out.
 //!
-//! The threaded [`crate::server::Server`] and the event-loop
-//! [`crate::aserver::AsyncServer`] speak the same wire protocol:
-//! JSON-lines requests ([`crate::proto`]) plus a plain-HTTP
-//! `GET /metrics` escape hatch on the same port. This module is the
-//! single implementation of "a decoded line goes in, reply bytes come
-//! out" so the two servers cannot drift: both call [`dispatch_line`]
-//! for JSON frames and [`http_response`] for HTTP request lines, and
-//! both use the same typed rejection lines ([`conn_limit_reply`],
-//! [`read_timeout_reply`]) for transport-level policy closes.
+//! The wire protocol is JSON-lines requests ([`crate::proto`]) plus a
+//! plain-HTTP `GET /metrics` escape hatch on the same port. The
+//! [`crate::aserver::AsyncServer`] front end owns the sockets and the
+//! framing; this module owns every reply byte: [`dispatch_line`] for
+//! JSON frames, [`http_response`] for HTTP request lines, and the typed
+//! rejection lines ([`conn_limit_reply`], [`read_timeout_reply`]) for
+//! transport-level policy closes. Benchmarks and tests call
+//! [`dispatch_line`] in-process to get the exact bytes the server
+//! would write.
 //!
 //! Nothing here blocks on sockets — callers own all I/O. The only
 //! blocking call is `MapService::submit_traced` inside a `map` op,
 //! which parks the calling thread until the service's worker pool
-//! answers; front ends must therefore invoke [`dispatch_line`] from a
-//! thread that is allowed to wait (a connection thread, or the async
-//! server's dispatcher pool — never the event loop itself).
+//! answers; callers must therefore invoke [`dispatch_line`] from a
+//! thread that is allowed to wait (the async server's dispatcher pool
+//! — never the event loop itself).
 
 use crate::proto::{self, Request};
 use crate::{MapService, ServiceError};
@@ -30,12 +30,6 @@ pub struct Dispatched {
     /// must still be written, after which the front end should stop
     /// accepting and begin its drain sequence.
     pub shutdown: bool,
-}
-
-/// `true` when a first line announces an HTTP request (`GET` / `HEAD`)
-/// rather than a JSON-lines frame.
-pub fn is_http_request_line(line: &str) -> bool {
-    line.starts_with("GET ") || line.starts_with("HEAD ")
 }
 
 /// Parses and executes one JSON-lines request against `service`,

@@ -18,9 +18,12 @@
 //!   cache hit at either tier returns a mapping byte-identical to a
 //!   cold run — memoization is semantically invisible (property-tested
 //!   in `tests/service.rs`).
-//! * [`server::Server`] — the TCP front end: JSON-lines request/response
-//!   (see [`proto`]) plus a plain-HTTP `GET /metrics` Prometheus
-//!   endpoint on the same port, backed by an `obs::Registry`.
+//! * [`aserver::AsyncServer`] — the TCP front end: JSON-lines
+//!   request/response (see [`proto`]) plus a plain-HTTP `GET /metrics`
+//!   Prometheus endpoint on the same port, backed by an
+//!   `obs::Registry`. One `cachemap-aio` event-loop thread owns every
+//!   socket and hands decoded frames to a small dispatcher pool in
+//!   batches; [`dispatch`] turns each line into its reply bytes.
 //!
 //! When [`ServiceConfig::tracing`] is on, every request additionally
 //! carries a deterministic per-request trace — stage-by-stage latency
@@ -41,13 +44,15 @@
 //! simulates a crash (no flush) for recovery testing.
 //!
 //! ```no_run
-//! use cachemap_service::{MapService, ServiceConfig, server::Server};
+//! use cachemap_service::{aserver::AsyncServer, MapService, ServiceConfig};
 //! use std::sync::Arc;
 //!
 //! let service = Arc::new(MapService::start(ServiceConfig::default()));
-//! let server = Server::spawn("127.0.0.1:7411", Arc::clone(&service)).unwrap();
+//! let server = AsyncServer::spawn("127.0.0.1:7411", Arc::clone(&service)).unwrap();
 //! println!("serving mappings on {}", server.addr());
-//! # server.shutdown();
+//! // Returns once a client sends `{"op":"shutdown"}` and the loop drains.
+//! server.join();
+//! service.shutdown();
 //! ```
 
 #![warn(missing_docs)]
@@ -61,7 +66,6 @@ pub mod netfault;
 pub mod proto;
 pub mod queue;
 pub mod router;
-pub mod server;
 
 pub use error::ServiceError;
 pub use health::{HealthConfig, HealthState, HealthTracker};

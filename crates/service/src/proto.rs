@@ -25,7 +25,7 @@
 //! request was too malformed to read one) and `"status"`: `"ok"` or
 //! `"error"` with a typed [`ServiceError`] body. The same port also
 //! answers plain `GET /metrics` HTTP requests for scrapers (see
-//! [`crate::server`]).
+//! [`crate::dispatch::http_response`]).
 
 use crate::error::ServiceError;
 use cachemap_core::wire::{mapper_config_from_json, version_from_json};

@@ -192,7 +192,8 @@ impl Backend for NullBackend {
     }
 }
 
-/// A TCP replica speaking the JSON-lines protocol of [`crate::server`].
+/// A TCP replica speaking the JSON-lines protocol of
+/// [`crate::aserver::AsyncServer`].
 /// One persistent connection, re-established on demand; every I/O
 /// failure tears the connection down and surfaces as
 /// [`BackendError::Unavailable`].

@@ -1,14 +1,13 @@
-//! Async front-end integration tests: wire compatibility with the
-//! threaded server, batching/dedup, fault injection (slow-loris,
-//! truncated and dripped writes), capacity limits, simulated-clock
-//! deadlines, and metric preregistration.
+//! Async front-end integration tests: wire identity with in-process
+//! dispatch, batching/dedup, fault injection (slow-loris, truncated and
+//! dripped writes), capacity limits, simulated-clock deadlines, and
+//! metric preregistration.
 
 use cachemap_aio::FaultPlan;
 use cachemap_core::{Mapper, MapperConfig, Version};
 use cachemap_polyhedral::DataSpace;
 use cachemap_service::aserver::{AsyncServer, AsyncServerConfig};
-use cachemap_service::server::Server;
-use cachemap_service::{MapRequest, MapService, ServiceConfig};
+use cachemap_service::{dispatch, MapRequest, MapService, ServiceConfig};
 use cachemap_storage::{HierarchyTree, PlatformConfig};
 use cachemap_util::{Clock, ToJson};
 use cachemap_workloads::{suite, Scale};
@@ -49,8 +48,7 @@ fn cold_mapping_bytes(req: &MapRequest) -> String {
 
 fn round_trip(addr: std::net::SocketAddr, line: &str) -> String {
     let mut c = TcpStream::connect(addr).unwrap();
-    c.write_all(line.as_bytes()).unwrap();
-    c.write_all(b"\n").unwrap();
+    c.write_all(format!("{line}\n").as_bytes()).unwrap();
     let mut r = BufReader::new(c);
     let mut reply = String::new();
     r.read_line(&mut reply).unwrap();
@@ -59,36 +57,40 @@ fn round_trip(addr: std::net::SocketAddr, line: &str) -> String {
 
 #[test]
 fn replies_are_byte_identical_to_the_threaded_server() {
+    // The name is kept from the threaded server this test first
+    // compared against. That server wrote exactly what
+    // `dispatch::dispatch_line` returns, so in-process dispatch is the
+    // reference the wire must match.
     let svc = service();
-    let threaded = Server::spawn("127.0.0.1:0", Arc::clone(&svc)).unwrap();
     let async_srv = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&svc)).unwrap();
 
     for (idx, version) in [(0, Version::InterProcessor), (1, Version::IntraProcessor)] {
         let req = request(idx, version, 7 + idx as u64);
         let line = req.to_json().to_string_compact();
-        let a = round_trip(threaded.addr(), &line);
-        let b = round_trip(async_srv.addr(), &line);
+        let wire = round_trip(async_srv.addr(), &line);
+        let local = dispatch::dispatch_line(&svc, &line).reply;
         // Map replies embed per-submission fields (`service_us`,
         // `cached`), so whole-line equality cannot hold across two
         // submissions; the payload that must agree — byte for byte —
         // is the mapping itself, and both must match the cold oracle.
         let oracle = format!("\"mapping\":{}", cold_mapping_bytes(&req));
-        assert!(a.contains(&oracle), "threaded reply lacks the cold mapping");
-        assert!(b.contains(&oracle), "async reply lacks the cold mapping");
-        for reply in [&a, &b] {
+        assert!(wire.contains(&oracle), "wire reply lacks the cold mapping");
+        assert!(
+            local.contains(&oracle),
+            "dispatched reply lacks the cold mapping"
+        );
+        for reply in [&wire, &local] {
             assert!(reply.contains("\"status\":\"ok\""), "{reply}");
             assert!(reply.contains(&format!("\"id\":{}", req.id)), "{reply}");
         }
     }
-    // Control-plane ops agree too (ping here; stats/metrics answers
-    // embed live counters, so byte comparison would race the other
-    // front end's own traffic).
+    // Control-plane ops agree byte for byte (ping here; stats/metrics
+    // answers embed live counters that the wire request itself moves).
     let ping = "{\"id\":3,\"op\":\"ping\"}";
     assert_eq!(
-        round_trip(threaded.addr(), ping),
-        round_trip(async_srv.addr(), ping)
+        round_trip(async_srv.addr(), ping),
+        format!("{}\n", dispatch::dispatch_line(&svc, ping).reply)
     );
-    threaded.shutdown();
 }
 
 #[test]
@@ -184,6 +186,9 @@ fn slow_loris_hits_idle_deadline_with_typed_error_and_no_sleeping() {
         t0.elapsed() < Duration::from_secs(5),
         "30 virtual seconds must not cost real time"
     );
+    // And the stream really is closed (EOF, not a hang).
+    reply.clear();
+    assert_eq!(r.read_line(&mut reply).unwrap(), 0, "{reply}");
     assert_eq!(svc.front_end_rejections("read_timeout"), 1);
 }
 
@@ -232,7 +237,7 @@ fn over_capacity_connection_gets_typed_conn_limit() {
         ..AsyncServerConfig::default()
     };
     let async_srv = AsyncServer::spawn_with("127.0.0.1:0", Arc::clone(&svc), cfg).unwrap();
-    let _a = TcpStream::connect(async_srv.addr()).unwrap();
+    let a = TcpStream::connect(async_srv.addr()).unwrap();
     let _b = TcpStream::connect(async_srv.addr()).unwrap();
     std::thread::sleep(Duration::from_millis(80)); // let both register
     let third = TcpStream::connect(async_srv.addr()).unwrap();
@@ -241,6 +246,29 @@ fn over_capacity_connection_gets_typed_conn_limit() {
     r.read_line(&mut line).unwrap();
     assert!(line.contains("conn_limit"), "{line}");
     assert!(line.contains("\"status\":\"error\""), "{line}");
+    // The refusal never became a request, but `/metrics` still shows it.
+    assert_eq!(svc.front_end_rejections("conn_limit"), 1);
+
+    // Releasing a slot readmits new connections. The loop frees the
+    // slot once it observes the close; poll briefly rather than race it.
+    // A still-refused attempt may see its write or read reset, so
+    // errors count as "not yet".
+    drop(a);
+    let admitted = (0..100).any(|_| {
+        let pong = TcpStream::connect(async_srv.addr())
+            .and_then(|mut c| {
+                c.write_all(b"{\"id\":9,\"op\":\"ping\"}\n")?;
+                let mut reply = String::new();
+                BufReader::new(c).read_line(&mut reply)?;
+                Ok(reply.contains("\"pong\":true"))
+            })
+            .unwrap_or(false);
+        if !pong {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        pong
+    });
+    assert!(admitted, "freed slot was never reused");
 }
 
 #[test]

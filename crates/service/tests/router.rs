@@ -2,9 +2,9 @@
 //! breaker lifecycle, netfault determinism, and the TCP backend path.
 
 use cachemap_core::Version;
+use cachemap_service::aserver::AsyncServer;
 use cachemap_service::netfault::FaultedBackend;
 use cachemap_service::router::{Backend, BackendError, Clock, LocalBackend, Router, TcpBackend};
-use cachemap_service::server::Server;
 use cachemap_service::{
     HealthConfig, HealthState, MapRequest, MapService, NetFaultPlan, RouterConfig, ServiceConfig,
     ServiceError,
@@ -296,7 +296,7 @@ fn netfault_runs_are_deterministic_and_typed() {
 #[test]
 fn tcp_backend_round_trips_and_surfaces_typed_errors() {
     let svc = small_service();
-    let server = Server::spawn("127.0.0.1:0", Arc::clone(&svc)).unwrap();
+    let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&svc)).unwrap();
     let addr = server.addr();
 
     let backend = TcpBackend::new("tcp-0", addr);
@@ -325,10 +325,10 @@ fn tcp_backend_round_trips_and_surfaces_typed_errors() {
     drop(server);
     svc.shutdown();
 
-    // With the server torn down the backend reports either a transport
-    // failure or the service's typed shutdown (depending on whether the
-    // old connection thread won the race to answer once more) — both
-    // are failover-eligible for the router, never untyped.
+    // With the server torn down the backend reports a transport failure
+    // on its dead connection (or the service's typed shutdown, had a
+    // reply still been in flight) — both are failover-eligible for the
+    // router, never untyped.
     match backend.call(&request(0, 10)) {
         Err(BackendError::Unavailable(_)) => {}
         Err(BackendError::Service(ServiceError::Shutdown)) => {}

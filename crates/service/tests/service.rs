@@ -1,10 +1,11 @@
 //! Service-level property and integration tests: fingerprint stability,
 //! cache byte-identity, typed admission errors, and the TCP/HTTP front
-//! end.
+//! end. Transport limits (connection cap, idle deadline) are tested in
+//! `tests/aserver.rs`.
 
 use cachemap_core::{Mapper, MapperConfig, Version};
 use cachemap_polyhedral::DataSpace;
-use cachemap_service::server::{Server, ServerConfig};
+use cachemap_service::aserver::AsyncServer;
 use cachemap_service::{MapRequest, MapService, ServiceConfig, ServiceError};
 use cachemap_storage::{HierarchyTree, PlatformConfig};
 use cachemap_util::json::{self, Json};
@@ -463,9 +464,7 @@ fn scope_invalidation_sweeps_both_tiers_durably() {
 }
 
 fn send_line(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     let mut reply = String::new();
     reader.read_line(&mut reply).unwrap();
     json::parse(&reply).unwrap()
@@ -474,7 +473,7 @@ fn send_line(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &s
 #[test]
 fn tcp_round_trip_and_http_metrics() {
     let service = Arc::new(MapService::start(ServiceConfig::default()));
-    let server = Server::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
     let addr = server.addr();
 
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -553,114 +552,13 @@ fn tcp_round_trip_and_http_metrics() {
 }
 
 #[test]
-fn connection_cap_rejects_with_typed_error_and_counts_it() {
-    let service = Arc::new(MapService::start(ServiceConfig::default()));
-    let server = Server::spawn_with(
-        "127.0.0.1:0",
-        Arc::clone(&service),
-        ServerConfig {
-            max_connections: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.addr();
-
-    // Fill both slots and prove they work.
-    let mut held = Vec::new();
-    for id in 1..=2u64 {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let pong = send_line(
-            &mut stream,
-            &mut reader,
-            &format!("{{\"op\":\"ping\",\"id\":{id}}}"),
-        );
-        assert_eq!(pong.get("status").and_then(Json::as_str), Some("ok"));
-        held.push((stream, reader));
-    }
-
-    // The third connection gets one conn_limit line and is closed.
-    let over = TcpStream::connect(addr).unwrap();
-    let mut reply = String::new();
-    BufReader::new(over).read_line(&mut reply).unwrap();
-    let err = json::parse(&reply).unwrap();
-    assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
-    assert_eq!(
-        err.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str),
-        Some("conn_limit")
-    );
-    assert_eq!(service.front_end_rejections("conn_limit"), 1);
-
-    // Releasing a slot readmits new connections.
-    held.pop();
-    // The slot is freed by the connection thread observing the close;
-    // poll briefly rather than racing it.
-    let mut admitted = false;
-    for _ in 0..100 {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        stream.write_all(b"{\"op\":\"ping\",\"id\":9}\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let resp = json::parse(&line).unwrap();
-        if resp.get("status").and_then(Json::as_str) == Some("ok") {
-            admitted = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(admitted, "freed slot was never reused");
-
-    server.shutdown();
-    service.shutdown();
-}
-
-#[test]
-fn idle_connection_is_closed_with_read_timeout() {
-    let service = Arc::new(MapService::start(ServiceConfig::default()));
-    let server = Server::spawn_with(
-        "127.0.0.1:0",
-        Arc::clone(&service),
-        ServerConfig {
-            read_timeout_ms: 50,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-
-    let stream = TcpStream::connect(server.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    // Send nothing: the server must answer with read_timeout and close.
-    let mut reply = String::new();
-    reader.read_line(&mut reply).unwrap();
-    let err = json::parse(&reply).unwrap();
-    assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
-    assert_eq!(
-        err.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str),
-        Some("read_timeout")
-    );
-    // And the stream really is closed (EOF, not a hang).
-    reply.clear();
-    assert_eq!(reader.read_line(&mut reply).unwrap(), 0);
-    assert_eq!(service.front_end_rejections("read_timeout"), 1);
-
-    server.shutdown();
-    service.shutdown();
-}
-
-#[test]
 fn map_in_flight_during_protocol_shutdown_gets_typed_reply() {
-    // Regression: `join()` after an in-protocol shutdown must drain
-    // active connections through the same bounded-wait path as `Drop`,
-    // so a map racing the shutdown is answered typed — never a closed
-    // socket.
+    // A map on one connection races a shutdown sent on another: the
+    // loop's drain must still answer the map typed — never a closed
+    // socket. (`in_protocol_shutdown_answers_then_drains` in
+    // `tests/aserver.rs` pipelines both on one connection.)
     let service = Arc::new(MapService::start(ServiceConfig::default()));
-    let server = Server::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
     let addr = server.addr();
 
     let mapper = std::thread::spawn(move || {
@@ -668,23 +566,29 @@ fn map_in_flight_during_protocol_shutdown_gets_typed_reply() {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let req = request(2, Version::InterProcessor, 77);
         let line = req.to_json().to_string_compact();
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        stream.flush().unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
         reply
     });
 
-    // Concurrently, a second client asks the server to stop.
-    std::thread::sleep(Duration::from_millis(5));
+    // Once the loop has decoded the map frame, a second client asks the
+    // server to stop.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.loop_stats().frames_total.load(Ordering::Relaxed) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "map frame never arrived"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let mut stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let bye = send_line(&mut stream, &mut reader, "{\"op\":\"shutdown\",\"id\":9}");
     assert_eq!(bye.get("status").and_then(Json::as_str), Some("ok"));
 
-    // Blocks until the accept loop exits, then waits out the in-flight
-    // connection — the drain path under test.
+    // Blocks until the loop has stopped accepting, answered everything
+    // in flight, and flushed every reply — the drain path under test.
     server.join();
 
     let reply = mapper.join().unwrap();

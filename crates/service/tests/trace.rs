@@ -5,7 +5,7 @@
 
 use cachemap_core::{MapperConfig, Version};
 use cachemap_obs::{validate_flight_record, validate_trace};
-use cachemap_service::server::Server;
+use cachemap_service::aserver::AsyncServer;
 use cachemap_service::{MapRequest, MapService, ServiceConfig};
 use cachemap_util::json::{self, Json};
 use cachemap_util::ToJson;
@@ -160,9 +160,7 @@ fn compute_traces_link_the_mapper_profile() {
 }
 
 fn send_line(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     let mut reply = String::new();
     reader.read_line(&mut reply).unwrap();
     reply
@@ -189,7 +187,7 @@ fn disabled_tracing_is_byte_identical_on_the_wire() {
             flight_dir: temp_dir("byteid"),
             ..ServiceConfig::default()
         }));
-        let server = Server::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
+        let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let reply = send_line(&mut stream, &mut reader, &req_line);
@@ -228,7 +226,7 @@ fn trace_op_round_trips_over_tcp() {
         flight_dir: temp_dir("op"),
         ..ServiceConfig::default()
     }));
-    let server = Server::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
 
@@ -297,7 +295,7 @@ fn tracing_off_answers_trace_ops_not_found() {
         tracing: false,
         ..ServiceConfig::default()
     }));
-    let server = Server::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let reply = json::parse(&send_line(
