@@ -1,6 +1,6 @@
 //! The policy advisor: per-(workload, level) eviction-policy sweeps.
 //!
-//! For every advisor workload (the four adversarial scenarios plus two
+//! For every advisor workload (the three adversarial scenarios plus two
 //! contrasting Table 2 apps) and every cache level, the advisor runs the
 //! full [`PolicyKind::ALL`] sweep *at that level only* — the other two
 //! levels stay at the paper's LRU — and picks a winner per cell:
@@ -103,7 +103,7 @@ impl AdvisorReport {
     }
 }
 
-/// The advisor workload set: the four adversarial scenarios plus two
+/// The advisor workload set: the three adversarial scenarios plus two
 /// contrasting suite apps (reuse-heavy `hf`, streaming `contour`).
 pub fn advisor_workloads(scale: Scale) -> Vec<Application> {
     let mut apps = cachemap_workloads::scenarios(scale);

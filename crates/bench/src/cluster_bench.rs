@@ -9,7 +9,7 @@
 //!
 //! 1. every parallel distribution is byte-identical to the sequential
 //!    one (compared via the canonical wire serialization);
-//! 2. the `distribute_profiled` counter totals (merges, dot sums,
+//! 2. the `distribute_pooled` profile counter totals (merges, dot sums,
 //!    balance moves, …) match span-for-span once wall-clock fields are
 //!    zeroed.
 //!

@@ -620,7 +620,6 @@ pub fn policy_ablation(scale: Scale, platform: &PlatformConfig) -> Matrix {
         ("LFU", PolicyKind::Lfu),
         ("SLRU", PolicyKind::Slru),
         ("LFUDA", PolicyKind::Lfuda),
-        ("GDSF", PolicyKind::Gdsf),
     ] {
         let p = platform.clone().with_policy(policy);
         let runs = run_suite(

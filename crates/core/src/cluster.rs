@@ -193,18 +193,30 @@ pub fn distribute(
     tree: &HierarchyTree,
     params: &ClusterParams,
 ) -> Distribution {
-    distribute_profiled(chunks, tree, params, &mut Profile::disabled())
+    distribute_pooled(
+        chunks,
+        tree,
+        params,
+        &Pool::sequential(),
+        &mut Profile::disabled(),
+    )
 }
 
-/// [`distribute_profiled`] on a worker pool: at each hierarchy level the
-/// per-subtree recursion fans out onto `pool`.
+/// [`distribute`] on a worker pool, with phase accounting.
 ///
-/// The result — the distribution *and* every profile counter — is
-/// byte-identical to the sequential kernel for any pool size: each
+/// At each hierarchy level the per-subtree recursion fans out onto
+/// `pool`. The result — the distribution *and* every profile counter —
+/// is byte-identical to the sequential kernel for any pool size: each
 /// node's greedy merge loop (inherently sequential) runs on one thread,
 /// and per-subtree profiles are absorbed in child order.
-/// `Pool::sequential()` recovers
-/// [`distribute_profiled`] exactly.
+///
+/// The profile gets one span per hierarchy level (`level:root` →
+/// `level:storage` → `level:io`), each carrying the merge/split/
+/// balance-move counters for that level plus a `similarity-graph` child
+/// span for the sparse similarity-graph build. Sibling subtrees at the
+/// same depth accumulate into one span, so the profile mirrors the
+/// levels of Figure 5, not the tree fan-out. With `Pool::sequential()`
+/// and a disabled profile this is exactly [`distribute`].
 pub fn distribute_pooled(
     chunks: &[IterationChunk],
     tree: &HierarchyTree,
@@ -229,22 +241,6 @@ pub fn distribute_pooled(
         prof,
     );
     Distribution { per_client }
-}
-
-/// [`distribute`] with phase accounting: one span per hierarchy level
-/// (`level:root` → `level:storage` → `level:io`), each carrying the
-/// merge/split/balance-move counters for that level plus a
-/// `similarity-graph` child span for the sparse similarity-graph build.
-/// Sibling subtrees at the same depth accumulate into one span, so the
-/// profile mirrors the levels of Figure 5, not the tree fan-out. With a
-/// disabled profile this is exactly [`distribute`].
-pub fn distribute_profiled(
-    chunks: &[IterationChunk],
-    tree: &HierarchyTree,
-    params: &ClusterParams,
-    prof: &mut Profile,
-) -> Distribution {
-    distribute_pooled(chunks, tree, params, &Pool::sequential(), prof)
 }
 
 /// Span name for the clustering step performed *at* a node of `level`.
@@ -1069,19 +1065,6 @@ pub fn remap_failed(
     failed: &[usize],
     params: &ClusterParams,
 ) -> Result<Distribution, RemapError> {
-    remap_failed_profiled(dist, chunks, tree, failed, params, &mut Profile::disabled())
-}
-
-/// [`remap_failed`] with phase accounting for the re-clustering pass
-/// over the pruned tree (see [`distribute_profiled`]).
-pub fn remap_failed_profiled(
-    dist: &Distribution,
-    chunks: &[IterationChunk],
-    tree: &HierarchyTree,
-    failed: &[usize],
-    params: &ClusterParams,
-    prof: &mut Profile,
-) -> Result<Distribution, RemapError> {
     remap_failed_pooled(
         dist,
         chunks,
@@ -1089,13 +1072,14 @@ pub fn remap_failed_profiled(
         failed,
         params,
         &Pool::sequential(),
-        prof,
+        &mut Profile::disabled(),
     )
 }
 
-/// [`remap_failed_profiled`] on a worker pool: the re-clustering pass
-/// over the pruned tree runs through [`distribute_pooled`], with the
-/// same byte-identity guarantee for any pool size.
+/// [`remap_failed`] on a worker pool, with phase accounting: the
+/// re-clustering pass over the pruned tree runs through
+/// [`distribute_pooled`], with the same spans and the same
+/// byte-identity guarantee for any pool size.
 #[allow(clippy::too_many_arguments)]
 pub fn remap_failed_pooled(
     dist: &Distribution,

@@ -6,8 +6,7 @@
 //! the in-repo deterministic harness (`cachemap_util::check`).
 
 use cachemap_core::cluster::{
-    distribute_pooled, distribute_profiled, remap_failed_pooled, remap_failed_profiled,
-    ClusterParams, Linkage,
+    distribute, distribute_pooled, remap_failed_pooled, ClusterParams, Linkage,
 };
 use cachemap_core::tags::IterationChunk;
 use cachemap_core::{wire, Mapper, MapperConfig, Version};
@@ -92,7 +91,7 @@ fn pooled_distribution_is_byte_identical_to_sequential() {
         let params = arb_params(g);
 
         let mut seq_prof = Profile::enabled();
-        let seq = distribute_profiled(&chunks, &tree, &params, &mut seq_prof);
+        let seq = distribute_pooled(&chunks, &tree, &params, &Pool::sequential(), &mut seq_prof);
         let seq_bytes = seq.to_json().to_string_compact();
         let seq_counters = counters_of(&seq_prof);
 
@@ -120,7 +119,7 @@ fn pooled_remap_matches_sequential_for_random_fault_plans() {
         let platform = arb_platform(g);
         let tree = HierarchyTree::from_config(&platform).unwrap();
         let params = arb_params(g);
-        let dist = distribute_profiled(&chunks, &tree, &params, &mut Profile::disabled());
+        let dist = distribute(&chunks, &tree, &params);
 
         // Fail a random nonempty strict subset of the clients.
         let clients = platform.num_clients;
@@ -138,8 +137,16 @@ fn pooled_remap_matches_sequential_for_random_fault_plans() {
         failed.sort_unstable();
 
         let mut seq_prof = Profile::enabled();
-        let seq =
-            remap_failed_profiled(&dist, &chunks, &tree, &failed, &params, &mut seq_prof).unwrap();
+        let seq = remap_failed_pooled(
+            &dist,
+            &chunks,
+            &tree,
+            &failed,
+            &params,
+            &Pool::sequential(),
+            &mut seq_prof,
+        )
+        .unwrap();
         let seq_bytes = seq.to_json().to_string_compact();
         let seq_counters = counters_of(&seq_prof);
 

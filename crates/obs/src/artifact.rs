@@ -325,7 +325,7 @@ mod tests {
                 io_nodes: 2,
                 storage_nodes: 1,
                 chunk_bytes: 1024,
-                policies: ["slru".to_string(), "lru".to_string(), "gdsf".to_string()],
+                policies: ["slru".to_string(), "lru".to_string(), "lfuda".to_string()],
             },
             mapper: Some(prof),
             engine: rec.finish(),
@@ -375,7 +375,7 @@ mod tests {
         let b = ObsArtifact::parse(&a.to_json().to_string_compact()).unwrap();
         assert_eq!(b.meta.policies, a.meta.policies);
         assert_eq!(b.meta.policy_for(Level::L1), "slru");
-        assert_eq!(b.meta.policy_for(Level::L3), "gdsf");
+        assert_eq!(b.meta.policy_for(Level::L3), "lfuda");
         // A pre-zoo artifact (no policies key) parses as all-LRU.
         let mut json = a.to_json();
         if let Json::Object(pairs) = &mut json {

@@ -1,6 +1,6 @@
 //! Deterministic parallel runtime: a scoped fixed-size worker pool with
-//! `par_map` / `par_map_reduce` primitives whose results are
-//! byte-identical for any thread count, including one.
+//! a `par_map` primitive whose results are byte-identical for any
+//! thread count, including one.
 //!
 //! The determinism contract, which every tenant in this workspace leans
 //! on (chaos replay, service cache fingerprints, golden reports):
@@ -10,12 +10,9 @@
 //!   item→result mapping is a pure function of the input.
 //! - **Results are collected in input order.** [`Pool::try_map`] writes
 //!   result `i` into slot `i` and returns `Vec<R>` ordered like the
-//!   input, regardless of completion order.
-//! - **Reductions use a fixed tree shape.** [`Pool::try_map_reduce`]
-//!   folds items into blocks whose boundaries depend only on
-//!   `items.len()`, then folds the block accumulators left-to-right.
-//!   The same shape is used at every thread count, so even
-//!   non-associative reducers (floating point!) give identical results.
+//!   input, regardless of completion order. Callers that reduce fold
+//!   that `Vec` themselves, so the fold order never depends on the
+//!   thread count.
 //!
 //! Worker panics are captured per item with `catch_unwind` and surfaced
 //! as a typed [`ParError`] — a panicking closure can never hang the
@@ -240,64 +237,6 @@ impl Pool {
             Err(e) => panic!("{e}"),
         }
     }
-
-    /// Maps `f` over `items` and folds the results with `reduce` using a
-    /// fixed tree shape: items are grouped into contiguous blocks whose
-    /// boundaries depend only on `items.len()` (never the thread count),
-    /// each block is folded left-to-right, and the block accumulators
-    /// are folded left-to-right on the calling thread. Returns `None`
-    /// for empty input.
-    pub fn try_map_reduce<T, A, F, G>(
-        &self,
-        items: &[T],
-        f: F,
-        reduce: G,
-    ) -> Result<Option<A>, ParError>
-    where
-        T: Sync,
-        A: Send,
-        F: Fn(usize, &T) -> A + Sync,
-        G: Fn(A, A) -> A + Sync,
-    {
-        if items.is_empty() {
-            return Ok(None);
-        }
-        let block = reduce_block_len(items.len());
-        let blocks: Vec<(usize, usize)> = (0..items.len())
-            .step_by(block)
-            .map(|lo| (lo, (lo + block).min(items.len())))
-            .collect();
-        let partials = self.try_map(&blocks, |_, &(lo, hi)| {
-            let mut acc = f(lo, &items[lo]);
-            for (i, item) in items.iter().enumerate().take(hi).skip(lo + 1) {
-                acc = reduce(acc, f(i, item));
-            }
-            acc
-        })?;
-        Ok(partials.into_iter().reduce(&reduce))
-    }
-
-    /// [`Pool::try_map_reduce`] that propagates a worker panic as a
-    /// panic on the calling thread.
-    pub fn map_reduce<T, A, F, G>(&self, items: &[T], f: F, reduce: G) -> Option<A>
-    where
-        T: Sync,
-        A: Send,
-        F: Fn(usize, &T) -> A + Sync,
-        G: Fn(A, A) -> A + Sync,
-    {
-        match self.try_map_reduce(items, f, reduce) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
-/// Block length for [`Pool::try_map_reduce`]: a function of the input
-/// length alone, so the reduction tree has the same shape at every
-/// thread count. At most 64 blocks keeps the sequential tail fold cheap.
-fn reduce_block_len(len: usize) -> usize {
-    len.div_ceil(64).max(1)
 }
 
 /// Parses a `CACHEMAP_THREADS`-style value: a positive integer, clamped
@@ -335,41 +274,6 @@ mod tests {
     fn empty_input_is_fine() {
         let none: [u32; 0] = [];
         assert_eq!(Pool::new(8).map(&none, |_, &x| x), Vec::<u32>::new());
-        assert_eq!(
-            Pool::new(8).map_reduce(&none, |_, &x| x, |a, b| a + b),
-            None
-        );
-    }
-
-    #[test]
-    fn reduce_shape_is_independent_of_thread_count() {
-        // A non-associative reduction: floating-point sums of wildly
-        // different magnitudes. Any change in fold shape changes bits.
-        let items: Vec<f64> = (0..1000)
-            .map(|i| {
-                if i % 7 == 0 {
-                    1e16
-                } else {
-                    (i as f64).sin() * 1e-3
-                }
-            })
-            .collect();
-        let reference = Pool::sequential()
-            .map_reduce(&items, |_, &x| x, |a, b| a + b)
-            .unwrap();
-        for threads in POOL_SIZES {
-            let got = Pool::new(threads)
-                .map_reduce(&items, |_, &x| x, |a, b| a + b)
-                .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_reduce_matches_plain_fold_semantics() {
-        let items: Vec<u64> = (1..=100).collect();
-        let got = Pool::new(3).map_reduce(&items, |_, &x| x, |a, b| a + b);
-        assert_eq!(got, Some(5050));
     }
 
     #[test]
@@ -438,18 +342,6 @@ mod tests {
         assert_eq!(Pool::new(1_000_000).threads(), MAX_THREADS);
         assert!(Pool::sequential().is_sequential());
         assert!(!Pool::new(2).is_sequential());
-    }
-
-    #[test]
-    fn reduce_blocks_cover_every_index_once() {
-        for len in [1usize, 2, 63, 64, 65, 100, 4096, 5000] {
-            let block = reduce_block_len(len);
-            let mut covered = 0usize;
-            for lo in (0..len).step_by(block) {
-                covered += (lo + block).min(len) - lo;
-            }
-            assert_eq!(covered, len, "len={len}");
-        }
     }
 
     #[test]

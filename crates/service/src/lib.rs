@@ -1055,13 +1055,13 @@ impl Inner {
             // profile records wall-clock around the mapping, never into
             // it, so the mapping bytes are identical either way
             // (property-tested since the profiling PR).
-            let (result, profile) = if queue_wait_us.is_some() {
-                let mut prof = Profile::enabled();
-                let r = self.compute_profiled(&job.req, &mut prof);
-                (r, Some(prof.to_json()))
+            let mut prof = if queue_wait_us.is_some() {
+                Profile::enabled()
             } else {
-                (self.compute(&job.req), None)
+                Profile::disabled()
             };
+            let result = self.compute(&job.req, &mut prof);
+            let profile = prof.is_enabled().then(|| prof.to_json());
             let compute_us = computed_at.elapsed().as_micros() as u64;
             match result {
                 Ok(mapping) => {
@@ -1130,15 +1130,7 @@ impl Inner {
         }
     }
 
-    fn compute(&self, req: &MapRequest) -> Result<MappedProgram, ServiceError> {
-        self.compute_profiled(req, &mut Profile::disabled())
-    }
-
-    fn compute_profiled(
-        &self,
-        req: &MapRequest,
-        prof: &mut Profile,
-    ) -> Result<MappedProgram, ServiceError> {
+    fn compute(&self, req: &MapRequest, prof: &mut Profile) -> Result<MappedProgram, ServiceError> {
         let tree =
             HierarchyTree::from_config(&req.platform).map_err(|e| ServiceError::BadRequest {
                 message: format!("platform: {e}"),

@@ -337,5 +337,11 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.code(), "bad_request", "line {line:?}");
         }
+        // A removed eviction policy is a typed rejection, not a panic.
+        let line = tiny_request().to_json().to_string_compact();
+        let removed = line.replace("\"policy\":\"lru\"", "\"policy\":\"gdsf\"");
+        assert_ne!(removed, line);
+        let err = parse_request(&removed).unwrap_err();
+        assert_eq!(err.code(), "bad_request", "line {removed:?}");
     }
 }

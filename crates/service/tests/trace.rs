@@ -49,6 +49,8 @@ fn traced_config() -> ServiceConfig {
         // Debug-build computes can outlive the default 10 s budget;
         // these tests measure attribution, not deadline policing.
         default_deadline_ms: 0,
+        // Anomaly dumps (e.g. on drain) stay out of the source tree.
+        flight_dir: temp_dir("traced"),
         ..ServiceConfig::default()
     }
 }

@@ -7,7 +7,8 @@
 //! can charge the write-back to the next level.
 //!
 //! The paper also notes its approach "can work with any storage caching
-//! policy"; FIFO and LFU variants are provided for that ablation.
+//! policy"; [`build_cache`] picks one of five for each level: LRU, FIFO,
+//! LFU, SLRU (scan-resistant) and LFUDA (LFU with dynamic aging).
 
 use crate::config::PolicyKind;
 use cachemap_util::stats::HitMiss;
@@ -79,7 +80,6 @@ pub fn build_cache(policy: PolicyKind, capacity: usize) -> Box<dyn ChunkCache + 
         PolicyKind::Lfu => Box::new(LfuCache::new(capacity)),
         PolicyKind::Slru => Box::new(SlruCache::new(capacity)),
         PolicyKind::Lfuda => Box::new(LfudaCache::new(capacity)),
-        PolicyKind::Gdsf => Box::new(GdsfCache::new(capacity)),
     }
 }
 
@@ -866,180 +866,6 @@ impl ChunkCache for LfudaCache {
     }
 }
 
-// ---------------------------------------------------------------------------
-// GDSF
-// ---------------------------------------------------------------------------
-
-/// Fixed-point scale for GDSF priorities, so `frequency / footprint`
-/// stays in integer arithmetic (bit-deterministic across platforms).
-const GDSF_PRECISION: u64 = 1024;
-
-#[derive(Debug, Clone)]
-struct GdsfEntry {
-    freq: u64,
-    prio: u64, // age + freq * GDSF_PRECISION / footprint
-    seq: u64,  // tie-break: lower sequence = older = evicted first
-    dirty: bool,
-}
-
-/// Greedy-Dual-Size-Frequency: eviction priority is
-/// `age + frequency × precision / footprint`, so small popular lines
-/// outlive large cold ones, and the age ratchet (as in LFUDA) retires
-/// stale lines. The simulator manages uniform 1-unit chunks, where GDSF
-/// reduces to greedy-dual frequency; [`GdsfCache::set_footprint`] feeds
-/// non-uniform footprints (in abstract units) for tests and future
-/// multi-granularity caching.
-#[derive(Debug, Clone)]
-pub struct GdsfCache {
-    capacity: usize,
-    entries: FxHashMap<Chunk, GdsfEntry>,
-    footprints: FxHashMap<Chunk, u64>,
-    age: u64,
-    next_seq: u64,
-    stats: HitMiss,
-}
-
-impl GdsfCache {
-    /// Creates an empty GDSF cache with uniform 1-unit footprints.
-    ///
-    /// # Panics
-    /// Panics if capacity is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        GdsfCache {
-            capacity,
-            entries: FxHashMap::default(),
-            footprints: FxHashMap::default(),
-            age: 0,
-            next_seq: 0,
-            stats: HitMiss::default(),
-        }
-    }
-
-    /// Declares a chunk's footprint in abstract units (clamped to ≥ 1).
-    /// Affects priorities computed from the next touch on; footprints
-    /// survive eviction and reset.
-    pub fn set_footprint(&mut self, chunk: Chunk, units: u64) {
-        self.footprints.insert(chunk, units.max(1));
-    }
-
-    fn footprint(&self, chunk: Chunk) -> u64 {
-        self.footprints.get(&chunk).copied().unwrap_or(1)
-    }
-
-    fn priority(&self, chunk: Chunk, freq: u64) -> u64 {
-        self.age + freq * GDSF_PRECISION / self.footprint(chunk)
-    }
-
-    /// Evicts the minimum-priority entry (unique `seq` tie-break) and
-    /// ratchets the age; `None` on an empty cache.
-    fn evict_min(&mut self) -> Option<(Chunk, bool)> {
-        let victim = *self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| (e.prio, e.seq))
-            .map(|(c, _)| c)?;
-        let e = self.entries.remove(&victim)?;
-        self.age = self.age.max(e.prio);
-        Some((victim, e.dirty))
-    }
-}
-
-impl ChunkCache for GdsfCache {
-    fn access(&mut self, chunk: Chunk, write: bool) -> bool {
-        if let Some(freq) = self.entries.get(&chunk).map(|e| e.freq + 1) {
-            let prio = self.priority(chunk, freq);
-            let e = self.entries.get_mut(&chunk).expect("resident");
-            e.freq = freq;
-            e.prio = prio;
-            e.dirty |= write;
-            self.stats.hit();
-            true
-        } else {
-            self.stats.miss();
-            false
-        }
-    }
-
-    fn insert(&mut self, chunk: Chunk, dirty: bool) -> InsertOutcome {
-        if let Some(freq) = self.entries.get(&chunk).map(|e| e.freq + 1) {
-            let prio = self.priority(chunk, freq);
-            let e = self.entries.get_mut(&chunk).expect("resident");
-            e.freq = freq;
-            e.prio = prio;
-            e.dirty |= dirty;
-            return InsertOutcome::Inserted;
-        }
-        let mut outcome = InsertOutcome::Inserted;
-        if self.entries.len() == self.capacity {
-            // Invariant: capacity > 0, so a full cache has a victim.
-            if let Some((victim, was_dirty)) = self.evict_min() {
-                outcome = if was_dirty {
-                    InsertOutcome::EvictedDirty(victim)
-                } else {
-                    InsertOutcome::EvictedClean(victim)
-                };
-            }
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let prio = self.priority(chunk, 1);
-        self.entries.insert(
-            chunk,
-            GdsfEntry {
-                freq: 1,
-                prio,
-                seq,
-                dirty,
-            },
-        );
-        outcome
-    }
-
-    fn contains(&self, chunk: Chunk) -> bool {
-        self.entries.contains_key(&chunk)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn stats(&self) -> HitMiss {
-        self.stats
-    }
-
-    fn reset(&mut self) {
-        self.entries.clear();
-        self.age = 0;
-        self.next_seq = 0;
-        self.stats = HitMiss::default();
-    }
-
-    fn drain(&mut self) -> Vec<(Chunk, bool)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        while let Some(entry) = self.evict_min() {
-            out.push(entry);
-        }
-        out
-    }
-
-    fn set_capacity(&mut self, capacity: usize) -> Vec<(Chunk, bool)> {
-        self.capacity = capacity.max(1);
-        let mut out = Vec::new();
-        while self.entries.len() > self.capacity {
-            match self.evict_min() {
-                Some(entry) => out.push(entry),
-                None => break,
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1323,53 +1149,8 @@ mod tests {
     }
 
     #[test]
-    fn gdsf_prefers_evicting_large_cold_lines() {
-        let mut c = GdsfCache::new(3);
-        c.set_footprint(1, 8); // large line
-        c.insert(1, false);
-        c.insert(2, false); // unit footprint
-        c.insert(3, false);
-        // Equal frequency: the large line has the lowest
-        // frequency-per-footprint priority and goes first, even though
-        // line 2 is older in insertion order than line 3.
-        assert_eq!(c.insert(4, false), InsertOutcome::EvictedClean(1));
-    }
-
-    #[test]
-    fn gdsf_frequency_rescues_a_large_line() {
-        let mut c = GdsfCache::new(3);
-        c.set_footprint(1, 4);
-        c.insert(1, false);
-        for _ in 0..8 {
-            c.access(1, false); // freq climbs: 9 * P/4 > 1 * P
-        }
-        c.insert(2, false);
-        c.insert(3, false);
-        // Now the cold unit-footprint line 2 is the victim.
-        assert_eq!(c.insert(4, false), InsertOutcome::EvictedClean(2));
-        assert!(c.contains(1));
-    }
-
-    #[test]
-    fn gdsf_uniform_footprints_age_like_lfuda() {
-        // With uniform footprints GDSF is greedy-dual frequency: the
-        // age ratchet must admit a newly hot line past stale ones.
-        let mut c = GdsfCache::new(2);
-        for _ in 0..10 {
-            c.insert(1, false);
-            c.insert(2, false);
-        }
-        for _ in 0..12 {
-            if !c.access(3, false) {
-                c.insert(3, false);
-            }
-        }
-        assert!(c.contains(3));
-    }
-
-    #[test]
     fn new_policies_reset_clears_aging_state() {
-        for kind in [PolicyKind::Slru, PolicyKind::Lfuda, PolicyKind::Gdsf] {
+        for kind in [PolicyKind::Slru, PolicyKind::Lfuda] {
             let mut c = build_cache(kind, 4);
             for i in 0..20 {
                 if !c.access(i, i % 2 == 0) {

@@ -86,7 +86,8 @@ pub enum PolicyKind {
     Lru,
     /// First-in-first-out (ablation).
     Fifo,
-    /// Least-frequently-used with aging (ablation).
+    /// Least-frequently-used with FIFO tie-breaking (ablation). It never
+    /// ages, so a once-hot line can outstay its popularity.
     Lfu,
     /// Segmented LRU: a probationary segment absorbs single-use lines
     /// (sequential scans) while re-referenced lines are promoted into a
@@ -96,23 +97,17 @@ pub enum PolicyKind {
     /// cache age that ratchets to each victim's priority, so stale
     /// once-popular lines eventually age out.
     Lfuda,
-    /// Greedy-Dual-Size-Frequency: priority is age + frequency scaled by
-    /// the line's footprint, favouring small popular lines. Chunks are
-    /// uniform-footprint in this simulator, but the footprint hook is
-    /// exercised by tests and future multi-granularity work.
-    Gdsf,
 }
 
 impl PolicyKind {
     /// Every policy, in the canonical sweep order used by ablations and
     /// the advisor.
-    pub const ALL: [PolicyKind; 6] = [
+    pub const ALL: [PolicyKind; 5] = [
         PolicyKind::Lru,
         PolicyKind::Fifo,
         PolicyKind::Lfu,
         PolicyKind::Slru,
         PolicyKind::Lfuda,
-        PolicyKind::Gdsf,
     ];
 
     /// Stable lower-case label, also the wire name (see `storage::wire`).
@@ -123,7 +118,6 @@ impl PolicyKind {
             PolicyKind::Lfu => "lfu",
             PolicyKind::Slru => "slru",
             PolicyKind::Lfuda => "lfuda",
-            PolicyKind::Gdsf => "gdsf",
         }
     }
 }
@@ -450,9 +444,9 @@ mod tests {
     fn policy_builders_and_uniformity() {
         let c = PlatformConfig::paper_default();
         assert_eq!(c.uniform_policy(), Some(PolicyKind::Lru));
-        let c = c.with_policy(PolicyKind::Gdsf);
-        assert_eq!(c.policies, [PolicyKind::Gdsf; 3]);
-        assert_eq!(c.uniform_policy(), Some(PolicyKind::Gdsf));
+        let c = c.with_policy(PolicyKind::Fifo);
+        assert_eq!(c.policies, [PolicyKind::Fifo; 3]);
+        assert_eq!(c.uniform_policy(), Some(PolicyKind::Fifo));
         let c = c.with_level_policies(PolicyKind::Slru, PolicyKind::Lru, PolicyKind::Lfuda);
         assert_eq!(c.uniform_policy(), None);
         assert!(c.validate().is_ok());

@@ -477,7 +477,7 @@ mod tests {
         let cfg = PlatformConfig::tiny().with_level_policies(
             PolicyKind::Slru,
             PolicyKind::Lfuda,
-            PolicyKind::Gdsf,
+            PolicyKind::Lfu,
         );
         let t = HierarchyTree::from_config(&cfg).unwrap();
         for node in t.nodes() {
@@ -485,7 +485,7 @@ mod tests {
             match node.level {
                 CacheLevel::Client => assert_eq!(policy, Some(PolicyKind::Slru)),
                 CacheLevel::Io => assert_eq!(policy, Some(PolicyKind::Lfuda)),
-                CacheLevel::Storage => assert_eq!(policy, Some(PolicyKind::Gdsf)),
+                CacheLevel::Storage => assert_eq!(policy, Some(PolicyKind::Lfu)),
                 CacheLevel::DummyRoot => assert_eq!(policy, None),
             }
         }

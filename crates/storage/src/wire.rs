@@ -51,10 +51,9 @@ pub fn policy_from_json(v: &Json) -> Result<PolicyKind, WireError> {
         Some("lfu") => Ok(PolicyKind::Lfu),
         Some("slru") => Ok(PolicyKind::Slru),
         Some("lfuda") => Ok(PolicyKind::Lfuda),
-        Some("gdsf") => Ok(PolicyKind::Gdsf),
         _ => Err(WireError::new(
             "policy",
-            "expected one of \"lru\", \"fifo\", \"lfu\", \"slru\", \"lfuda\", \"gdsf\"",
+            "expected one of \"lru\", \"fifo\", \"lfu\", \"slru\", \"lfuda\"",
         )),
     }
 }
@@ -287,6 +286,18 @@ mod tests {
     #[test]
     fn bad_policy_and_bad_op_are_typed_errors() {
         assert!(policy_from_json(&Json::Str("mru".into())).is_err());
+        // A policy dropped from the zoo is a typed error, alone or as
+        // one level of a per-level vector.
+        let err = policy_from_json(&Json::Str("gdsf".into())).unwrap_err();
+        assert_eq!(err.path, "policy");
+        let text = PlatformConfig::tiny()
+            .with_level_policies(PolicyKind::Lru, PolicyKind::Lru, PolicyKind::Lfuda)
+            .to_json()
+            .to_string_compact()
+            .replace("[\"lru\",\"lru\",\"lfuda\"]", "[\"lru\",\"lru\",\"gdsf\"]");
+        assert!(text.contains("\"gdsf\""), "{text}");
+        let err = platform_from_json(&cachemap_util::json::parse(&text).unwrap()).unwrap_err();
+        assert_eq!(err.path, "policy");
         let bad = Json::object(vec![("t", Json::Str("x".into()))]);
         assert!(client_op_from_json(&bad).is_err());
     }
@@ -310,11 +321,11 @@ mod tests {
         assert!(text.contains("\"policy\":\"lru\""), "{text}");
         assert!(!text.contains("\"policy\":["), "{text}");
         // Uniform non-default policies keep the string form too.
-        let cfg = cfg.with_policy(crate::config::PolicyKind::Gdsf);
+        let cfg = cfg.with_policy(crate::config::PolicyKind::Lfuda);
         assert!(cfg
             .to_json()
             .to_string_compact()
-            .contains("\"policy\":\"gdsf\""));
+            .contains("\"policy\":\"lfuda\""));
     }
 
     #[test]

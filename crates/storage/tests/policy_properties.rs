@@ -47,7 +47,7 @@ struct Line {
     chunk: Chunk,
     dirty: bool,
     freq: u64,
-    key: u64, // LFUDA / GDSF priority at last touch
+    key: u64, // LFUDA priority at last touch
     seq: u64,
     seg: u8, // SLRU: 0 probationary, 1 protected
 }
@@ -120,10 +120,6 @@ impl Model {
                 line.key = self.age + line.freq;
                 self.lines.insert(i, line);
             }
-            PolicyKind::Gdsf => {
-                line.key = self.age + line.freq * 1024;
-                self.lines.insert(i, line);
-            }
         }
     }
 
@@ -144,7 +140,7 @@ impl Model {
                 let pick = |seg: u8| (0..self.lines.len()).rfind(|&i| self.lines[i].seg == seg);
                 pick(0).or_else(|| pick(1)).expect("non-empty")
             }
-            PolicyKind::Lfuda | PolicyKind::Gdsf => (0..self.lines.len())
+            PolicyKind::Lfuda => (0..self.lines.len())
                 .min_by_key(|&i| (self.lines[i].key, self.lines[i].seq))
                 .expect("non-empty"),
         }
@@ -153,7 +149,7 @@ impl Model {
     fn evict_one(&mut self) -> (Chunk, bool) {
         let v = self.victim();
         let line = self.lines.remove(v);
-        if matches!(self.policy, PolicyKind::Lfuda | PolicyKind::Gdsf) {
+        if self.policy == PolicyKind::Lfuda {
             self.age = self.age.max(line.key);
         }
         self.fifo.retain(|&c| c != line.chunk);
@@ -174,7 +170,7 @@ impl Model {
     fn insert(&mut self, chunk: Chunk, dirty: bool) -> InsertOutcome {
         if let Some(i) = self.pos(chunk) {
             match self.policy {
-                PolicyKind::Lru | PolicyKind::Slru | PolicyKind::Lfuda | PolicyKind::Gdsf => {
+                PolicyKind::Lru | PolicyKind::Slru | PolicyKind::Lfuda => {
                     // Re-insert counts as a touch for these policies…
                     self.lines[i].dirty |= dirty;
                     self.touch(chunk, false);
@@ -197,10 +193,10 @@ impl Model {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = match self.policy {
-            PolicyKind::Lfuda => self.age + 1,
-            PolicyKind::Gdsf => self.age + 1024,
-            _ => 0,
+        let key = if self.policy == PolicyKind::Lfuda {
+            self.age + 1
+        } else {
+            0
         };
         self.lines.insert(
             0,

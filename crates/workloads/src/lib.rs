@@ -115,7 +115,6 @@ pub fn by_name(name: &str, scale: Scale) -> Option<Application> {
 pub fn scenarios(scale: Scale) -> Vec<Application> {
     vec![
         scenarios::scan_storm(scale),
-        scenarios::zipf_flip(scale),
         scenarios::graph_bfs(scale),
         scenarios::graph_dfs(scale),
     ]
@@ -125,7 +124,6 @@ pub fn scenarios(scale: Scale) -> Vec<Application> {
 pub fn scenario_by_name(name: &str, scale: Scale) -> Option<Application> {
     match name {
         "scan_storm" => Some(scenarios::scan_storm(scale)),
-        "zipf_flip" => Some(scenarios::zipf_flip(scale)),
         "graph_bfs" => Some(scenarios::graph_bfs(scale)),
         "graph_dfs" => Some(scenarios::graph_dfs(scale)),
         _ => None,
@@ -133,7 +131,7 @@ pub fn scenario_by_name(name: &str, scale: Scale) -> Option<Application> {
 }
 
 /// The adversarial scenario names, in [`scenarios`] order.
-pub const SCENARIO_NAMES: [&str; 4] = ["scan_storm", "zipf_flip", "graph_bfs", "graph_dfs"];
+pub const SCENARIO_NAMES: [&str; 3] = ["scan_storm", "graph_bfs", "graph_dfs"];
 
 /// The suite names in Table 2 order.
 pub const NAMES: [&str; 8] = [

@@ -7,17 +7,13 @@
 //! * [`scan_storm`] — a reused hot set repeatedly flushed by large
 //!   sequential scans. LRU loses the hot set on every storm; SLRU's
 //!   protected segment keeps it (scan resistance).
-//! * [`zipf_flip`] — a popularity inversion mid-run: the head of the
-//!   popularity distribution moves to previously-cold blocks. Plain LFU
-//!   starves the new head behind stale high counts; LFUDA's dynamic
-//!   aging recovers.
 //! * [`graph_bfs`] — level-synchronous breadth-first traversal: edge
 //!   lists stream once per level while a wrapped frontier array is
 //!   re-referenced across levels (quasi-affine subscripts).
 //! * [`graph_dfs`] — depth-first walk: a sliding stack window with
 //!   strong short-term reuse over a pseudo-randomly visited graph.
 //!
-//! All four are regular enough for the mapper (affine or quasi-affine
+//! All three are regular enough for the mapper (affine or quasi-affine
 //! subscripts) but adversarial for at least one cache policy. They are
 //! not part of the eight-app tables; the advisor, examples, and tests
 //! use them.
@@ -84,38 +80,6 @@ pub fn scan_storm(scale: Scale) -> Application {
         name: "scan_storm",
         description: "Hot working set flushed by repeated sequential scan storms (anti-LRU)",
         program: Program::new("scan_storm", vec![hot_arr, scan_arr], nests),
-        paper_miss_rates: (0.0, 0.0, 0.0), // not a Table 2 application
-    }
-}
-
-/// `zipf_flip` — popularity inversion mid-run.
-///
-/// Phase A cycles over the first region of `POP` enough times to build
-/// large access counts; phase B abandons it and cycles over the second
-/// region. Plain LFU keeps phase A's stale high-count lines resident
-/// (phase B lines are evicted before re-reference, so their counts never
-/// grow), while LFUDA's cache age ratchets past the stale counts and
-/// admits the new head; recency policies adapt immediately.
-pub fn zipf_flip(scale: Scale) -> Application {
-    let qa = scale.dim(1536); // phase A hot region, in chunks
-    let qb = scale.dim(1280); // phase B hot region, in chunks
-    let ra = scale.reps(10); // phase A passes (builds frequency)
-    let rb = scale.reps(12); // phase B passes (time to recover)
-    let pop = ArrayDecl::new("POP", vec![(qa + qb) * E], 8);
-
-    let phase = |name: &str, blocks: i64, reps: i64, base: i64| {
-        let space = IterationSpace::new(vec![
-            Loop::constant(0, reps - 1),
-            Loop::constant(0, blocks - 1),
-        ]);
-        let refs = vec![ArrayRef::read(0, sub(vec![0, E], base * E))];
-        LoopNest::new(name, space, refs).with_compute_us(30.0)
-    };
-    let nests = vec![phase("phase_a", qa, ra, 0), phase("phase_b", qb, rb, qa)];
-    Application {
-        name: "zipf_flip",
-        description: "Zipf popularity inversion mid-run (anti-LFU, pro-aging)",
-        program: Program::new("zipf_flip", vec![pop], nests),
         paper_miss_rates: (0.0, 0.0, 0.0), // not a Table 2 application
     }
 }
@@ -219,18 +183,6 @@ mod tests {
         // The scan dwarfs every cache level; the hot set does not.
         let data = DataSpace::new(&app.program.arrays, 64 * 1024);
         assert!(data.num_chunks() > 1000);
-    }
-
-    #[test]
-    fn zipf_flip_phases_touch_disjoint_regions() {
-        let app = zipf_flip(Scale::Test);
-        let a = &app.program.nests[0].refs[0];
-        let b = &app.program.nests[1].refs[0];
-        let qa = Scale::Test.dim(1536);
-        // Phase A's maximum element index stays below phase B's minimum.
-        let a_max = a.eval(&[0, qa - 1])[0];
-        let b_min = b.eval(&[0, 0])[0];
-        assert!(a_max < b_min, "a_max {a_max} vs b_min {b_min}");
     }
 
     #[test]

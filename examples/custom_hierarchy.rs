@@ -71,9 +71,12 @@ fn main() {
             base.clone().with_policy(PolicyKind::Lfu),
         ),
         (
-            "mixed zoo: SLRU L1, LFUDA L2, GDSF L3".into(),
-            base.clone()
-                .with_level_policies(PolicyKind::Slru, PolicyKind::Lfuda, PolicyKind::Gdsf),
+            "mixed zoo: SLRU L1, LFUDA L2, LFUDA L3".into(),
+            base.clone().with_level_policies(
+                PolicyKind::Slru,
+                PolicyKind::Lfuda,
+                PolicyKind::Lfuda,
+            ),
         ),
     ];
 
