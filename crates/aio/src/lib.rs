@@ -25,8 +25,7 @@
 //! The crate knows nothing about the mapping protocol: request
 //! semantics live in `cachemap-service`'s `aserver`, which implements
 //! [`Dispatch`] over the shared protocol module. Fault injection for
-//! robustness tests ([`shim`]) mirrors the service's `netfault` idiom:
-//! seeded, per-connection, ppm-rated.
+//! robustness tests ([`shim`]) is seeded, per-connection and ppm-rated.
 //!
 //! Linux-only (epoll, eventfd), which matches the workspace's CI and
 //! the paper's storage-cluster setting.

@@ -1,11 +1,10 @@
 //! Seeded connection-level fault injection for the event loop.
 //!
-//! The service crate's `netfault` module torments the *router → replica*
-//! hop; this shim torments the *client → front end* hop, at the same
-//! ppm-rate granularity and with the same derived-stream determinism:
-//! each accepted connection's faults are decided once, from a
-//! [`cachemap_util::XorShift64`] stream derived from `(seed, conn_seq)`,
-//! so a test replaying the same accept order sees the same faults.
+//! This shim torments the *client → front end* hop at per-million
+//! rates, deterministically: each accepted connection's faults are
+//! decided once, from a [`cachemap_util::XorShift64`] stream derived
+//! from `(seed, conn_seq)`, so a test replaying the same accept order
+//! sees the same faults.
 //!
 //! Three behaviors, mirroring what a hostile or broken client/network
 //! does to a server:
@@ -56,8 +55,8 @@ impl FaultPlan {
         if self.stall_read_ppm == 0 && self.truncate_write_ppm == 0 && self.drip_write_ppm == 0 {
             return ConnFaults::default();
         }
-        // Same derivation idiom as netfault's per-backend streams: a
-        // golden-ratio multiply keeps neighbouring sequences decorrelated.
+        // A golden-ratio multiply keeps neighbouring sequences'
+        // streams decorrelated.
         let mut g = XorShift64::new(
             self.seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)

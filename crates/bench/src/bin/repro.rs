@@ -16,7 +16,8 @@
 //! files, which `repro chaos-replay <file...>` re-runs byte-for-byte.
 //!
 //! Each experiment prints a paper-style table and archives the raw
-//! numbers under `reports/<id>.json`.
+//! numbers under `reports/<id>.json`; with `--test-scale`, under
+//! `reports/test-scale/<id>.json` instead.
 //!
 //! Observability: `repro obs-export[:<app>]` captures one fully observed
 //! run (mapper phase profile + engine time series) into
@@ -29,10 +30,18 @@ use cachemap_storage::PlatformConfig;
 use cachemap_util::ToJson;
 use cachemap_workloads::Scale;
 
-fn emit(matrices: &[Matrix]) {
+/// Prints each figure and archives its raw numbers: paper scale under
+/// `reports/<id>.json` (the committed copies), test scale under the
+/// gitignored `reports/test-scale/<id>.json`.
+fn emit(matrices: &[Matrix], test_scale: bool) {
     for m in matrices {
         println!("{}", m.render());
-        match write_report(&m.id, m) {
+        let name = if test_scale {
+            format!("test-scale/{}", m.id)
+        } else {
+            m.id.clone()
+        };
+        match write_report(&name, m) {
             Ok(path) => println!("   [raw numbers: {}]\n", path.display()),
             Err(e) => eprintln!("   [warning: could not write report: {e}]\n"),
         }
@@ -103,7 +112,7 @@ fn worked_example() -> String {
 }
 
 /// Updates one section of the committed `BENCH_service.json`, which
-/// holds `{"open": {…}, "router": {…}, "storm": {…}}`. A missing file
+/// holds `{"open": {…}, "storm": {…}}`. A missing file
 /// or one with any other top-level key starts a fresh sectioned object.
 fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Result<()> {
     use cachemap_util::Json;
@@ -112,11 +121,7 @@ fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Re
         .ok()
         .and_then(|text| cachemap_util::json::parse(&text).ok())
     {
-        Some(Json::Object(pairs))
-            if pairs
-                .iter()
-                .all(|(k, _)| k == "open" || k == "router" || k == "storm") =>
-        {
+        Some(Json::Object(pairs)) if pairs.iter().all(|(k, _)| k == "open" || k == "storm") => {
             pairs
         }
         _ => Vec::new(),
@@ -166,11 +171,6 @@ fn usage() -> String {
      \x20                               flight dumps stay in\n\
      \x20                               l2-cache/storm-<seed>/ (default\n\
      \x20                               seed 42)\n\
-     \x20 router-storm[:<seed>]         replica-fleet failover storm:\n\
-     \x20                               3-replica consistent-hash router\n\
-     \x20                               under network faults, mid-campaign\n\
-     \x20                               kill + cold restart, run twice for\n\
-     \x20                               reproducibility (default seed 42)\n\
      parallel runtime:\n\
      \x20 bench-cluster[:<seed>]        sequential vs parallel distribute\n\
      \x20                               at paper scale (default seed 42);\n\
@@ -367,61 +367,76 @@ fn main() {
             "table1" => println!("{}", experiments::table1(&platform)),
             "table2" => {
                 let runs = get_runs(scale, &platform);
-                emit(&[experiments::table2(&runs, scale)]);
+                emit(&[experiments::table2(&runs, scale)], test_scale);
             }
             "example" => println!("{}", worked_example()),
             "fig10" => {
                 let runs = get_runs(scale, &platform);
-                emit(&experiments::fig10(&runs));
+                emit(&experiments::fig10(&runs), test_scale);
             }
             "fig11" => {
                 let runs = get_runs(scale, &platform);
-                emit(&experiments::fig11(&runs));
+                emit(&experiments::fig11(&runs), test_scale);
             }
             "fig12" => {
                 eprintln!("[fig12: topology sweep …]");
-                emit(&experiments::fig12(scale, &platform));
+                emit(&experiments::fig12(scale, &platform), test_scale);
             }
             "fig13" => {
                 eprintln!("[fig13: cache capacity sweep …]");
-                emit(&experiments::fig13(scale, &platform));
+                emit(&experiments::fig13(scale, &platform), test_scale);
             }
             "fig14" => {
                 eprintln!("[fig14: chunk size sweep …]");
-                emit(&experiments::fig14(scale, &platform));
+                emit(&experiments::fig14(scale, &platform), test_scale);
             }
             "fig18" => {
                 let runs = get_runs(scale, &platform);
-                emit(&experiments::fig18(&runs));
+                emit(&experiments::fig18(&runs), test_scale);
             }
             "alphabeta" => {
                 eprintln!("[alphabeta: scheduling weight sweep …]");
-                emit(&[experiments::alphabeta(scale, &platform)]);
+                emit(&[experiments::alphabeta(scale, &platform)], test_scale);
             }
             "refine" => {
                 eprintln!("[refine: boundary-refinement ablation …]");
-                emit(&[experiments::refine_ablation(scale, &platform)]);
+                emit(
+                    &[experiments::refine_ablation(scale, &platform)],
+                    test_scale,
+                );
             }
             "prefetch" => {
                 eprintln!("[prefetch: server read-ahead ablation …]");
-                emit(&[experiments::prefetch_ablation(scale, &platform)]);
+                emit(
+                    &[experiments::prefetch_ablation(scale, &platform)],
+                    test_scale,
+                );
             }
             "linkage" => {
                 eprintln!("[linkage: merge-linkage ablation …]");
-                emit(&[experiments::linkage_ablation(scale, &platform)]);
+                emit(
+                    &[experiments::linkage_ablation(scale, &platform)],
+                    test_scale,
+                );
             }
             "policies" => {
                 eprintln!("[policies: replacement-policy ablation …]");
-                emit(&[experiments::policy_ablation(scale, &platform)]);
+                emit(
+                    &[experiments::policy_ablation(scale, &platform)],
+                    test_scale,
+                );
             }
             "schedmetric" => {
                 eprintln!("[schedmetric: scheduling-metric ablation …]");
-                emit(&[experiments::schedule_metric_ablation(scale, &platform)]);
+                emit(
+                    &[experiments::schedule_metric_ablation(scale, &platform)],
+                    test_scale,
+                );
             }
-            "deps" => emit(&[experiments::deps_exp(scale, &platform)]),
+            "deps" => emit(&[experiments::deps_exp(scale, &platform)], test_scale),
             "resilience" => {
                 eprintln!("[resilience: mid-run I/O-node crash, remap vs failover ...]");
-                emit(&[experiments::resilience(scale, &platform)]);
+                emit(&[experiments::resilience(scale, &platform)], test_scale);
                 eprintln!("[resilience-online: supervised epochs, oracle-free detection ...]");
                 let online = experiments::resilience_online(scale, &platform);
                 for (app, cells) in &online.rows {
@@ -438,7 +453,7 @@ fn main() {
                     }
                 }
                 println!();
-                emit(&[online]);
+                emit(&[online], test_scale);
                 let artifact = cachemap_bench::obs::resilience_observed(scale, &platform);
                 let label = artifact.meta.label.clone();
                 match cachemap_bench::write_obs_artifact(&label, &artifact) {
@@ -563,8 +578,8 @@ fn main() {
                     );
                 }
             }
-            "multinest" => emit(&[experiments::multinest(scale, &platform)]),
-            "mapping-cost" => emit(&[experiments::mapping_cost(scale, &platform)]),
+            "multinest" => emit(&[experiments::multinest(scale, &platform)], test_scale),
+            "mapping-cost" => emit(&[experiments::mapping_cost(scale, &platform)], test_scale),
             s if s.starts_with("analyze:") => {
                 // Static quality metrics (Section 3's two rules, measured)
                 // for one app: a block split vs the clustered mapping.
@@ -926,44 +941,6 @@ fn main() {
                     Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
                 }
                 let scratch = format!("BENCH_service-storm-{seed}");
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
-            }
-            s if s == "router-storm" || s.starts_with("router-storm:") => {
-                let seed: u64 = s.strip_prefix("router-storm").map_or(42, |rest| {
-                    let rest = rest.strip_prefix(':').unwrap_or("");
-                    if rest.is_empty() {
-                        42
-                    } else {
-                        rest.parse()
-                            .unwrap_or_else(|_| panic!("bad router-storm seed: {rest}"))
-                    }
-                });
-                let cfg = if test_scale {
-                    cachemap_bench::router_storm::RouterStormConfig::smoke(seed)
-                } else {
-                    cachemap_bench::router_storm::RouterStormConfig {
-                        seed,
-                        ..cachemap_bench::router_storm::RouterStormConfig::default()
-                    }
-                };
-                eprintln!(
-                    "[router-storm: seed {seed}, {} replicas, {} requests, \
-                     netfaults + kill + cold restart, run twice …]",
-                    cfg.replicas, cfg.requests
-                );
-                let report = cachemap_bench::router_storm::run(&cfg).unwrap_or_else(|e| {
-                    eprintln!("router-storm failed: {e}");
-                    std::process::exit(1);
-                });
-                println!("{}", cachemap_bench::router_storm::render(&report));
-                match merge_bench_service("router", report.to_json()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_service.json, section \"router\"]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
-                }
-                let scratch = format!("BENCH_service-router-{seed}");
                 match write_report(&scratch, &report) {
                     Ok(path) => println!("   [scratch copy: {}]", path.display()),
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),

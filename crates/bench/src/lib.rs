@@ -21,7 +21,6 @@ pub mod experiments;
 pub mod obs;
 pub mod open_loop;
 pub mod report;
-pub mod router_storm;
 pub mod serve;
 pub mod storm;
 pub mod timing;
@@ -111,14 +110,16 @@ pub fn run_suite(
     per_app
 }
 
-/// Writes a serializable result as pretty JSON under `reports/`.
+/// Writes a serializable result as pretty JSON to `reports/<name>.json`;
+/// a `/` in `name` writes into a subdirectory.
 pub fn write_report<T: cachemap_util::ToJson>(
     name: &str,
     value: &T,
 ) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("reports");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
+    let path = std::path::Path::new("reports").join(format!("{name}.json"));
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     std::fs::write(&path, value.to_json().to_string_pretty())?;
     Ok(path)
 }

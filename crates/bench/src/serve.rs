@@ -1,9 +1,8 @@
 //! Shared pieces of the serving load harnesses (`repro serve-open`,
-//! `repro serve-storm`, `repro router-storm`): the request template
-//! pool with each template's cold-pipeline oracle bytes, the zipf
-//! sampler that picks from it, the client socket setup, and the
-//! `GET /metrics` scrape plus the Prometheus schema check the
-//! live-server harnesses run after their load windows.
+//! `repro serve-storm`): the request template pool with each template's
+//! cold-pipeline oracle bytes, the zipf sampler that picks from it, the
+//! client socket setup, and the `GET /metrics` scrape plus the
+//! Prometheus schema check the harnesses run after their load windows.
 //!
 //! Every client request leaves as one `write` of `line + "\n"` on a
 //! `TCP_NODELAY` socket ([`frames`], [`connect`]). With the terminator

@@ -199,16 +199,6 @@ impl Registry {
         }
     }
 
-    /// Reads a gauge back (for tests and assertions — e.g. the router's
-    /// per-replica health gauges).
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let fam = self.families.get(name)?;
-        match fam.samples.get(&canon_labels(labels))? {
-            Sample::Gauge(g) => Some(*g),
-            _ => None,
-        }
-    }
-
     /// Renders the registry in the Prometheus text exposition format
     /// (deterministic bytes: families and label sets in sorted order).
     pub fn to_prometheus(&self) -> String {

@@ -64,26 +64,6 @@ pub enum ServiceError {
         /// Description for the server log.
         message: String,
     },
-    /// Every replica that could own the key is health-checked down
-    /// (router front end; see DESIGN.md "Replica fleet").
-    ReplicaDown {
-        /// The replica (or replica set summary) the router gave up on.
-        replica: String,
-    },
-    /// The router exhausted its per-backend retry budgets on every
-    /// eligible replica without a successful call.
-    RetriesExhausted {
-        /// Total call attempts across the failover chain.
-        attempts: u32,
-        /// Stable code of the last underlying failure.
-        last: String,
-    },
-    /// Every eligible replica's circuit breaker is open — the fleet is
-    /// shedding load while backends cool down.
-    BreakerOpen {
-        /// The replica whose breaker refused the primary route.
-        replica: String,
-    },
 }
 
 impl ServiceError {
@@ -99,9 +79,6 @@ impl ServiceError {
             ServiceError::NotFound { .. } => "not_found",
             ServiceError::Shutdown => "shutdown",
             ServiceError::Internal { .. } => "internal",
-            ServiceError::ReplicaDown { .. } => "replica_down",
-            ServiceError::RetriesExhausted { .. } => "retries_exhausted",
-            ServiceError::BreakerOpen { .. } => "breaker_open",
         }
     }
 
@@ -111,46 +88,6 @@ impl ServiceError {
             ("code", Json::Str(self.code().to_string())),
             ("message", Json::Str(self.to_string())),
         ])
-    }
-
-    /// Parses the error object of a wire response (client side).
-    pub fn from_response_json(v: &Json) -> Option<ServiceError> {
-        let code = v.get("code")?.as_str()?;
-        let message = v.get("message").and_then(Json::as_str).unwrap_or("");
-        Some(match code {
-            "bad_request" => ServiceError::BadRequest {
-                message: message.to_string(),
-            },
-            "queue_full" => ServiceError::QueueFull { depth: 0, limit: 0 },
-            "deadline_exceeded" => ServiceError::DeadlineExceeded { budget_ms: 0 },
-            "quota_exceeded" => ServiceError::QuotaExceeded {
-                tenant: String::new(),
-                quota: 0,
-            },
-            "conn_limit" => ServiceError::ConnLimit {
-                active: 0,
-                limit: 0,
-            },
-            "read_timeout" => ServiceError::ReadTimeout { budget_ms: 0 },
-            "not_found" => ServiceError::NotFound {
-                what: message.to_string(),
-            },
-            "shutdown" => ServiceError::Shutdown,
-            "internal" => ServiceError::Internal {
-                message: message.to_string(),
-            },
-            "replica_down" => ServiceError::ReplicaDown {
-                replica: message.to_string(),
-            },
-            "retries_exhausted" => ServiceError::RetriesExhausted {
-                attempts: 0,
-                last: message.to_string(),
-            },
-            "breaker_open" => ServiceError::BreakerOpen {
-                replica: message.to_string(),
-            },
-            _ => return None,
-        })
     }
 }
 
@@ -184,18 +121,6 @@ impl fmt::Display for ServiceError {
             ServiceError::NotFound { what } => write!(f, "not found: {what}"),
             ServiceError::Shutdown => write!(f, "service is shutting down"),
             ServiceError::Internal { message } => write!(f, "internal error: {message}"),
-            ServiceError::ReplicaDown { replica } => {
-                write!(f, "replica down: {replica}")
-            }
-            ServiceError::RetriesExhausted { attempts, last } => {
-                write!(
-                    f,
-                    "retries exhausted after {attempts} attempts (last: {last})"
-                )
-            }
-            ServiceError::BreakerOpen { replica } => {
-                write!(f, "circuit breaker open for replica {replica}")
-            }
         }
     }
 }
@@ -238,22 +163,12 @@ mod tests {
             ServiceError::Internal {
                 message: "y".into(),
             },
-            ServiceError::ReplicaDown {
-                replica: "replica-1".into(),
-            },
-            ServiceError::RetriesExhausted {
-                attempts: 6,
-                last: "shutdown".into(),
-            },
-            ServiceError::BreakerOpen {
-                replica: "replica-2".into(),
-            },
         ];
         let codes: std::collections::HashSet<&str> = errs.iter().map(|e| e.code()).collect();
         assert_eq!(codes.len(), errs.len());
         for e in &errs {
-            let back = ServiceError::from_response_json(&e.to_json()).unwrap();
-            assert_eq!(back.code(), e.code());
+            let body = e.to_json();
+            assert_eq!(body.get("code").and_then(Json::as_str), Some(e.code()));
         }
     }
 }

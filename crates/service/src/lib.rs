@@ -61,17 +61,11 @@
 pub mod aserver;
 pub mod dispatch;
 pub mod error;
-pub mod health;
-pub mod netfault;
 pub mod proto;
 pub mod queue;
-pub mod router;
 
 pub use error::ServiceError;
-pub use health::{HealthConfig, HealthState, HealthTracker};
-pub use netfault::NetFaultPlan;
 pub use proto::{MapRequest, MapResponse, Request};
-pub use router::{Router, RouterConfig};
 
 use cachemap_obs::{FlightRecorder, Profile, Registry, TraceId, TraceRecord};
 use cachemap_polyhedral::DataSpace;
@@ -110,17 +104,14 @@ pub const TRACE_STAGES: [&str; 10] = [
 ];
 
 /// Flight-recorder dump trigger names (the `trigger` metric label and
-/// the `flight-<trigger>-*.json` file-name component). `replica_down`
-/// is fired by the [`router::Router`] front end rather than the service
-/// itself, when a replica's health check declares it dead;
-/// `accept_stall` is fired by the [`aserver::AsyncServer`] when its
-/// event loop misses a poll deadline by more than the stall grace.
-pub const FLIGHT_TRIGGERS: [&str; 6] = [
+/// the `flight-<trigger>-*.json` file-name component). `accept_stall`
+/// is fired by the [`aserver::AsyncServer`] when its event loop misses
+/// a poll deadline by more than the stall grace.
+pub const FLIGHT_TRIGGERS: [&str; 5] = [
     "slow_request",
     "rejection_burst",
     "drain",
     "recovery",
-    "replica_down",
     "accept_stall",
 ];
 
@@ -449,14 +440,6 @@ impl MapService {
     /// The active configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.inner.cfg
-    }
-
-    /// Liveness probe: `true` while the service accepts work (neither
-    /// draining nor killed). The router's active health checks use this
-    /// for in-process replicas; the TCP `ping` op answers for remote
-    /// ones.
-    pub fn ping(&self) -> bool {
-        !self.inner.draining.load(Ordering::SeqCst)
     }
 
     /// Submits one mapping request and blocks until it is served,

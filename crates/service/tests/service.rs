@@ -508,15 +508,23 @@ fn tcp_round_trip_and_http_metrics() {
         );
     }
 
-    // Malformed line → typed error, connection stays usable.
-    let err = send_line(&mut stream, &mut reader, "{\"op\":\"fly\"}");
-    assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
-    assert_eq!(
-        err.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str),
-        Some("bad_request")
-    );
+    // A malformed line and an already-expired deadline → typed errors,
+    // connection stays usable.
+    let mut late = request(1, Version::InterProcessor, 5);
+    late.deadline_ms = Some(0);
+    for (line, code) in [
+        ("{\"op\":\"fly\"}".to_string(), "bad_request"),
+        (late.to_json().to_string_compact(), "deadline_exceeded"),
+    ] {
+        let err = send_line(&mut stream, &mut reader, &line);
+        assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(
+            err.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some(code)
+        );
+    }
 
     // In-protocol stats and metrics.
     let stats = send_line(&mut stream, &mut reader, "{\"op\":\"stats\",\"id\":3}");

@@ -911,8 +911,6 @@ impl<'a> Engine<'a> {
         let Some(rng) = f.transient_rng.as_mut() else {
             return t;
         };
-        // Deterministic (un-jittered) schedule: the delays are charged
-        // to simulated time, so jitter would only blur reproducibility.
         let mut schedule = Backoff::exponential(base, base * MAX_BACKOFF_FACTOR);
         for _ in 0..MAX_TRANSIENT_RETRIES {
             if !rng.chance(f.transient_rate_ppm, 1_000_000) {

@@ -1,18 +1,9 @@
-//! Capped exponential backoff with optional full jitter.
+//! Capped exponential backoff.
 //!
-//! One shared schedule for every retry loop in the workspace: the
-//! storage engine's transient-error retries charge the deterministic
-//! (un-jittered) schedule to simulated time, while the service router
-//! spreads real retries with full jitter so replicas recovering from a
-//! shared fault are not hammered in lockstep.
-//!
-//! The schedule is the classic doubling sequence `base, 2·base, 4·base,
-//! …` clamped at `cap`. With [`Backoff::with_jitter`] each emitted delay
-//! is drawn uniformly from `[0, d]` where `d` is the un-jittered delay
-//! ("full jitter" per the AWS architecture blog analysis) — seeded, so
-//! a given `(seed, attempt)` pair always yields the same delay.
-
-use crate::rng::XorShift64;
+//! The storage engine's transient-error retries charge this schedule to
+//! simulated time: the classic doubling sequence `base, 2·base, 4·base,
+//! …` clamped at `cap`. It is deterministic, so simulation outputs are
+//! too.
 
 /// An iterator over capped exponential backoff delays.
 ///
@@ -21,16 +12,14 @@ use crate::rng::XorShift64;
 /// and `cap` are expressed in (the workspace uses nanoseconds).
 #[derive(Debug, Clone)]
 pub struct Backoff {
-    /// Next un-jittered delay to emit.
+    /// Next delay to emit.
     next: u64,
     /// Clamp applied after each doubling.
     cap: u64,
-    /// Jitter source; `None` emits the deterministic schedule.
-    jitter: Option<XorShift64>,
 }
 
 impl Backoff {
-    /// A deterministic capped-doubling schedule starting at `base`.
+    /// A capped-doubling schedule starting at `base`.
     ///
     /// `base` is clamped to at least 1 so the schedule always makes
     /// progress; `cap` below `base` clamps every delay to `cap`.
@@ -39,20 +28,7 @@ impl Backoff {
         Backoff {
             next: base.min(cap),
             cap,
-            jitter: None,
         }
-    }
-
-    /// Adds seeded full jitter: each delay becomes uniform in
-    /// `[0, unjittered]`.
-    pub fn with_jitter(mut self, seed: u64) -> Backoff {
-        self.jitter = Some(XorShift64::new(seed));
-        self
-    }
-
-    /// Upper bound of the delay the next `next()` call can return.
-    pub fn current_cap(&self) -> u64 {
-        self.next
     }
 }
 
@@ -60,12 +36,8 @@ impl Iterator for Backoff {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        let ceiling = self.next;
+        let delay = self.next;
         self.next = self.next.saturating_mul(2).min(self.cap);
-        let delay = match self.jitter.as_mut() {
-            None => ceiling,
-            Some(rng) => rng.next_below(ceiling.saturating_add(1)),
-        };
         Some(delay)
     }
 }
@@ -73,7 +45,6 @@ impl Iterator for Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check;
 
     #[test]
     fn unjittered_schedule_doubles_and_caps() {
@@ -91,44 +62,6 @@ mod tests {
     fn cap_below_base_clamps_immediately() {
         let delays: Vec<u64> = Backoff::exponential(100, 30).take(3).collect();
         assert_eq!(delays, vec![30, 30, 30]);
-    }
-
-    #[test]
-    fn jittered_delays_stay_under_the_monotone_cap() {
-        check::cases(0xBACC_0FF5, 64, |g| {
-            let base = g.u64_in(1, 1 << 20);
-            let cap = g.u64_in(base, base.saturating_mul(64));
-            let seed = g.u64_in(0, u64::MAX - 1);
-            let mut ceiling = base;
-            for d in Backoff::exponential(base, cap).with_jitter(seed).take(12) {
-                assert!(d <= ceiling, "jittered delay {d} above ceiling {ceiling}");
-                assert!(ceiling <= cap, "ceiling {ceiling} escaped cap {cap}");
-                ceiling = ceiling.saturating_mul(2).min(cap);
-            }
-        });
-    }
-
-    #[test]
-    fn jittered_schedule_is_deterministic_per_seed() {
-        check::cases(0x5EED_5EED, 32, |g| {
-            let base = g.u64_in(1, 1 << 16);
-            let cap = base * 16;
-            let seed = g.u64_in(0, u64::MAX - 1);
-            let a: Vec<u64> = Backoff::exponential(base, cap)
-                .with_jitter(seed)
-                .take(10)
-                .collect();
-            let b: Vec<u64> = Backoff::exponential(base, cap)
-                .with_jitter(seed)
-                .take(10)
-                .collect();
-            assert_eq!(a, b, "same seed must replay the same delays");
-            let c: Vec<u64> = Backoff::exponential(base, cap)
-                .with_jitter(seed ^ 1)
-                .take(10)
-                .collect();
-            assert_ne!(a, c, "different seeds should diverge");
-        });
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Real or simulated time behind one handle.
 //!
-//! Harnesses that exercise deadline and backoff logic must not sleep:
-//! a [`Clock::simulated`] advances a virtual nanosecond counter instead,
+//! Harnesses that exercise deadline logic must not sleep: a
+//! [`Clock::simulated`] advances a virtual nanosecond counter instead,
 //! so "wait 30 seconds" is one atomic add. Production paths use
 //! [`Clock::real`], which anchors `now_ns` at construction and really
 //! sleeps. The handle is shared (`Arc<Clock>`) between the component
-//! under test and the test driving it; the router's health checker, the
-//! circuit breaker, the async front end's timer wheel, and the netfault
-//! shims all tick off the same instance.
+//! under test and the test driving it: the async front end's event loop
+//! feeds its timer wheel from it, and the aio and aserver tests advance
+//! it to fire idle deadlines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A clock: real time, or a virtual nanosecond counter for
-/// deterministic robustness harnesses (backoff and fault delays then
-/// advance the counter instead of sleeping).
+/// deterministic robustness harnesses (a test then advances the counter
+/// to reach a deadline instead of sleeping).
 #[derive(Debug)]
 pub enum Clock {
     /// `std::time` + real `thread::sleep`.

@@ -25,17 +25,13 @@
 //! * [`rng`] — a seeded xorshift64* generator for deterministic fault
 //!   sampling and test-input generation.
 //! * [`check`] — a miniature property-test harness built on [`rng`].
-//! * [`backoff`] — capped exponential backoff schedules (deterministic
-//!   or full-jitter) shared by the storage retry loop and the router.
-//! * [`breaker`] — a clock-driven circuit breaker (closed → open →
-//!   half-open) for per-backend failure shedding.
-//! * [`ring`] — an FNV consistent-hash ring with virtual nodes, the
-//!   replica-placement map of the service router.
+//! * [`backoff`] — the capped exponential backoff schedule of the
+//!   storage engine's transient-error retries.
 //! * [`clock`] — real or simulated time behind one `Arc<Clock>` handle,
-//!   shared by the router's health checks, the circuit breaker, and the
-//!   async front end's deadlines (simulated tests never sleep).
-//! * [`timer`] — a hashed timing wheel (O(1) schedule/cancel) for the
-//!   async front end's idle/read deadlines and batch windows.
+//!   shared by the async front end's event loop and the tests driving
+//!   its deadlines (simulated tests never sleep).
+//! * [`timer`] — a hashed timing wheel (O(1) schedule) for the async
+//!   front end's idle/read deadlines and batch windows.
 //! * [`bufpool`] — a bounded pool of reusable byte buffers for the
 //!   async front end's per-connection read buffers.
 
@@ -44,7 +40,6 @@
 
 pub mod backoff;
 pub mod bitset;
-pub mod breaker;
 pub mod bufpool;
 pub mod check;
 pub mod clock;
@@ -53,7 +48,6 @@ pub mod fingerprint;
 pub mod hash;
 pub mod json;
 pub mod lru;
-pub mod ring;
 pub mod rng;
 pub mod stats;
 pub mod table;
@@ -61,7 +55,6 @@ pub mod timer;
 
 pub use backoff::Backoff;
 pub use bitset::{BitSet, CountVec};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use bufpool::BufferPool;
 pub use clock::Clock;
 pub use coalesce::CoalesceMap;
@@ -69,6 +62,5 @@ pub use fingerprint::{canonical, fingerprint_json, Fingerprint};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::{Json, ToJson};
 pub use lru::ShardedLru;
-pub use ring::HashRing;
 pub use rng::XorShift64;
 pub use timer::{TimerId, TimerWheel};

@@ -2,11 +2,13 @@
 //!
 //! The async front end needs thousands of concurrently armed idle/read
 //! deadlines that are almost always cancelled (a byte arrives) rather
-//! than fired. A [`TimerWheel`] makes `schedule` and `cancel` O(1) and
-//! amortizes expiry scans: deadlines hash into `slots` buckets by tick,
-//! and [`TimerWheel::advance`] only touches the buckets the elapsed
-//! ticks map to. Time is plain `u64` nanoseconds — callers feed it from
-//! a [`crate::Clock`], so tests on a simulated clock never sleep.
+//! than fired. A [`TimerWheel`] makes `schedule` O(1) and amortizes
+//! expiry scans: deadlines hash into `slots` buckets by tick, and
+//! [`TimerWheel::advance`] only touches the buckets the elapsed ticks
+//! map to. [`TimerWheel::cancel`] and [`TimerWheel::next_deadline_ns`]
+//! are linear: each scans the armed entries. Time is plain `u64`
+//! nanoseconds — callers feed it from a [`crate::Clock`], so tests on a
+//! simulated clock never sleep.
 //!
 //! Entries far in the future land in the bucket their final lap maps
 //! to; `advance` re-checks each entry's absolute deadline, so a long
@@ -36,7 +38,8 @@ pub struct TimerWheel<T> {
 
 impl<T> TimerWheel<T> {
     /// A wheel with `slots` buckets of `tick_ns` granularity. Deadlines
-    /// are rounded up to the next tick.
+    /// are filed under the tick they round up to, and each fires on the
+    /// first `advance` to a time at or past it.
     pub fn new(tick_ns: u64, slots: usize) -> TimerWheel<T> {
         let slots = slots.max(1);
         TimerWheel {
@@ -58,12 +61,12 @@ impl<T> TimerWheel<T> {
     }
 
     /// Arms a timer for `deadline_ns` (absolute, same epoch as the
-    /// caller's clock). A deadline at or before the wheel's current
-    /// position fires on the next `advance`.
+    /// caller's clock). A deadline that has already passed fires on the
+    /// next `advance`.
     pub fn schedule(&mut self, deadline_ns: u64, token: T) -> TimerId {
         let id = self.next_id;
         self.next_id += 1;
-        let tick = self.tick_of(deadline_ns).max(self.cursor_tick + 1);
+        let tick = self.tick_of(deadline_ns).max(self.cursor_tick);
         let slot = (tick % self.slots.len() as u64) as usize;
         self.slots[slot].push(Entry {
             id,
@@ -76,7 +79,8 @@ impl<T> TimerWheel<T> {
     }
 
     /// Cancels an armed timer. Returns `false` when the id already
-    /// fired or was cancelled (cancel is idempotent and O(slot)).
+    /// fired or was cancelled (cancel is idempotent; it scans every
+    /// slot).
     pub fn cancel(&mut self, id: TimerId) -> bool {
         for slot in &mut self.slots {
             if let Some(e) = slot.iter_mut().find(|e| e.id == id.0 && !e.cancelled) {
@@ -102,7 +106,9 @@ impl<T> TimerWheel<T> {
     /// Advances the wheel to `now_ns` and returns the tokens of every
     /// timer whose deadline has passed, in deadline order.
     pub fn advance(&mut self, now_ns: u64) -> Vec<T> {
-        let target_tick = now_ns / self.tick_ns;
+        // Round up, as `schedule` does: a deadline that passed mid-tick
+        // is filed under the tick that ends after it.
+        let target_tick = self.tick_of(now_ns);
         if target_tick < self.cursor_tick {
             return Vec::new();
         }
@@ -164,6 +170,18 @@ mod tests {
         assert!(!w.cancel(a), "cancel is idempotent");
         assert_eq!(w.advance(50_000), vec![2]);
         assert!(!w.cancel(b), "fired timers cannot be cancelled");
+    }
+
+    #[test]
+    fn deadline_mid_tick_fires_once_passed() {
+        let mut w: TimerWheel<u8> = TimerWheel::new(1_000_000, 64); // 1 ms ticks
+        w.schedule(1_500_000, 1);
+        assert_eq!(w.advance(1_400_000), Vec::<u8>::new());
+        assert_eq!(w.advance(1_600_000), vec![1]);
+        // The wheel now sits at tick 2; a deadline inside that tick
+        // fires as soon as it passes, too.
+        w.schedule(1_800_000, 2);
+        assert_eq!(w.advance(1_900_000), vec![2]);
     }
 
     #[test]
