@@ -4,7 +4,7 @@
 //! completion queue — replies produced by the caller's dispatcher
 //! threads — into per-connection write buffers, (2) accepts pending
 //! connections up to `max_connections`, (3) reads readable connections
-//! and extracts frames, (4) fires timer-wheel deadlines (idle
+//! and extracts frames, (4) fires passed deadlines (idle
 //! connections get a typed timeout reply; the batch window flushes).
 //! Decoded frames accumulate into a **batch** handed to
 //! [`Dispatch::dispatch`] either when `batch_max` frames are pending or
@@ -25,7 +25,7 @@ use crate::conn::{Conn, FlushOutcome, Frame, ReadOutcome};
 use crate::poll::{Event, Poller, Waker, WAKE_TOKEN};
 use crate::shim::FaultPlan;
 use crate::sys;
-use cachemap_util::{BufferPool, Clock, TimerId, TimerWheel};
+use cachemap_util::{BufferPool, Clock, TimerId, TimerQueue};
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -266,8 +266,7 @@ impl Handle {
     }
 }
 
-/// Timer-wheel tokens: per-connection idle deadlines and the batch
-/// window.
+/// Timer tokens: per-connection idle deadlines and the batch window.
 #[derive(Debug, Clone, Copy)]
 enum TimerToken {
     Idle(usize, u64),
@@ -296,7 +295,7 @@ pub fn spawn(cfg: EventLoopConfig, dispatch: Arc<dyn Dispatch>) -> io::Result<Ha
     let mut state = LoopState {
         slots: Vec::new(),
         free: Vec::new(),
-        timers: TimerWheel::new(1_000_000, 512), // 1 ms ticks
+        timers: TimerQueue::new(),
         batch: Vec::new(),
         batch_timer: None,
         in_flight: 0,
@@ -340,7 +339,7 @@ struct LoopState {
     waker: Waker,
     slots: Vec<Option<Conn>>,
     free: Vec<usize>,
-    timers: TimerWheel<TimerToken>,
+    timers: TimerQueue<TimerToken>,
     batch: Vec<Inbound>,
     batch_timer: Option<TimerId>,
     /// Frames dispatched whose completions have not yet drained.

@@ -7,7 +7,7 @@
 //! thread owns every socket through a level-triggered epoll instance
 //! (raw FFI, no `libc` crate — see [`sys`]), frames newline-delimited
 //! JSON with partial-frame resumption ([`conn`]), enforces idle
-//! deadlines through a hashed timer wheel riding the workspace
+//! deadlines through an ordered timer queue riding the workspace
 //! [`cachemap_util::Clock`] (simulated in tests, so nothing sleeps),
 //! and hands decoded frames to a pluggable [`Dispatch`] in batches —
 //! amortizing the queue/condvar crossings that dominate per-request

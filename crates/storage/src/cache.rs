@@ -9,10 +9,19 @@
 //! The paper also notes its approach "can work with any storage caching
 //! policy"; [`build_cache`] picks one of five for each level: LRU, FIFO,
 //! LFU, SLRU (scan-resistant) and LFUDA (LFU with dynamic aging).
+//!
+//! No policy scans its residents. LRU and SLRU keep recency lists on a
+//! slab and FIFO a queue, so every operation is O(1). LFU and LFUDA
+//! share [`FrequencyCache`]: a hit is O(1), and an eviction pops a lazy
+//! min-heap in O(log n) amortized for `n` residents. `drain` and
+//! `set_capacity` cost one eviction per line they remove.
 
 use crate::config::PolicyKind;
 use cachemap_util::stats::HitMiss;
 use cachemap_util::FxHashMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 /// A chunk identifier (global data-space numbering).
 pub type Chunk = usize;
@@ -84,30 +93,134 @@ pub fn build_cache(policy: PolicyKind, capacity: usize) -> Box<dyn ChunkCache + 
 }
 
 // ---------------------------------------------------------------------------
-// LRU
+// Recency lists on a slab (LRU, SLRU)
 // ---------------------------------------------------------------------------
 
 const NIL: usize = usize::MAX;
 
 #[derive(Debug, Clone)]
-struct LruEntry {
+struct Node {
     chunk: Chunk,
     dirty: bool,
     prev: usize,
     next: usize,
 }
 
-/// Least-recently-used cache: a slab of entries threaded on an intrusive
-/// doubly-linked list (head = most recent, tail = LRU victim), with an
-/// `FxHashMap` chunk → slot index. All operations are O(1).
+/// A recency list threaded through a [`Slab`]: head = most recent,
+/// tail = least recent.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: usize,
+    tail: usize,
+    len: usize,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// Slots for resident lines, each linked into one [`List`]; freed slots
+/// are reused. Every operation is O(1).
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    nodes: Vec<Node>,
+    free: Vec<usize>,
+}
+
+impl Slab {
+    /// A slot for a new line, on no list yet.
+    fn alloc(&mut self, chunk: Chunk, dirty: bool) -> usize {
+        let node = Node {
+            chunk,
+            dirty,
+            prev: NIL,
+            next: NIL,
+        };
+        if let Some(slot) = self.free.pop() {
+            self.nodes[slot] = node;
+            slot
+        } else {
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        }
+    }
+
+    /// Frees a slot already unlinked from its list, returning its line.
+    fn release(&mut self, slot: usize) -> (Chunk, bool) {
+        self.free.push(slot);
+        (self.nodes[slot].chunk, self.nodes[slot].dirty)
+    }
+
+    fn unlink(&mut self, list: &mut List, slot: usize) {
+        let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
+        if prev != NIL {
+            self.nodes[prev].next = next;
+        } else {
+            list.head = next;
+        }
+        if next != NIL {
+            self.nodes[next].prev = prev;
+        } else {
+            list.tail = prev;
+        }
+        list.len -= 1;
+    }
+
+    fn push_front(&mut self, list: &mut List, slot: usize) {
+        self.nodes[slot].prev = NIL;
+        self.nodes[slot].next = list.head;
+        if list.head != NIL {
+            self.nodes[list.head].prev = slot;
+        }
+        list.head = slot;
+        if list.tail == NIL {
+            list.tail = slot;
+        }
+        list.len += 1;
+    }
+
+    /// Unlinks the least recent slot of `list`; `None` when it is empty.
+    fn pop_back(&mut self, list: &mut List) -> Option<usize> {
+        let slot = list.tail;
+        if slot == NIL {
+            return None;
+        }
+        self.unlink(list, slot);
+        Some(slot)
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.free.clear();
+    }
+}
+
+/// The outcome of filling a full cache by evicting `victim`.
+fn evicted((victim, dirty): (Chunk, bool)) -> InsertOutcome {
+    if dirty {
+        InsertOutcome::EvictedDirty(victim)
+    } else {
+        InsertOutcome::EvictedClean(victim)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// LRU
+// ---------------------------------------------------------------------------
+
+/// Least-recently-used cache: one recency list on a [`Slab`] (tail = LRU
+/// victim), with an `FxHashMap` chunk → slot index. All operations are
+/// O(1).
 #[derive(Debug, Clone)]
 pub struct LruCache {
     capacity: usize,
-    slots: Vec<LruEntry>,
-    free: Vec<usize>,
+    slab: Slab,
+    list: List,
     index: FxHashMap<Chunk, usize>,
-    head: usize,
-    tail: usize,
     stats: HitMiss,
 }
 
@@ -120,52 +233,24 @@ impl LruCache {
         assert!(capacity > 0, "cache capacity must be positive");
         LruCache {
             capacity,
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
+            slab: Slab::default(),
+            list: List::EMPTY,
             index: FxHashMap::default(),
-            head: NIL,
-            tail: NIL,
             stats: HitMiss::default(),
         }
     }
 
-    fn detach(&mut self, slot: usize) {
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn attach_front(&mut self, slot: usize) {
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
+    /// Moves a resident slot to the most-recent end.
+    fn touch(&mut self, slot: usize) {
+        self.slab.unlink(&mut self.list, slot);
+        self.slab.push_front(&mut self.list, slot);
     }
 
     /// Evicts the least-recently-used entry; `None` on an empty cache.
     fn evict_lru(&mut self) -> Option<(Chunk, bool)> {
-        let victim = self.tail;
-        if victim == NIL {
-            return None;
-        }
-        self.detach(victim);
-        let chunk = self.slots[victim].chunk;
-        let dirty = self.slots[victim].dirty;
+        let slot = self.slab.pop_back(&mut self.list)?;
+        let (chunk, dirty) = self.slab.release(slot);
         self.index.remove(&chunk);
-        self.free.push(victim);
         Some((chunk, dirty))
     }
 }
@@ -173,11 +258,8 @@ impl LruCache {
 impl ChunkCache for LruCache {
     fn access(&mut self, chunk: Chunk, write: bool) -> bool {
         if let Some(&slot) = self.index.get(&chunk) {
-            self.detach(slot);
-            self.attach_front(slot);
-            if write {
-                self.slots[slot].dirty = true;
-            }
+            self.touch(slot);
+            self.slab.nodes[slot].dirty |= write;
             self.stats.hit();
             true
         } else {
@@ -189,41 +271,20 @@ impl ChunkCache for LruCache {
     fn insert(&mut self, chunk: Chunk, dirty: bool) -> InsertOutcome {
         if let Some(&slot) = self.index.get(&chunk) {
             // Already resident: refresh recency, merge dirty bit.
-            self.detach(slot);
-            self.attach_front(slot);
-            self.slots[slot].dirty |= dirty;
+            self.touch(slot);
+            self.slab.nodes[slot].dirty |= dirty;
             return InsertOutcome::Inserted;
         }
         let mut outcome = InsertOutcome::Inserted;
         if self.index.len() == self.capacity {
             // Invariant: capacity > 0, so a full cache has a victim.
-            if let Some((victim, was_dirty)) = self.evict_lru() {
-                outcome = if was_dirty {
-                    InsertOutcome::EvictedDirty(victim)
-                } else {
-                    InsertOutcome::EvictedClean(victim)
-                };
+            if let Some(victim) = self.evict_lru() {
+                outcome = evicted(victim);
             }
         }
-        let slot = if let Some(s) = self.free.pop() {
-            self.slots[s] = LruEntry {
-                chunk,
-                dirty,
-                prev: NIL,
-                next: NIL,
-            };
-            s
-        } else {
-            self.slots.push(LruEntry {
-                chunk,
-                dirty,
-                prev: NIL,
-                next: NIL,
-            });
-            self.slots.len() - 1
-        };
+        let slot = self.slab.alloc(chunk, dirty);
         self.index.insert(chunk, slot);
-        self.attach_front(slot);
+        self.slab.push_front(&mut self.list, slot);
         outcome
     }
 
@@ -244,11 +305,9 @@ impl ChunkCache for LruCache {
     }
 
     fn reset(&mut self) {
-        self.slots.clear();
-        self.free.clear();
+        self.slab.clear();
+        self.list = List::EMPTY;
         self.index.clear();
-        self.head = NIL;
-        self.tail = NIL;
         self.stats = HitMiss::default();
     }
 
@@ -279,7 +338,7 @@ impl ChunkCache for LruCache {
 // ---------------------------------------------------------------------------
 
 /// First-in-first-out cache (ablation): eviction order is insertion
-/// order; `access` does not change the order.
+/// order; `access` does not change the order. All operations are O(1).
 #[derive(Debug, Clone)]
 pub struct FifoCache {
     capacity: usize,
@@ -326,11 +385,7 @@ impl ChunkCache for FifoCache {
             // Invariant: capacity > 0, so a full cache has a queued victim.
             if let Some(victim) = self.queue.pop_front() {
                 let was_dirty = self.dirty.remove(&victim).unwrap_or(false);
-                outcome = if was_dirty {
-                    InsertOutcome::EvictedDirty(victim)
-                } else {
-                    InsertOutcome::EvictedClean(victim)
-                };
+                outcome = evicted((victim, was_dirty));
             }
         }
         self.queue.push_back(chunk);
@@ -386,60 +441,103 @@ impl ChunkCache for FifoCache {
 }
 
 // ---------------------------------------------------------------------------
-// LFU
+// LFU and LFUDA
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
-struct LfuEntry {
-    freq: u64,
-    seq: u64, // tie-break: lower sequence = older = evicted first
+struct FreqEntry {
+    hits: u64,
+    priority: u64, // cache age at last touch + hits (LFU: age stays 0)
     dirty: bool,
 }
 
-/// Least-frequently-used cache (ablation) with FIFO tie-breaking.
-/// Eviction is O(n) in capacity, which is fine for the simulator's cache
-/// sizes.
+impl FreqEntry {
+    /// Counts a hit at cache age `age`.
+    fn hit(&mut self, age: u64) {
+        self.hits += 1;
+        self.priority = age + self.hits;
+    }
+}
+
+/// Frequency-ordered cache: evicts the least `(priority, seq)`, where
+/// `priority` is the cache age at the line's last touch plus its hit
+/// count and `seq` orders insertions (so every choice is deterministic).
+/// Without `AGING` the age stays zero and this is [`LfuCache`]; with it,
+/// each eviction ratchets the age up to the victim's priority and this
+/// is [`LfudaCache`].
+///
+/// Each resident has exactly one `(priority, seq, chunk)` entry in a
+/// min-heap. A hit updates only the resident's map entry, so hits are
+/// O(1) and leave the heap entry stale. Priorities never fall — hits
+/// only grow and the age only ratchets up — so a stale entry
+/// under-states its line. Eviction therefore re-files a stale top at its
+/// current priority and looks again; the first current top is the
+/// minimum over all residents. There is at most one re-file per hit, so
+/// eviction is O(log n) amortized.
 #[derive(Debug, Clone)]
-pub struct LfuCache {
+pub struct FrequencyCache<const AGING: bool> {
     capacity: usize,
-    entries: FxHashMap<Chunk, LfuEntry>,
+    entries: FxHashMap<Chunk, FreqEntry>,
+    heap: BinaryHeap<Reverse<(u64, u64, Chunk)>>,
+    age: u64,
     next_seq: u64,
     stats: HitMiss,
 }
 
-impl LfuCache {
-    /// Creates an empty LFU cache.
+/// Least-frequently-used cache (ablation) with FIFO tie-breaking. A
+/// repeat insert of a resident only merges its dirty bit.
+pub type LfuCache = FrequencyCache<false>;
+
+/// LFU with Dynamic Aging: each line's priority is its access count plus
+/// the cache age, and the age ratchets up to every victim's priority. A
+/// once-popular line that stops being touched keeps a frozen priority
+/// while the age climbs past it — unlike plain [`LfuCache`], yesterday's
+/// hot set cannot block today's forever. A repeat insert of a resident
+/// counts as a hit.
+pub type LfudaCache = FrequencyCache<true>;
+
+impl<const AGING: bool> FrequencyCache<AGING> {
+    /// Creates an empty cache.
     ///
     /// # Panics
     /// Panics if capacity is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        LfuCache {
+        FrequencyCache {
             capacity,
             entries: FxHashMap::default(),
+            heap: BinaryHeap::new(),
+            age: 0,
             next_seq: 0,
             stats: HitMiss::default(),
         }
     }
 
-    /// Evicts the least-frequently-used entry (ties broken by age,
-    /// `seq` is unique so the choice is deterministic); `None` on an
-    /// empty cache.
-    fn evict_lfu(&mut self) -> Option<(Chunk, bool)> {
-        let victim = *self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| (e.freq, e.seq))
-            .map(|(c, _)| c)?;
-        let e = self.entries.remove(&victim)?;
-        Some((victim, e.dirty))
+    /// Evicts the minimum-`(priority, seq)` entry, ratcheting the age to
+    /// its priority under `AGING`; `None` on an empty cache.
+    fn evict_min(&mut self) -> Option<(Chunk, bool)> {
+        loop {
+            let mut top = self.heap.peek_mut()?;
+            let Reverse((filed, seq, chunk)) = *top;
+            let current = self.entries.get(&chunk)?.priority;
+            if current == filed {
+                PeekMut::pop(top);
+                let e = self.entries.remove(&chunk)?;
+                if AGING {
+                    self.age = self.age.max(e.priority);
+                }
+                return Some((chunk, e.dirty));
+            }
+            // Stale: re-file at the current priority (sifts down on drop).
+            *top = Reverse((current, seq, chunk));
+        }
     }
 }
 
-impl ChunkCache for LfuCache {
+impl<const AGING: bool> ChunkCache for FrequencyCache<AGING> {
     fn access(&mut self, chunk: Chunk, write: bool) -> bool {
         if let Some(e) = self.entries.get_mut(&chunk) {
-            e.freq += 1;
+            e.hit(self.age);
             e.dirty |= write;
             self.stats.hit();
             true
@@ -451,30 +549,34 @@ impl ChunkCache for LfuCache {
 
     fn insert(&mut self, chunk: Chunk, dirty: bool) -> InsertOutcome {
         if let Some(e) = self.entries.get_mut(&chunk) {
+            // LFUDA counts a repeat insert as a hit; LFU only merges the
+            // dirty bit.
+            if AGING {
+                e.hit(self.age);
+            }
             e.dirty |= dirty;
             return InsertOutcome::Inserted;
         }
         let mut outcome = InsertOutcome::Inserted;
         if self.entries.len() == self.capacity {
             // Invariant: capacity > 0, so a full cache has a victim.
-            if let Some((victim, was_dirty)) = self.evict_lfu() {
-                outcome = if was_dirty {
-                    InsertOutcome::EvictedDirty(victim)
-                } else {
-                    InsertOutcome::EvictedClean(victim)
-                };
+            if let Some(victim) = self.evict_min() {
+                outcome = evicted(victim);
             }
         }
         let seq = self.next_seq;
         self.next_seq += 1;
+        let priority = self.age + 1;
         self.entries.insert(
             chunk,
-            LfuEntry {
-                freq: 1,
-                seq,
+            FreqEntry {
+                hits: 1,
+                priority,
                 dirty,
             },
         );
+        // Tie-break: lower sequence = older = evicted first.
+        self.heap.push(Reverse((priority, seq, chunk)));
         outcome
     }
 
@@ -496,13 +598,15 @@ impl ChunkCache for LfuCache {
 
     fn reset(&mut self) {
         self.entries.clear();
+        self.heap.clear();
+        self.age = 0;
         self.next_seq = 0;
         self.stats = HitMiss::default();
     }
 
     fn drain(&mut self) -> Vec<(Chunk, bool)> {
         let mut out = Vec::with_capacity(self.entries.len());
-        while let Some(entry) = self.evict_lfu() {
+        while let Some(entry) = self.evict_min() {
             out.push(entry);
         }
         out
@@ -512,7 +616,7 @@ impl ChunkCache for LfuCache {
         self.capacity = capacity.max(1);
         let mut out = Vec::new();
         while self.entries.len() > self.capacity {
-            match self.evict_lfu() {
+            match self.evict_min() {
                 Some(entry) => out.push(entry),
                 None => break,
             }
@@ -539,24 +643,25 @@ enum Segment {
 /// Eviction takes the probationary LRU line first, falling back to the
 /// protected LRU line only when probation is empty.
 ///
-/// Both segments are plain recency lists (front = MRU); operations are
-/// O(n) in capacity, like [`LfuCache`], which is fine at simulator cache
-/// sizes.
+/// The segments are two recency lists on one [`Slab`], as in
+/// [`LruCache`]; all operations are O(1).
 #[derive(Debug, Clone)]
 pub struct SlruCache {
     capacity: usize,
     protected_cap: usize,
-    probationary: Vec<Chunk>, // front = most recent
-    protected: Vec<Chunk>,    // front = most recent
-    index: FxHashMap<Chunk, (Segment, bool)>,
+    slab: Slab,
+    probationary: List,
+    protected: List,
+    index: FxHashMap<Chunk, (usize, Segment)>,
     stats: HitMiss,
 }
 
 impl SlruCache {
-    /// Protected fraction of the capacity (the classic SLRU default of
-    /// roughly 80% protected / 20% probationary).
+    /// Protected share of the capacity: ⌊4/5·cap⌋, at least one line
+    /// (the classic SLRU split of roughly 80% protected / 20%
+    /// probationary).
     fn protected_share(capacity: usize) -> usize {
-        capacity * 4 / 5
+        (capacity * 4 / 5).max(1)
     }
 
     /// Creates an empty SLRU cache.
@@ -568,45 +673,43 @@ impl SlruCache {
         SlruCache {
             capacity,
             protected_cap: Self::protected_share(capacity),
-            probationary: Vec::new(),
-            protected: Vec::new(),
+            slab: Slab::default(),
+            probationary: List::EMPTY,
+            protected: List::EMPTY,
             index: FxHashMap::default(),
             stats: HitMiss::default(),
         }
     }
 
-    fn remove_from_list(list: &mut Vec<Chunk>, chunk: Chunk) {
-        if let Some(pos) = list.iter().position(|&c| c == chunk) {
-            list.remove(pos);
-        }
+    /// Moves a resident chunk to the protected MRU position, demoting
+    /// protected overflow back to probation; returns its slot, or `None`
+    /// if it is not resident. Residency never changes, so no eviction can
+    /// fire here.
+    fn promote(&mut self, chunk: Chunk) -> Option<usize> {
+        let e = self.index.get_mut(&chunk)?;
+        let (slot, from) = *e;
+        e.1 = Segment::Protected;
+        let list = match from {
+            Segment::Probationary => &mut self.probationary,
+            Segment::Protected => &mut self.protected,
+        };
+        self.slab.unlink(list, slot);
+        self.slab.push_front(&mut self.protected, slot);
+        self.demote_overflow();
+        Some(slot)
     }
 
-    /// Moves a resident chunk to the protected MRU position, demoting
-    /// the protected LRU line back to probation if the segment is over
-    /// its share. Residency never changes, so no eviction can fire here.
-    fn promote(&mut self, chunk: Chunk) {
-        match self.index.get(&chunk).map(|&(seg, _)| seg) {
-            Some(Segment::Probationary) => {
-                Self::remove_from_list(&mut self.probationary, chunk);
-            }
-            Some(Segment::Protected) => {
-                Self::remove_from_list(&mut self.protected, chunk);
-            }
-            None => return,
-        }
-        self.protected.insert(0, chunk);
-        if let Some(e) = self.index.get_mut(&chunk) {
-            e.0 = Segment::Protected;
-        }
-        while self.protected.len() > self.protected_cap.max(1) {
-            // Demote, never evict: the line gets one more probationary
-            // round before a scan can push it out.
-            let Some(demoted) = self.protected.pop() else {
+    /// Demotes protected LRU lines to probationary MRU until the
+    /// protected segment fits its share. Demote, never evict: each line
+    /// gets one more probationary round before a scan can push it out.
+    fn demote_overflow(&mut self) {
+        while self.protected.len > self.protected_cap {
+            let Some(slot) = self.slab.pop_back(&mut self.protected) else {
                 break;
             };
-            self.probationary.insert(0, demoted);
-            if let Some(e) = self.index.get_mut(&demoted) {
-                e.0 = Segment::Probationary;
+            self.slab.push_front(&mut self.probationary, slot);
+            if let Some(e) = self.index.get_mut(&self.slab.nodes[slot].chunk) {
+                e.1 = Segment::Probationary;
             }
         }
     }
@@ -614,21 +717,20 @@ impl SlruCache {
     /// Evicts in policy order: probationary LRU first, protected LRU
     /// when probation is empty; `None` on an empty cache.
     fn evict_one(&mut self) -> Option<(Chunk, bool)> {
-        let victim = self.probationary.pop().or_else(|| self.protected.pop())?;
-        let (_, dirty) = self.index.remove(&victim)?;
-        Some((victim, dirty))
+        let slot = self
+            .slab
+            .pop_back(&mut self.probationary)
+            .or_else(|| self.slab.pop_back(&mut self.protected))?;
+        let (chunk, dirty) = self.slab.release(slot);
+        self.index.remove(&chunk);
+        Some((chunk, dirty))
     }
 }
 
 impl ChunkCache for SlruCache {
     fn access(&mut self, chunk: Chunk, write: bool) -> bool {
-        if self.index.contains_key(&chunk) {
-            self.promote(chunk);
-            if write {
-                if let Some(e) = self.index.get_mut(&chunk) {
-                    e.1 = true;
-                }
-            }
+        if let Some(slot) = self.promote(chunk) {
+            self.slab.nodes[slot].dirty |= write;
             self.stats.hit();
             true
         } else {
@@ -638,27 +740,21 @@ impl ChunkCache for SlruCache {
     }
 
     fn insert(&mut self, chunk: Chunk, dirty: bool) -> InsertOutcome {
-        if self.index.contains_key(&chunk) {
-            // Already resident: a repeat insert counts as a re-reference.
-            self.promote(chunk);
-            if let Some(e) = self.index.get_mut(&chunk) {
-                e.1 |= dirty;
-            }
+        // Already resident: a repeat insert counts as a re-reference.
+        if let Some(slot) = self.promote(chunk) {
+            self.slab.nodes[slot].dirty |= dirty;
             return InsertOutcome::Inserted;
         }
         let mut outcome = InsertOutcome::Inserted;
         if self.index.len() == self.capacity {
             // Invariant: capacity > 0, so a full cache has a victim.
-            if let Some((victim, was_dirty)) = self.evict_one() {
-                outcome = if was_dirty {
-                    InsertOutcome::EvictedDirty(victim)
-                } else {
-                    InsertOutcome::EvictedClean(victim)
-                };
+            if let Some(victim) = self.evict_one() {
+                outcome = evicted(victim);
             }
         }
-        self.probationary.insert(0, chunk);
-        self.index.insert(chunk, (Segment::Probationary, dirty));
+        let slot = self.slab.alloc(chunk, dirty);
+        self.slab.push_front(&mut self.probationary, slot);
+        self.index.insert(chunk, (slot, Segment::Probationary));
         outcome
     }
 
@@ -679,8 +775,9 @@ impl ChunkCache for SlruCache {
     }
 
     fn reset(&mut self) {
-        self.probationary.clear();
-        self.protected.clear();
+        self.slab.clear();
+        self.probationary = List::EMPTY;
+        self.protected = List::EMPTY;
         self.index.clear();
         self.stats = HitMiss::default();
     }
@@ -704,164 +801,7 @@ impl ChunkCache for SlruCache {
             }
         }
         // A shrunk protected share demotes (not evicts) the overflow.
-        while self.protected.len() > self.protected_cap.max(1) && !self.protected.is_empty() {
-            let Some(demoted) = self.protected.pop() else {
-                break;
-            };
-            self.probationary.insert(0, demoted);
-            if let Some(e) = self.index.get_mut(&demoted) {
-                e.0 = Segment::Probationary;
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LFUDA
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct LfudaEntry {
-    hits: u64,
-    key: u64, // eviction priority: cache age at last touch + hit count
-    seq: u64, // tie-break: lower sequence = older = evicted first
-    dirty: bool,
-}
-
-/// LFU with Dynamic Aging: each line's priority is its access count plus
-/// the cache age, and the age ratchets up to every victim's priority. A
-/// once-popular line that stops being touched keeps a frozen priority
-/// while the age climbs past it — unlike plain [`LfuCache`], yesterday's
-/// hot set cannot block today's forever. Eviction is O(n), as for LFU.
-#[derive(Debug, Clone)]
-pub struct LfudaCache {
-    capacity: usize,
-    entries: FxHashMap<Chunk, LfudaEntry>,
-    age: u64,
-    next_seq: u64,
-    stats: HitMiss,
-}
-
-impl LfudaCache {
-    /// Creates an empty LFUDA cache.
-    ///
-    /// # Panics
-    /// Panics if capacity is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        LfudaCache {
-            capacity,
-            entries: FxHashMap::default(),
-            age: 0,
-            next_seq: 0,
-            stats: HitMiss::default(),
-        }
-    }
-
-    /// Evicts the minimum-priority entry (ties broken by age, `seq` is
-    /// unique so the choice is deterministic) and ratchets the cache age
-    /// to the victim's priority; `None` on an empty cache.
-    fn evict_min(&mut self) -> Option<(Chunk, bool)> {
-        let victim = *self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| (e.key, e.seq))
-            .map(|(c, _)| c)?;
-        let e = self.entries.remove(&victim)?;
-        self.age = self.age.max(e.key);
-        Some((victim, e.dirty))
-    }
-}
-
-impl ChunkCache for LfudaCache {
-    fn access(&mut self, chunk: Chunk, write: bool) -> bool {
-        let age = self.age;
-        if let Some(e) = self.entries.get_mut(&chunk) {
-            e.hits += 1;
-            e.key = age + e.hits;
-            e.dirty |= write;
-            self.stats.hit();
-            true
-        } else {
-            self.stats.miss();
-            false
-        }
-    }
-
-    fn insert(&mut self, chunk: Chunk, dirty: bool) -> InsertOutcome {
-        let age = self.age;
-        if let Some(e) = self.entries.get_mut(&chunk) {
-            e.hits += 1;
-            e.key = age + e.hits;
-            e.dirty |= dirty;
-            return InsertOutcome::Inserted;
-        }
-        let mut outcome = InsertOutcome::Inserted;
-        if self.entries.len() == self.capacity {
-            // Invariant: capacity > 0, so a full cache has a victim.
-            if let Some((victim, was_dirty)) = self.evict_min() {
-                outcome = if was_dirty {
-                    InsertOutcome::EvictedDirty(victim)
-                } else {
-                    InsertOutcome::EvictedClean(victim)
-                };
-            }
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(
-            chunk,
-            LfudaEntry {
-                hits: 1,
-                key: self.age + 1,
-                seq,
-                dirty,
-            },
-        );
-        outcome
-    }
-
-    fn contains(&self, chunk: Chunk) -> bool {
-        self.entries.contains_key(&chunk)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn stats(&self) -> HitMiss {
-        self.stats
-    }
-
-    fn reset(&mut self) {
-        self.entries.clear();
-        self.age = 0;
-        self.next_seq = 0;
-        self.stats = HitMiss::default();
-    }
-
-    fn drain(&mut self) -> Vec<(Chunk, bool)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        while let Some(entry) = self.evict_min() {
-            out.push(entry);
-        }
-        out
-    }
-
-    fn set_capacity(&mut self, capacity: usize) -> Vec<(Chunk, bool)> {
-        self.capacity = capacity.max(1);
-        let mut out = Vec::new();
-        while self.entries.len() > self.capacity {
-            match self.evict_min() {
-                Some(entry) => out.push(entry),
-                None => break,
-            }
-        }
+        self.demote_overflow();
         out
     }
 }

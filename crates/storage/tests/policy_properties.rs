@@ -11,7 +11,7 @@
 //! exceeds capacity, and a dirty chunk surfaces as dirty exactly once
 //! between residencies.
 
-use cachemap_storage::cache::{build_cache, Chunk, InsertOutcome};
+use cachemap_storage::cache::{build_cache, Chunk, ChunkCache, InsertOutcome};
 use cachemap_storage::PolicyKind;
 
 /// Deterministic xorshift64* generator — keeps the streams seeded and
@@ -292,113 +292,179 @@ impl DirtyLedger {
     }
 }
 
+/// A production cache and its reference model driven in lockstep, with
+/// the dirty ledger; every operation asserts that the two agree.
+struct Lockstep {
+    cache: Box<dyn ChunkCache + Send>,
+    model: Model,
+    ledger: DirtyLedger,
+}
+
+impl Lockstep {
+    fn new(policy: PolicyKind, capacity: usize) -> Self {
+        Lockstep {
+            cache: build_cache(policy, capacity),
+            model: Model::new(policy, capacity),
+            ledger: DirtyLedger::new(),
+        }
+    }
+
+    /// An access with fill-on-miss, like the engine's flow.
+    fn access(&mut self, chunk: Chunk, write: bool, ctx: &str) {
+        let hit = self.cache.access(chunk, write);
+        let model_hit = self.model.access(chunk, write);
+        assert_eq!(hit, model_hit, "{ctx}: hit/miss diverged");
+        if hit && write {
+            self.ledger.mark(chunk);
+        }
+        if !hit {
+            self.insert(chunk, write, ctx);
+        }
+    }
+
+    fn insert(&mut self, chunk: Chunk, dirty: bool, ctx: &str) {
+        let out = self.cache.insert(chunk, dirty);
+        let model_out = self.model.insert(chunk, dirty);
+        assert_eq!(out, model_out, "{ctx}: eviction diverged");
+        if dirty {
+            self.ledger.mark(chunk);
+        }
+        match out {
+            InsertOutcome::Inserted => {}
+            InsertOutcome::EvictedClean(c) => self.ledger.surfaced(c, false, ctx),
+            InsertOutcome::EvictedDirty(c) => self.ledger.surfaced(c, true, ctx),
+        }
+    }
+
+    fn resize(&mut self, cap: usize, ctx: &str) {
+        let evicted = self.cache.set_capacity(cap);
+        let model_evicted = self.model.set_capacity(cap);
+        assert_eq!(evicted, model_evicted, "{ctx}: resize evictions diverged");
+        for (c, d) in &evicted {
+            self.ledger.surfaced(*c, *d, ctx);
+        }
+        assert_eq!(self.cache.capacity(), cap.max(1), "{ctx}");
+    }
+
+    fn drain(&mut self, ctx: &str) {
+        let drained = self.cache.drain();
+        let model_drained = self.model.drain();
+        assert_eq!(drained, model_drained, "{ctx}: drain order diverged");
+        for (c, d) in &drained {
+            self.ledger.surfaced(*c, *d, ctx);
+        }
+        assert!(self.cache.is_empty(), "{ctx}");
+    }
+
+    fn reset(&mut self, ctx: &str) {
+        self.cache.reset();
+        self.model.reset();
+        self.ledger = DirtyLedger::new();
+        assert_eq!(self.cache.stats().accesses(), 0, "{ctx}");
+    }
+
+    /// The invariants checked after every step.
+    fn check(&self, ctx: &str) {
+        assert!(
+            self.cache.len() <= self.cache.capacity(),
+            "{ctx}: residency above capacity"
+        );
+        assert_eq!(
+            self.cache.len(),
+            self.model.lines.len(),
+            "{ctx}: length diverged"
+        );
+        assert_eq!(
+            (self.cache.stats().hits, self.cache.stats().misses),
+            (self.model.hits, self.model.misses),
+            "{ctx}: stats diverged"
+        );
+    }
+
+    /// Terminal drain: every still-dirty line must surface exactly once.
+    fn finish(mut self, ctx: &str) {
+        for (c, d) in self.cache.drain() {
+            self.ledger.surfaced(c, d, ctx);
+        }
+        assert!(
+            self.ledger.dirty.is_empty(),
+            "{ctx}: dirty chunks lost without a write-back: {:?}",
+            self.ledger.dirty
+        );
+    }
+}
+
 fn run_stream(policy: PolicyKind, seed: u64, steps: usize) {
     let capacity = 2 + (seed % 14) as usize;
     let universe = (capacity as u64) * 3;
-    let mut cache = build_cache(policy, capacity);
-    let mut model = Model::new(policy, capacity);
-    let mut ledger = DirtyLedger::new();
+    let mut ls = Lockstep::new(policy, capacity);
     let mut rng = Rng::new(seed);
 
     for step in 0..steps {
         let ctx = format!("{policy:?} seed {seed} step {step}");
-        let op = rng.below(100);
-        match op {
+        match rng.below(100) {
             // Mostly accesses + fill-on-miss, like the engine's flow.
             0..=79 => {
                 let chunk = rng.below(universe) as usize;
                 let write = rng.below(4) == 0;
-                let hit = cache.access(chunk, write);
-                let model_hit = model.access(chunk, write);
-                assert_eq!(hit, model_hit, "{ctx}: hit/miss diverged");
-                if hit && write {
-                    ledger.mark(chunk);
-                }
-                if !hit {
-                    let out = cache.insert(chunk, write);
-                    let model_out = model.insert(chunk, write);
-                    assert_eq!(out, model_out, "{ctx}: eviction diverged");
-                    if write {
-                        ledger.mark(chunk);
-                    }
-                    match out {
-                        InsertOutcome::Inserted => {}
-                        InsertOutcome::EvictedClean(c) => ledger.surfaced(c, false, &ctx),
-                        InsertOutcome::EvictedDirty(c) => ledger.surfaced(c, true, &ctx),
-                    }
-                }
+                ls.access(chunk, write, &ctx);
             }
             // Blind inserts (readahead-style).
             80..=89 => {
                 let chunk = rng.below(universe) as usize;
                 let dirty = rng.below(8) == 0;
-                let was_resident = cache.contains(chunk);
-                let out = cache.insert(chunk, dirty);
-                let model_out = model.insert(chunk, dirty);
-                assert_eq!(out, model_out, "{ctx}: eviction diverged");
-                let _ = was_resident;
-                if dirty {
-                    ledger.mark(chunk);
-                }
-                match out {
-                    InsertOutcome::Inserted => {}
-                    InsertOutcome::EvictedClean(c) => ledger.surfaced(c, false, &ctx),
-                    InsertOutcome::EvictedDirty(c) => ledger.surfaced(c, true, &ctx),
-                }
+                ls.insert(chunk, dirty, &ctx);
             }
             // Resize (degradation / recovery).
-            90..=94 => {
-                let cap = 1 + rng.below(16) as usize;
-                let evicted = cache.set_capacity(cap);
-                let model_evicted = model.set_capacity(cap);
-                assert_eq!(evicted, model_evicted, "{ctx}: resize evictions diverged");
-                for (c, d) in &evicted {
-                    ledger.surfaced(*c, *d, &ctx);
-                }
-                assert_eq!(cache.capacity(), cap.max(1), "{ctx}");
-            }
+            90..=94 => ls.resize(1 + rng.below(16) as usize, &ctx),
             // Crash-drain.
-            95..=97 => {
-                let drained = cache.drain();
-                let model_drained = model.drain();
-                assert_eq!(drained, model_drained, "{ctx}: drain order diverged");
-                for (c, d) in &drained {
-                    ledger.surfaced(*c, *d, &ctx);
-                }
-                assert!(cache.is_empty(), "{ctx}");
-            }
+            95..=97 => ls.drain(&ctx),
             // Full reset.
-            _ => {
-                cache.reset();
-                model.reset();
-                ledger = DirtyLedger::new();
-                assert_eq!(cache.stats().accesses(), 0, "{ctx}");
-            }
+            _ => ls.reset(&ctx),
         }
-
-        // Step invariants.
-        assert!(
-            cache.len() <= cache.capacity(),
-            "{ctx}: residency above capacity"
-        );
-        assert_eq!(cache.len(), model.lines.len(), "{ctx}: length diverged");
-        assert_eq!(
-            (cache.stats().hits, cache.stats().misses),
-            (model.hits, model.misses),
-            "{ctx}: stats diverged"
-        );
+        ls.check(&ctx);
     }
+    ls.finish(&format!("{policy:?} seed {seed} terminal"));
+}
 
-    // Terminal drain: every still-dirty line must surface exactly once.
-    let ctx = format!("{policy:?} seed {seed} terminal");
-    for (c, d) in cache.drain() {
-        ledger.surfaced(c, d, &ctx);
-    }
-    assert!(
-        ledger.dirty.is_empty(),
-        "{ctx}: dirty chunks lost without a write-back: {:?}",
-        ledger.dirty
-    );
+/// The paper's per-node cache sizes in chunks: L1, L2 and L3.
+const PAPER_CAPACITIES: [usize; 3] = [32, 128, 384];
+
+/// A skewed stream at one of the paper's capacities. Each chunk is the
+/// least of three uniform draws over twice the capacity, so the low
+/// chunks are hot: under LFU and LFUDA a resident's heap entry goes
+/// stale at each hit, many times between its evictions. Between phases
+/// of accesses the cache shrinks to one line and back, drains, and
+/// halves and regrows.
+fn run_paper_stream(policy: PolicyKind, capacity: usize, seed: u64) {
+    let universe = 2 * capacity as u64;
+    let mut ls = Lockstep::new(policy, capacity);
+    let mut rng = Rng::new(seed);
+    let ctx = |what: &str| format!("{policy:?} capacity {capacity} {what}");
+    let mut phase = |ls: &mut Lockstep, name: &str, steps: usize| {
+        for step in 0..steps {
+            let ctx = ctx(&format!("{name} step {step}"));
+            let chunk = (0..3).map(|_| rng.below(universe)).min().unwrap_or(0) as usize;
+            if rng.below(10) == 0 {
+                ls.insert(chunk, rng.below(8) == 0, &ctx);
+            } else {
+                ls.access(chunk, rng.below(4) == 0, &ctx);
+            }
+            ls.check(&ctx);
+        }
+    };
+    phase(&mut ls, "warm", 8 * capacity);
+    ls.resize(1, &ctx("shrink to 1"));
+    phase(&mut ls, "one line", capacity);
+    ls.resize(capacity, &ctx("regrow"));
+    phase(&mut ls, "refill", 4 * capacity);
+    ls.drain(&ctx("drain"));
+    phase(&mut ls, "after drain", 8 * capacity);
+    ls.resize(capacity / 2, &ctx("halve"));
+    phase(&mut ls, "halved", 2 * capacity);
+    ls.resize(capacity, &ctx("restore"));
+    phase(&mut ls, "restored", 2 * capacity);
+    ls.finish(&ctx("terminal"));
 }
 
 #[test]
@@ -429,5 +495,14 @@ fn eviction_order_is_deterministic_across_runs() {
             log.join("\n")
         };
         assert_eq!(transcript(0), transcript(1), "{policy:?}");
+    }
+}
+
+#[test]
+fn every_policy_matches_its_reference_model_at_paper_capacities() {
+    for policy in PolicyKind::ALL {
+        for capacity in PAPER_CAPACITIES {
+            run_paper_stream(policy, capacity, 0x5eed + capacity as u64);
+        }
     }
 }

@@ -1,8 +1,10 @@
 //! Property tests for the cache implementations and the event engine,
 //! driven by the in-repo deterministic harness (`cachemap_util::check`).
 
-use cachemap_storage::cache::{ChunkCache, FifoCache, LfuCache, LruCache};
-use cachemap_storage::{ClientOp, HierarchyTree, MappedProgram, PlatformConfig, Simulator};
+use cachemap_storage::cache::{build_cache, ChunkCache, LruCache};
+use cachemap_storage::{
+    ClientOp, HierarchyTree, MappedProgram, PlatformConfig, PolicyKind, Simulator,
+};
 use cachemap_util::check::{cases, Gen};
 
 fn arb_trace(g: &mut Gen, max_chunk: usize, max_len: usize) -> Vec<(usize, bool)> {
@@ -25,15 +27,13 @@ fn caches_never_exceed_capacity() {
     cases(0xCAC4_E001, 96, |g| {
         let trace = arb_trace(g, 64, 400);
         let cap = g.usize_in(1, 32);
-        let mut lru = LruCache::new(cap);
-        let mut fifo = FifoCache::new(cap);
-        let mut lfu = LfuCache::new(cap);
-        for &(chunk, write) in &trace {
-            for cache in [&mut lru as &mut dyn ChunkCache, &mut fifo, &mut lfu] {
+        for policy in PolicyKind::ALL {
+            let mut cache = build_cache(policy, cap);
+            for &(chunk, write) in &trace {
                 if !cache.access(chunk, write) {
                     cache.insert(chunk, write);
                 }
-                assert!(cache.len() <= cap);
+                assert!(cache.len() <= cap, "{policy:?}");
             }
         }
     });

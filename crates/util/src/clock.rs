@@ -3,26 +3,25 @@
 //! Harnesses that exercise deadline logic must not sleep: a
 //! [`Clock::simulated`] advances a virtual nanosecond counter instead,
 //! so "wait 30 seconds" is one atomic add. Production paths use
-//! [`Clock::real`], which anchors `now_ns` at construction and really
-//! sleeps. The handle is shared (`Arc<Clock>`) between the component
-//! under test and the test driving it: the async front end's event loop
-//! feeds its timer wheel from it, and the aio and aserver tests advance
-//! it to fire idle deadlines.
+//! [`Clock::real`], which anchors `now_ns` at construction. The handle
+//! is shared (`Arc<Clock>`) between the component under test and the
+//! test driving it: the async front end's event loop feeds its timer
+//! queue from it, and the aio and aserver tests advance it to fire idle
+//! deadlines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A clock: real time, or a virtual nanosecond counter for
 /// deterministic robustness harnesses (a test then advances the counter
 /// to reach a deadline instead of sleeping).
 #[derive(Debug)]
 pub enum Clock {
-    /// `std::time` + real `thread::sleep`.
+    /// `std::time`.
     Real {
         /// Process-start anchor for `now_ns`.
         epoch: std::time::Instant,
     },
-    /// A virtual nanosecond counter; `sleep_ns` advances it instantly.
+    /// A virtual nanosecond counter; `advance_ns` moves it instantly.
     Simulated(AtomicU64),
 }
 
@@ -39,26 +38,11 @@ impl Clock {
         Clock::Simulated(AtomicU64::new(0))
     }
 
-    /// `true` for a [`Clock::simulated`] instance.
-    pub fn is_simulated(&self) -> bool {
-        matches!(self, Clock::Simulated(_))
-    }
-
     /// Nanoseconds since the clock's epoch.
     pub fn now_ns(&self) -> u64 {
         match self {
             Clock::Real { epoch } => epoch.elapsed().as_nanos() as u64,
             Clock::Simulated(t) => t.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Sleeps (real) or advances virtual time (simulated) by `ns`.
-    pub fn sleep_ns(&self, ns: u64) {
-        match self {
-            Clock::Real { .. } => std::thread::sleep(Duration::from_nanos(ns)),
-            Clock::Simulated(t) => {
-                t.fetch_add(ns, Ordering::SeqCst);
-            }
         }
     }
 
@@ -77,11 +61,10 @@ mod tests {
     #[test]
     fn simulated_clock_never_sleeps() {
         let c = Clock::simulated();
-        assert!(c.is_simulated());
         assert_eq!(c.now_ns(), 0);
         let t0 = std::time::Instant::now();
-        c.sleep_ns(30_000_000_000); // "30 seconds"
-        assert!(t0.elapsed() < Duration::from_secs(1));
+        c.advance_ns(30_000_000_000); // "30 seconds"
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
         assert_eq!(c.now_ns(), 30_000_000_000);
         c.advance_ns(5);
         assert_eq!(c.now_ns(), 30_000_000_005);
@@ -90,7 +73,6 @@ mod tests {
     #[test]
     fn real_clock_monotone() {
         let c = Clock::real();
-        assert!(!c.is_simulated());
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);

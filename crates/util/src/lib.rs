@@ -30,8 +30,9 @@
 //! * [`clock`] — real or simulated time behind one `Arc<Clock>` handle,
 //!   shared by the async front end's event loop and the tests driving
 //!   its deadlines (simulated tests never sleep).
-//! * [`timer`] — a hashed timing wheel (O(1) schedule) for the async
-//!   front end's idle/read deadlines and batch windows.
+//! * [`timer`] — deadlines in order (O(log n) schedule, cancel and
+//!   earliest-deadline query) for the async front end's idle/read
+//!   deadlines and batch windows.
 //! * [`bufpool`] — a bounded pool of reusable byte buffers for the
 //!   async front end's per-connection read buffers.
 
@@ -63,4 +64,4 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::{Json, ToJson};
 pub use lru::ShardedLru;
 pub use rng::XorShift64;
-pub use timer::{TimerId, TimerWheel};
+pub use timer::{TimerId, TimerQueue};
