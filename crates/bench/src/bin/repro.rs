@@ -171,10 +171,6 @@ fn usage() -> String {
      \x20                               flight dumps stay in\n\
      \x20                               l2-cache/storm-<seed>/ (default\n\
      \x20                               seed 42)\n\
-     parallel runtime:\n\
-     \x20 bench-cluster[:<seed>]        sequential vs parallel distribute\n\
-     \x20                               at paper scale (default seed 42);\n\
-     \x20                               CACHEMAP_THREADS caps pool workers\n\
      policy zoo:\n\
      \x20 advisor[:<seed>]              per-(workload, level) eviction-policy\n\
      \x20                               sweep over the adversarial scenarios\n\
@@ -184,8 +180,19 @@ fn usage() -> String {
      \x20 advisor-check <file...>       validate advisor reports against\n\
      \x20                               the BENCH_policies.json schema\n\
      help:\n\
-     \x20 help | --help | -h            this screen"
+     \x20 help | --help | -h            this screen\n\
+     environment:\n\
+     \x20 CACHEMAP_THREADS=<n>          worker pool of the suite, advisor\n\
+     \x20                               and chaos sweeps (default: all\n\
+     \x20                               cores; results are identical)"
         .to_string()
+}
+
+/// Rejects a malformed subcommand argument: prints `repro: bad <what>:
+/// <value>` and exits 2, the usage-error code.
+fn bad_arg(what: &str, value: &str) -> ! {
+    eprintln!("repro: bad {what}: {value}");
+    std::process::exit(2)
 }
 
 fn main() {
@@ -467,13 +474,11 @@ fn main() {
             s if s == "chaos" || s.starts_with("chaos:") => {
                 let mut parts = s.splitn(3, ':').skip(1);
                 let seed: u64 = parts.next().map_or(42, |p| {
-                    p.parse().unwrap_or_else(|_| panic!("bad chaos seed: {p}"))
+                    p.parse().unwrap_or_else(|_| bad_arg("chaos seed", p))
                 });
                 let mut cfg = cachemap_bench::chaos::ChaosConfig::with_seed(seed);
                 if let Some(p) = parts.next() {
-                    cfg.plans = p
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad chaos budget: {p}"));
+                    cfg.plans = p.parse().unwrap_or_else(|_| bad_arg("chaos budget", p));
                 }
                 cfg.scale = scale;
                 eprintln!(
@@ -523,7 +528,7 @@ fn main() {
             s if s == "obs-export" || s.starts_with("obs-export:") => {
                 let name = s.strip_prefix("obs-export:").unwrap_or("contour");
                 let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| panic!("unknown app {name}"));
+                    .unwrap_or_else(|| bad_arg("app", name));
                 eprintln!("[obs-export: observed {name} inter-processor+sched run …]");
                 let label = format!("{name}/inter-scheduled");
                 let (rep, artifact) = cachemap_bench::run_cell_observed(
@@ -549,7 +554,7 @@ fn main() {
             s if s.starts_with("detail:") => {
                 let name = &s["detail:".len()..];
                 let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| panic!("unknown app {name}"));
+                    .unwrap_or_else(|| bad_arg("app", name));
                 println!("== detail — {name} per-version simulator statistics ==");
                 for v in cachemap_core::Version::ALL {
                     let rep = cachemap_bench::run_cell(
@@ -585,7 +590,7 @@ fn main() {
                 // for one app: a block split vs the clustered mapping.
                 let name = &s["analyze:".len()..];
                 let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| panic!("unknown app {name}"));
+                    .unwrap_or_else(|| bad_arg("app", name));
                 let data =
                     cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
                 let tree = cachemap_storage::HierarchyTree::from_config(&platform)
@@ -635,7 +640,7 @@ fn main() {
                 // Reuse-distance profiles per version of one app.
                 let name = &s["trace:".len()..];
                 let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| panic!("unknown app {name}"));
+                    .unwrap_or_else(|| bad_arg("app", name));
                 let data =
                     cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
                 let tree = cachemap_storage::HierarchyTree::from_config(&platform)
@@ -670,7 +675,7 @@ fn main() {
                 // accesses, unique chunks, simulated finish time.
                 let name = &s["clients:".len()..];
                 let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| panic!("unknown app {name}"));
+                    .unwrap_or_else(|| bad_arg("app", name));
                 let data =
                     cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
                 let tree = cachemap_storage::HierarchyTree::from_config(&platform)
@@ -734,10 +739,10 @@ fn main() {
                 let rest = &s["idle-hold:".len()..];
                 let (addr, count) = rest
                     .rsplit_once(':')
-                    .unwrap_or_else(|| panic!("bad idle-hold spec: {rest}"));
+                    .unwrap_or_else(|| bad_arg("idle-hold spec", rest));
                 let count: usize = count
                     .parse()
-                    .unwrap_or_else(|_| panic!("bad idle-hold count: {count}"));
+                    .unwrap_or_else(|_| bad_arg("idle-hold count", count));
                 if let Err(e) = cachemap_bench::open_loop::idle_hold(addr, count) {
                     eprintln!("idle-hold: {e}");
                     std::process::exit(1);
@@ -747,14 +752,12 @@ fn main() {
                 let mut parts = s.splitn(3, ':').skip(1);
                 let mut cfg = cachemap_bench::open_loop::OpenLoopConfig::default();
                 if let Some(p) = parts.next() {
-                    cfg.offered_rps = p
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad serve-open rate: {p}"));
+                    cfg.offered_rps = p.parse().unwrap_or_else(|_| bad_arg("serve-open rate", p));
                 }
                 if let Some(p) = parts.next() {
                     cfg.duration_secs = p
                         .parse()
-                        .unwrap_or_else(|_| panic!("bad serve-open duration: {p}"));
+                        .unwrap_or_else(|_| bad_arg("serve-open duration", p));
                 }
                 if test_scale {
                     cfg = cachemap_bench::open_loop::OpenLoopConfig::smoke(cfg.seed);
@@ -809,7 +812,7 @@ fn main() {
                 if let Ok(ttl) = std::env::var("CACHEMAP_L2_TTL_SECS") {
                     cfg.l2_ttl_secs = ttl
                         .parse()
-                        .unwrap_or_else(|_| panic!("bad CACHEMAP_L2_TTL_SECS: {ttl}"));
+                        .unwrap_or_else(|_| bad_arg("CACHEMAP_L2_TTL_SECS", &ttl));
                 }
                 if let Some(dir) = &cfg.l2_dir {
                     println!(
@@ -843,7 +846,7 @@ fn main() {
                         42
                     } else {
                         rest.parse()
-                            .unwrap_or_else(|_| panic!("bad advisor seed: {rest}"))
+                            .unwrap_or_else(|_| bad_arg("advisor seed", rest))
                     }
                 });
                 eprintln!(
@@ -863,43 +866,6 @@ fn main() {
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
                 }
             }
-            s if s == "bench-cluster" || s.starts_with("bench-cluster:") => {
-                let seed: u64 = s.strip_prefix("bench-cluster").map_or(42, |rest| {
-                    let rest = rest.strip_prefix(':').unwrap_or("");
-                    if rest.is_empty() {
-                        42
-                    } else {
-                        rest.parse()
-                            .unwrap_or_else(|_| panic!("bad bench-cluster seed: {rest}"))
-                    }
-                });
-                let cfg = if test_scale {
-                    cachemap_bench::cluster_bench::ClusterBenchConfig::smoke(seed)
-                } else {
-                    cachemap_bench::cluster_bench::ClusterBenchConfig::paper_scale(seed)
-                };
-                eprintln!(
-                    "[bench-cluster: seed {seed}, {} chunks on the {}x{}x{} hierarchy, pools {:?} \
-                     (set {} to cap workers) …]",
-                    cfg.t_steps * cfg.v,
-                    cfg.platform.num_clients,
-                    cfg.platform.num_io_nodes,
-                    cfg.platform.num_storage_nodes,
-                    cfg.pool_sizes,
-                    cachemap_par::THREADS_ENV,
-                );
-                let report = cachemap_bench::cluster_bench::run(&cfg);
-                println!("{}", report.render());
-                match std::fs::write("BENCH_cluster.json", report.to_json().to_string_pretty()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_cluster.json]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_cluster.json: {e}]"),
-                }
-                let scratch = format!("BENCH_cluster-{seed}");
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
-            }
             s if s == "serve-storm" || s.starts_with("serve-storm:") => {
                 let seed: u64 = s.strip_prefix("serve-storm").map_or(42, |rest| {
                     let rest = rest.strip_prefix(':').unwrap_or("");
@@ -907,7 +873,7 @@ fn main() {
                         42
                     } else {
                         rest.parse()
-                            .unwrap_or_else(|_| panic!("bad serve-storm seed: {rest}"))
+                            .unwrap_or_else(|_| bad_arg("serve-storm seed", rest))
                     }
                 });
                 let mut cfg = if test_scale {

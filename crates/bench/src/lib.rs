@@ -1,10 +1,11 @@
 //! Experiment harness for the HPDC'10 reproduction.
 //!
-//! This crate contains the shared machinery behind the `repro` binary
-//! (one subcommand per table/figure of the paper's Section 5) and the
-//! criterion benchmarks. The central entry point is [`run_cell`]: map one
-//! application with one version on one platform, simulate it, and return
-//! the [`SimReport`]. Everything above that is sweep + formatting logic.
+//! This crate contains the shared machinery behind the `repro` binary:
+//! one subcommand per table/figure of the paper's Section 5, plus the
+//! service, policy-advisor and chaos campaigns. The central entry point
+//! is [`run_cell`]: map one application with one version on one
+//! platform, simulate it, and return the [`SimReport`]. Everything above
+//! that is sweep + formatting logic.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -16,14 +17,12 @@ use cachemap_workloads::{Application, Scale};
 
 pub mod advisor;
 pub mod chaos;
-pub mod cluster_bench;
 pub mod experiments;
 pub mod obs;
 pub mod open_loop;
 pub mod report;
 pub mod serve;
 pub mod storm;
-pub mod timing;
 pub mod tracefmt;
 
 pub use obs::{render_artifact, run_cell_observed, write_obs_artifact};

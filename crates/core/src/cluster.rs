@@ -31,10 +31,6 @@ use cachemap_storage::topology::{CacheLevel, HierarchyTree, NodeId};
 use cachemap_util::{BitSet, CountVec};
 use std::collections::BinaryHeap;
 
-/// Minimum total item count at a tree node before its per-subtree
-/// recursion fans out onto the pool.
-const PAR_MIN_FANOUT_ITEMS: usize = 32;
-
 /// A contiguous slice of one iteration chunk's iterations.
 ///
 /// Initially each iteration chunk is one whole item; load balancing may
@@ -193,35 +189,40 @@ pub fn distribute(
     tree: &HierarchyTree,
     params: &ClusterParams,
 ) -> Distribution {
-    distribute_pooled(
-        chunks,
-        tree,
-        params,
-        &Pool::sequential(),
-        &mut Profile::disabled(),
-    )
+    distribute_profiled(chunks, tree, params, &mut Profile::disabled())
 }
 
-/// [`distribute`] on a worker pool, with phase accounting.
+/// [`distribute`] with phase accounting; `pool` is accepted and unused.
 ///
-/// At each hierarchy level the per-subtree recursion fans out onto
-/// `pool`. The result — the distribution *and* every profile counter —
-/// is byte-identical to the sequential kernel for any pool size: each
-/// node's greedy merge loop (inherently sequential) runs on one thread,
-/// and per-subtree profiles are absorbed in child order.
+/// The kernel runs on the calling thread. Figure 5's greedy merge is
+/// sequential at every tree node and the root round dominates, so
+/// fanning the subtrees out onto a pool never paid for its thread
+/// spawns. The parameter stays for callers that hand their pool
+/// through; the distribution and every profile counter are the same
+/// for any pool.
 ///
 /// The profile gets one span per hierarchy level (`level:root` →
 /// `level:storage` → `level:io`), each carrying the merge/split/
 /// balance-move counters for that level plus a `similarity-graph` child
 /// span for the sparse similarity-graph build. Sibling subtrees at the
 /// same depth accumulate into one span, so the profile mirrors the
-/// levels of Figure 5, not the tree fan-out. With `Pool::sequential()`
-/// and a disabled profile this is exactly [`distribute`].
+/// levels of Figure 5, not the tree fan-out. With a disabled profile
+/// this is exactly [`distribute`].
 pub fn distribute_pooled(
     chunks: &[IterationChunk],
     tree: &HierarchyTree,
     params: &ClusterParams,
-    pool: &Pool,
+    _pool: &Pool,
+    prof: &mut Profile,
+) -> Distribution {
+    distribute_profiled(chunks, tree, params, prof)
+}
+
+/// [`distribute_pooled`] without the pool.
+pub(crate) fn distribute_profiled(
+    chunks: &[IterationChunk],
+    tree: &HierarchyTree,
+    params: &ClusterParams,
     prof: &mut Profile,
 ) -> Distribution {
     let mut per_client: Vec<Vec<WorkItem>> = vec![Vec::new(); tree.num_clients()];
@@ -237,7 +238,6 @@ pub fn distribute_pooled(
         all_items,
         params,
         &mut per_client,
-        pool,
         prof,
     );
     Distribution { per_client }
@@ -254,7 +254,6 @@ fn level_span_name(level: CacheLevel) -> &'static str {
 }
 
 /// Recursive descent: partition `items` among the children of `node`.
-#[allow(clippy::too_many_arguments)]
 fn distribute_at_node(
     chunks: &[IterationChunk],
     tree: &HierarchyTree,
@@ -262,7 +261,6 @@ fn distribute_at_node(
     items: Vec<WorkItem>,
     params: &ClusterParams,
     per_client: &mut [Vec<WorkItem>],
-    pool: &Pool,
     prof: &mut Profile,
 ) {
     let tn = tree.node(node);
@@ -299,58 +297,8 @@ fn distribute_at_node(
     if weights.windows(2).any(|w| w[0] != w[1]) {
         balance_to_weights(&mut clusters, chunks, params, &weights, prof);
     }
-    let total_items: usize = clusters.iter().map(|c| c.items.len()).sum();
-    if !pool.is_sequential() && tn.children.len() > 1 && total_items >= PAR_MIN_FANOUT_ITEMS {
-        // Subtrees are independent: fan them out, each task recursing
-        // into a fresh profile, then absorb the task profiles in child
-        // order so spans and counters match the sequential recursion.
-        let tasks: Vec<(Vec<WorkItem>, NodeId)> = clusters
-            .into_iter()
-            .zip(&tn.children)
-            .map(|(c, &child)| (c.items, child))
-            .collect();
-        let num_clients = per_client.len();
-        let prof_on = prof.is_enabled();
-        let results = pool.map(&tasks, |_, (task_items, child)| {
-            let mut local: Vec<Vec<WorkItem>> = vec![Vec::new(); num_clients];
-            let mut sub_prof = if prof_on {
-                Profile::enabled()
-            } else {
-                Profile::disabled()
-            };
-            distribute_at_node(
-                chunks,
-                tree,
-                *child,
-                task_items.clone(),
-                params,
-                &mut local,
-                pool,
-                &mut sub_prof,
-            );
-            (local, sub_prof)
-        });
-        for (local, sub_prof) in results {
-            for (client, assigned) in local.into_iter().enumerate() {
-                if !assigned.is_empty() {
-                    per_client[client] = assigned;
-                }
-            }
-            prof.absorb(&sub_prof);
-        }
-    } else {
-        for (cluster, &child) in clusters.into_iter().zip(&tn.children) {
-            distribute_at_node(
-                chunks,
-                tree,
-                child,
-                cluster.items,
-                params,
-                per_client,
-                pool,
-                prof,
-            );
-        }
+    for (cluster, &child) in clusters.into_iter().zip(&tn.children) {
+        distribute_at_node(chunks, tree, child, cluster.items, params, per_client, prof);
     }
     prof.pop();
 }
@@ -1056,6 +1004,9 @@ impl From<cachemap_storage::topology::PruneError> for RemapError {
 /// that already share its data. The translated result uses the original
 /// client numbering; failed clients end with empty item lists.
 ///
+/// `prof` records the re-clustering pass over the pruned tree with the
+/// spans of [`distribute_pooled`].
+///
 /// # Errors
 /// See [`RemapError`].
 pub fn remap_failed(
@@ -1064,30 +1015,6 @@ pub fn remap_failed(
     tree: &HierarchyTree,
     failed: &[usize],
     params: &ClusterParams,
-) -> Result<Distribution, RemapError> {
-    remap_failed_pooled(
-        dist,
-        chunks,
-        tree,
-        failed,
-        params,
-        &Pool::sequential(),
-        &mut Profile::disabled(),
-    )
-}
-
-/// [`remap_failed`] on a worker pool, with phase accounting: the
-/// re-clustering pass over the pruned tree runs through
-/// [`distribute_pooled`], with the same spans and the same
-/// byte-identity guarantee for any pool size.
-#[allow(clippy::too_many_arguments)]
-pub fn remap_failed_pooled(
-    dist: &Distribution,
-    chunks: &[IterationChunk],
-    tree: &HierarchyTree,
-    failed: &[usize],
-    params: &ClusterParams,
-    pool: &Pool,
     prof: &mut Profile,
 ) -> Result<Distribution, RemapError> {
     if dist.per_client.len() != tree.num_clients() {
@@ -1111,7 +1038,7 @@ pub fn remap_failed_pooled(
     }
     let (pruned, survivor_map) = tree.prune_clients(failed)?;
 
-    let sub_dist = distribute_pooled(chunks, &pruned, params, pool, prof);
+    let sub_dist = distribute_profiled(chunks, &pruned, params, prof);
     let mut out = Distribution {
         per_client: vec![Vec::new(); dist.per_client.len()],
     };
@@ -1440,11 +1367,12 @@ mod tests {
     fn remap_moves_all_failed_work_to_survivors() {
         let (chunks, tree) = figure_example();
         let params = ClusterParams::default();
+        let mut off = Profile::disabled();
         let dist = distribute(&chunks, &tree, &params);
         let before = covered(&dist);
 
         let failed = vec![0, 1]; // whole I/O-node-0 subtree fails
-        let remapped = remap_failed(&dist, &chunks, &tree, &failed, &params).unwrap();
+        let remapped = remap_failed(&dist, &chunks, &tree, &failed, &params, &mut off).unwrap();
         assert!(remapped.per_client[0].is_empty());
         assert!(remapped.per_client[1].is_empty());
         // Exact-partition: the same iterations, each exactly once.
@@ -1458,8 +1386,9 @@ mod tests {
     fn remap_balances_over_survivors() {
         let (chunks, tree) = figure_example();
         let params = ClusterParams::default();
+        let mut off = Profile::disabled();
         let dist = distribute(&chunks, &tree, &params);
-        let remapped = remap_failed(&dist, &chunks, &tree, &[2], &params).unwrap();
+        let remapped = remap_failed(&dist, &chunks, &tree, &[2], &params, &mut off).unwrap();
         let per = remapped.iterations_per_client();
         assert_eq!(per[2], 0);
         // 32 iterations over 3 survivors: each within BThres of the
@@ -1476,8 +1405,9 @@ mod tests {
     fn remap_with_no_failures_is_identity() {
         let (chunks, tree) = figure_example();
         let params = ClusterParams::default();
+        let mut off = Profile::disabled();
         let dist = distribute(&chunks, &tree, &params);
-        let same = remap_failed(&dist, &chunks, &tree, &[], &params).unwrap();
+        let same = remap_failed(&dist, &chunks, &tree, &[], &params, &mut off).unwrap();
         assert_eq!(same, dist);
     }
 
@@ -1485,20 +1415,21 @@ mod tests {
     fn remap_rejects_bad_inputs() {
         let (chunks, tree) = figure_example();
         let params = ClusterParams::default();
+        let mut off = Profile::disabled();
         let dist = distribute(&chunks, &tree, &params);
         assert!(matches!(
-            remap_failed(&dist, &chunks, &tree, &[9], &params),
+            remap_failed(&dist, &chunks, &tree, &[9], &params, &mut off),
             Err(RemapError::Prune(_))
         ));
         assert!(matches!(
-            remap_failed(&dist, &chunks, &tree, &[0, 1, 2, 3], &params),
+            remap_failed(&dist, &chunks, &tree, &[0, 1, 2, 3], &params, &mut off),
             Err(RemapError::Prune(_))
         ));
         let short = Distribution {
             per_client: vec![Vec::new(); 2],
         };
         assert!(matches!(
-            remap_failed(&short, &chunks, &tree, &[0], &params),
+            remap_failed(&short, &chunks, &tree, &[0], &params, &mut off),
             Err(RemapError::ClientCountMismatch { .. })
         ));
         let bogus = Distribution {
@@ -1509,7 +1440,7 @@ mod tests {
             },
         };
         assert!(matches!(
-            remap_failed(&bogus, &chunks, &tree, &[0], &params),
+            remap_failed(&bogus, &chunks, &tree, &[0], &params, &mut off),
             Err(RemapError::ChunkIndexOutOfRange { .. })
         ));
     }

@@ -209,8 +209,8 @@ impl ToJson for crate::cluster::Distribution {
     /// Canonical wire form of a distribution: one array per client, each
     /// item as `[chunk, start, end]`. Compact and deterministic, so two
     /// distributions are equal iff their serializations are
-    /// byte-identical — the comparison the parallel-kernel property
-    /// tests and `bench-cluster` rely on.
+    /// byte-identical — the comparison the pool-independence tests in
+    /// `tests/parallel.rs` rely on.
     fn to_json(&self) -> Json {
         Json::Array(
             self.per_client

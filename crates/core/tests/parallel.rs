@@ -1,13 +1,15 @@
-//! Determinism properties of the parallel clustering kernel: for random
-//! workloads, platforms, and fault plans, every [`Pool`] size must
-//! produce results byte-identical to the sequential kernel — in the
-//! wire serialization of the distribution, in the mapped op streams,
-//! and in the profile counter totals (wall-clock excluded). Driven by
-//! the in-repo deterministic harness (`cachemap_util::check`).
+//! Pool independence of the clustering entry points that accept a
+//! pool. [`distribute_pooled`] and [`Mapper::with_pool`] take a
+//! [`Pool`] and run the kernel on the calling thread, so for random
+//! workloads and platforms every pool size must give results
+//! byte-identical to the sequential kernel — in the wire serialization
+//! of the distribution, in the mapped op streams, and in the profile
+//! counter totals (wall-clock excluded). Failure remaps take no pool:
+//! for random fault plans, profiling must not change a remap, and the
+//! remap must survive the wire exactly. Driven by the in-repo
+//! deterministic harness (`cachemap_util::check`).
 
-use cachemap_core::cluster::{
-    distribute, distribute_pooled, remap_failed_pooled, ClusterParams, Linkage,
-};
+use cachemap_core::cluster::{distribute, distribute_pooled, remap_failed, ClusterParams, Linkage};
 use cachemap_core::tags::IterationChunk;
 use cachemap_core::{wire, Mapper, MapperConfig, Version};
 use cachemap_obs::Profile;
@@ -22,9 +24,8 @@ use cachemap_util::{BitSet, Json, ToJson};
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
 
 fn arb_chunks(g: &mut Gen) -> Vec<IterationChunk> {
-    // Mostly small, but occasionally past the 32 work items at which a
-    // node's subtrees fan out onto the pool (`PAR_MIN_FANOUT_ITEMS`), so
-    // the parallel recursion runs below long root merges.
+    // Mostly small, but occasionally ~100 chunks, so long root merges
+    // run above the lower levels' recursion.
     let nspecs = if g.usize_in(0, 7) == 0 {
         g.usize_in(96, 120)
     } else {
@@ -113,7 +114,7 @@ fn pooled_distribution_is_byte_identical_to_sequential() {
 }
 
 #[test]
-fn pooled_remap_matches_sequential_for_random_fault_plans() {
+fn profiled_remap_matches_unprofiled_and_round_trips_the_wire() {
     cases(0x9A7_0002, 48, |g| {
         let chunks = arb_chunks(g);
         let platform = arb_platform(g);
@@ -136,48 +137,24 @@ fn pooled_remap_matches_sequential_for_random_fault_plans() {
         }
         failed.sort_unstable();
 
-        let mut seq_prof = Profile::enabled();
-        let seq = remap_failed_pooled(
-            &dist,
-            &chunks,
-            &tree,
-            &failed,
-            &params,
-            &Pool::sequential(),
-            &mut seq_prof,
-        )
-        .unwrap();
-        let seq_bytes = seq.to_json().to_string_compact();
-        let seq_counters = counters_of(&seq_prof);
-
-        for threads in POOL_SIZES {
-            let mut prof = Profile::enabled();
-            let remapped = remap_failed_pooled(
-                &dist,
-                &chunks,
-                &tree,
-                &failed,
-                &params,
-                &Pool::new(threads),
-                &mut prof,
-            )
-            .unwrap();
-            assert_eq!(
-                remapped.to_json().to_string_compact(),
-                seq_bytes,
-                "remap diverged at pool size {threads} (failed: {failed:?})"
-            );
-            assert_eq!(
-                counters_of(&prof),
-                seq_counters,
-                "remap counters diverged at pool size {threads}"
-            );
-        }
+        let remap = |prof: &mut Profile| {
+            remap_failed(&dist, &chunks, &tree, &failed, &params, prof).unwrap()
+        };
+        let plain = remap(&mut Profile::disabled());
+        let plain_bytes = plain.to_json().to_string_compact();
+        let mut prof = Profile::enabled();
+        let profiled = remap(&mut prof);
+        assert_eq!(
+            profiled.to_json().to_string_compact(),
+            plain_bytes,
+            "profiling changed the remap (failed: {failed:?})"
+        );
+        assert!(!prof.is_empty(), "the remap recorded no spans");
 
         // The wire round-trip must also be exact, so a memoized service
-        // response replays byte-for-byte regardless of the pool.
-        let back = wire::distribution_from_json(&seq.to_json()).unwrap();
-        assert_eq!(back.to_json().to_string_compact(), seq_bytes);
+        // response replays byte-for-byte.
+        let back = wire::distribution_from_json(&plain.to_json()).unwrap();
+        assert_eq!(back.to_json().to_string_compact(), plain_bytes);
     });
 }
 

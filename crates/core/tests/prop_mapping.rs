@@ -6,6 +6,7 @@
 use cachemap_core::cluster::{distribute, remap_failed, ClusterParams, Distribution, Linkage};
 use cachemap_core::schedule::{schedule, ScheduleParams};
 use cachemap_core::tags::{tag_nest, IterationChunk};
+use cachemap_obs::Profile;
 use cachemap_polyhedral::{
     AffineExpr, ArrayDecl, ArrayRef, DataSpace, IterationSpace, LoopNest, Program,
 };
@@ -155,7 +156,15 @@ fn remap_partitions_exactly_over_survivors_within_bthres() {
             }
         }
         failed.sort_unstable();
-        let remapped = remap_failed(&dist, &chunks, &tree, &failed, &params).unwrap();
+        let remapped = remap_failed(
+            &dist,
+            &chunks,
+            &tree,
+            &failed,
+            &params,
+            &mut Profile::disabled(),
+        )
+        .unwrap();
 
         // Failed clients hold nothing.
         for &f in &failed {

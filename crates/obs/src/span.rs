@@ -161,63 +161,6 @@ impl Profile {
         }
     }
 
-    /// Merges another profile's span tree under the current span,
-    /// resuming same-named spans exactly like [`Profile::push`] would
-    /// and summing `wall_ns` and counters.
-    ///
-    /// This is how parallel fan-out stays observable *and*
-    /// deterministic: each subtree task records into its own fresh
-    /// `Profile`, and the caller absorbs the task profiles **in input
-    /// order**, so span order, counter first-touch order, and counter
-    /// totals are identical to the sequential recursion. Wall-clock
-    /// sums across absorbed siblings overlap in real time, so a
-    /// parent's `wall_ns` may be less than the sum of its children —
-    /// the renderer's percentages become CPU-time-like under a parallel
-    /// run (golden comparisons exclude `wall_ns` either way).
-    pub fn absorb(&mut self, other: &Profile) {
-        if !self.enabled {
-            return;
-        }
-        for &r in &other.roots {
-            self.absorb_span(other, r, self.stack.last().copied());
-        }
-    }
-
-    fn absorb_span(&mut self, other: &Profile, oidx: usize, parent: Option<usize>) {
-        let on = &other.nodes[oidx];
-        let siblings = match parent {
-            Some(p) => &self.nodes[p].children,
-            None => &self.roots,
-        };
-        let existing = siblings
-            .iter()
-            .copied()
-            .find(|&c| self.nodes[c].name == on.name);
-        let idx = match existing {
-            Some(i) => i,
-            None => {
-                let i = self.nodes.len();
-                self.nodes.push(SpanNode::new(&on.name));
-                match parent {
-                    Some(p) => self.nodes[p].children.push(i),
-                    None => self.roots.push(i),
-                }
-                i
-            }
-        };
-        self.nodes[idx].wall_ns += on.wall_ns;
-        for (k, v) in &on.counts {
-            let counts = &mut self.nodes[idx].counts;
-            match counts.iter_mut().find(|(ck, _)| ck == k) {
-                Some((_, cv)) => *cv += *v,
-                None => counts.push((k.clone(), *v)),
-            }
-        }
-        for &c in &on.children {
-            self.absorb_span(other, c, Some(idx));
-        }
-    }
-
     fn span_json(&self, idx: usize) -> Json {
         let n = &self.nodes[idx];
         Json::object(vec![
@@ -405,64 +348,6 @@ mod tests {
         assert!(text.contains("map"));
         assert!(text.contains("tagging"));
         assert!(text.contains("chunks=3"));
-    }
-
-    #[test]
-    fn absorb_matches_sequential_resume_semantics() {
-        // Sequential reference: three recursions resuming the same span.
-        let mut seq = Profile::enabled();
-        seq.scope("cluster", |p| {
-            for i in 0..3u64 {
-                p.scope("level:io", |p| {
-                    p.count("items", 4);
-                    p.scope("similarity-graph", |p| p.count("pairs", 6 + i));
-                });
-            }
-        });
-        // Parallel shape: each recursion records into its own profile,
-        // absorbed in input order.
-        let mut par = Profile::enabled();
-        par.scope("cluster", |p| {
-            for i in 0..3u64 {
-                let mut sub = Profile::enabled();
-                sub.scope("level:io", |p| {
-                    p.count("items", 4);
-                    p.scope("similarity-graph", |p| p.count("pairs", 6 + i));
-                });
-                p.absorb(&sub);
-            }
-        });
-        let strip = |p: &Profile| {
-            let mut q = Profile::from_json(&p.to_json()).unwrap();
-            fn zero(q: &mut Profile) {
-                for n in &mut q.nodes {
-                    n.wall_ns = 0;
-                }
-            }
-            zero(&mut q);
-            q.to_json().to_string_compact()
-        };
-        assert_eq!(strip(&seq), strip(&par));
-        let io = {
-            let root = par.root_named("cluster").unwrap();
-            par.node(root.children[0]).clone()
-        };
-        assert_eq!(io.count("items"), Some(12));
-        assert_eq!(par.node(io.children[0]).count("pairs"), Some(6 + 7 + 8));
-    }
-
-    #[test]
-    fn absorb_into_disabled_or_at_top_level_is_safe() {
-        let mut sub = Profile::enabled();
-        sub.scope("a", |p| p.count("n", 1));
-        let mut off = Profile::disabled();
-        off.absorb(&sub);
-        assert!(off.is_empty());
-        // No open span: absorbed roots become roots.
-        let mut top = Profile::enabled();
-        top.absorb(&sub);
-        top.absorb(&sub);
-        assert_eq!(top.root_named("a").unwrap().count("n"), Some(2));
     }
 
     #[test]

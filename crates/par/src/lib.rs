@@ -130,12 +130,6 @@ impl Pool {
         self.threads
     }
 
-    /// `true` when this pool runs everything inline on the caller's
-    /// thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Maps `f` over `items`, returning results in input order.
     ///
     /// `f` receives `(index, &item)` and must be a pure function of
@@ -340,8 +334,8 @@ mod tests {
         assert_eq!(parse_threads(None), None);
         assert_eq!(Pool::new(0).threads(), 1);
         assert_eq!(Pool::new(1_000_000).threads(), MAX_THREADS);
-        assert!(Pool::sequential().is_sequential());
-        assert!(!Pool::new(2).is_sequential());
+        assert_eq!(Pool::sequential().threads(), 1);
+        assert_eq!(Pool::new(2).threads(), 2);
     }
 
     #[test]

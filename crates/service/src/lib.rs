@@ -34,8 +34,8 @@
 //! rejection burst, drain, crash recovery). Per-tenant SLO latency
 //! histograms and burn-rate gauges ride on the same registry whether or
 //! not tracing is enabled. Tracing is free when off: responses are
-//! byte-identical and the instrumented paths cost one branch each
-//! (guarded by `benches/trace_overhead.rs`).
+//! byte-identical (`tests/trace.rs`) and the instrumented paths cost one
+//! branch each.
 //!
 //! Shutdown is a **graceful drain**: new submissions are rejected with
 //! a typed `shutdown` error, queued work is finished (or
