@@ -97,8 +97,8 @@ pub struct Conn {
     /// frame's sequence number).
     pub frames_in: u64,
     /// Next completion sequence expected on the wire. Replies are sent
-    /// strictly in frame order: with several dispatcher threads, batch
-    /// N+1 can finish before batch N, and a pipelining client must
+    /// strictly in frame order: with several dispatcher threads, frame
+    /// N+1 can finish before frame N, and a pipelining client must
     /// still see its replies FIFO.
     pub next_write_seq: u64,
     /// Completions that arrived ahead of `next_write_seq`, parked until

@@ -1,22 +1,25 @@
-//! The event loop: accept, frame, batch, complete.
+//! The event loop: accept, frame, dispatch, complete.
 //!
 //! One thread owns every socket. Each poll cycle it: (1) drains the
 //! completion queue — replies produced by the caller's dispatcher
 //! threads — into per-connection write buffers, (2) accepts pending
 //! connections up to `max_connections`, (3) reads readable connections
-//! and extracts frames, (4) fires passed deadlines (idle
-//! connections get a typed timeout reply; the batch window flushes).
-//! Decoded frames accumulate into a **batch** handed to
-//! [`Dispatch::dispatch`] either when `batch_max` frames are pending or
-//! when the batch window closes — one handoff per batch instead of one
-//! queue/condvar crossing per request.
+//! and extracts frames, (4) fires passed idle deadlines (the connection
+//! gets a typed timeout reply and is closed), and (5) hands every frame
+//! the cycle decoded to [`Dispatch::dispatch`] in one call. No frame
+//! waits for company: a lone request leaves the loop in the cycle that
+//! read it.
 //!
 //! The loop itself never blocks on request work: [`Dispatch::dispatch`]
 //! must only enqueue. Replies come back through the
 //! [`CompletionQueue`], whose [`Waker`] makes a parked poll return.
 //! Completions carry the connection's `(token, generation)`; a stale
 //! generation (the slot was recycled) is dropped instead of writing
-//! into someone else's connection.
+//! into someone else's connection. They also carry the frame's
+//! per-connection `seq`: a reply that finishes ahead of an earlier
+//! frame of its connection parks in [`Conn::held`](crate::Conn) until
+//! the gap fills, so a pipelining client reads its replies in request
+//! order whatever order the dispatchers finish in.
 //!
 //! Time comes from a [`Clock`]: with [`Clock::simulated`], deadlines
 //! are driven by [`Handle::advance_clock`] and tests never sleep.
@@ -25,7 +28,7 @@ use crate::conn::{Conn, FlushOutcome, Frame, ReadOutcome};
 use crate::poll::{Event, Poller, Waker, WAKE_TOKEN};
 use crate::shim::FaultPlan;
 use crate::sys;
-use cachemap_util::{BufferPool, Clock, TimerId, TimerQueue};
+use cachemap_util::{BufferPool, Clock, TimerQueue};
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -38,6 +41,12 @@ const LISTEN_TOKEN: u64 = u64::MAX - 1;
 /// Poll timeout cap: wake at least this often so stop flags and
 /// simulated-clock changes are observed promptly.
 const MAX_POLL_MS: i32 = 50;
+/// Per-connection buffered-write cap; beyond it the connection's reads
+/// pause (backpressure) until the buffer half-drains.
+const WRITE_BUF_LIMIT: usize = 256 << 10;
+/// A poll cycle overrunning its deadline by more than this many
+/// milliseconds fires [`Dispatch::on_stall`].
+const STALL_GRACE_MS: u64 = 250;
 
 /// Event-loop tuning knobs.
 #[derive(Debug, Clone)]
@@ -51,25 +60,13 @@ pub struct EventLoopConfig {
     /// connection sending nothing for this long gets one
     /// `idle_timeout_reply` line and is closed.
     pub idle_timeout_ms: u64,
-    /// How long a non-full batch may wait for company, in
-    /// microseconds. `0` still batches frames decoded in the same
-    /// poll cycle.
-    pub batch_window_us: u64,
-    /// Dispatch a batch as soon as it holds this many frames.
-    pub batch_max: usize,
     /// Maximum bytes of one frame (unterminated input beyond this is
     /// answered with `frame_too_large_reply` and closed).
     pub max_frame_bytes: usize,
-    /// Per-connection buffered-write cap; beyond it the connection's
-    /// reads pause (backpressure) until the buffer half-drains.
-    pub write_buf_limit: usize,
     /// Time source for deadlines (share one simulated clock in tests).
     pub clock: Arc<Clock>,
     /// Connection-level fault injection (off by default).
     pub faults: FaultPlan,
-    /// A poll cycle overrunning its deadline by more than this fires
-    /// [`Dispatch::on_stall`] (`0` disables).
-    pub stall_grace_ms: u64,
     /// Reply line (no trailing newline) for over-capacity rejects.
     pub over_capacity_reply: String,
     /// Reply line for idle-deadline closes.
@@ -84,13 +81,9 @@ impl Default for EventLoopConfig {
             bind: "127.0.0.1:0".into(),
             max_connections: 10_240,
             idle_timeout_ms: 30_000,
-            batch_window_us: 1_000,
-            batch_max: 64,
             max_frame_bytes: 1 << 20,
-            write_buf_limit: 256 << 10,
             clock: Arc::new(Clock::real()),
             faults: FaultPlan::none(),
-            stall_grace_ms: 250,
             over_capacity_reply: r#"{"ok":false,"error":{"kind":"conn_limit"}}"#.into(),
             idle_timeout_reply: r#"{"ok":false,"error":{"kind":"read_timeout"}}"#.into(),
             frame_too_large_reply: r#"{"ok":false,"error":{"kind":"bad_request"}}"#.into(),
@@ -107,7 +100,7 @@ pub struct Inbound {
     pub gen: u64,
     /// Per-connection frame sequence (0-based). The matching
     /// [`Completion`] must echo it: replies are written in sequence
-    /// order, so a multi-threaded dispatcher finishing batches out of
+    /// order, so a multi-threaded dispatcher finishing frames out of
     /// order cannot reorder one connection's pipelined replies.
     pub seq: u64,
     /// The frame itself.
@@ -163,10 +156,12 @@ impl CompletionQueue {
 }
 
 /// Request handling plugged into the loop. Implementations must not
-/// block in [`Dispatch::dispatch`] — hand the batch to worker threads
-/// and return; replies go through the [`CompletionQueue`].
+/// block in [`Dispatch::dispatch`] — hand the frames to worker threads
+/// and return; replies go through the [`CompletionQueue`], one
+/// [`Completion`] per frame, in any order.
 pub trait Dispatch: Send + Sync + 'static {
-    /// A batch of decoded frames, in arrival order.
+    /// Every frame one poll cycle decoded, in arrival order (the
+    /// loop's batch). Called at the end of the cycle that read them.
     fn dispatch(&self, batch: Vec<Inbound>, done: &Arc<CompletionQueue>);
     /// A poll cycle overran its deadline by `gap_ns`.
     fn on_stall(&self, gap_ns: u64) {
@@ -190,7 +185,8 @@ pub struct LoopStats {
     pub rejected_capacity_total: AtomicU64,
     /// Frames decoded and dispatched.
     pub frames_total: AtomicU64,
-    /// Batches handed to the dispatcher.
+    /// Batches handed to the dispatcher: one per poll cycle that
+    /// decoded at least one frame.
     pub batches_total: AtomicU64,
     /// Poll returns (the loop's heartbeat).
     pub wakeups_total: AtomicU64,
@@ -266,12 +262,9 @@ impl Handle {
     }
 }
 
-/// Timer tokens: per-connection idle deadlines and the batch window.
+/// Timer token: a connection's idle deadline, by slot and generation.
 #[derive(Debug, Clone, Copy)]
-enum TimerToken {
-    Idle(usize, u64),
-    Batch,
-}
+struct IdleTimer(usize, u64);
 
 /// Binds the listener, spawns the loop thread, and returns its handle.
 pub fn spawn(cfg: EventLoopConfig, dispatch: Arc<dyn Dispatch>) -> io::Result<Handle> {
@@ -297,7 +290,6 @@ pub fn spawn(cfg: EventLoopConfig, dispatch: Arc<dyn Dispatch>) -> io::Result<Ha
         free: Vec::new(),
         timers: TimerQueue::new(),
         batch: Vec::new(),
-        batch_timer: None,
         in_flight: 0,
         seq: 0,
         gen: 0,
@@ -339,9 +331,9 @@ struct LoopState {
     waker: Waker,
     slots: Vec<Option<Conn>>,
     free: Vec<usize>,
-    timers: TimerQueue<TimerToken>,
+    timers: TimerQueue<IdleTimer>,
+    /// Frames decoded this poll cycle, dispatched at its end.
     batch: Vec<Inbound>,
-    batch_timer: Option<TimerId>,
     /// Frames dispatched whose completions have not yet drained.
     in_flight: usize,
     seq: u64,
@@ -384,13 +376,11 @@ impl LoopState {
             // by more than the grace means the loop thread was blocked
             // — exactly the regression the flight recorder should
             // capture while the evidence is fresh.
-            if self.cfg.stall_grace_ms > 0 {
-                let elapsed_ms = wait_t0.elapsed().as_millis() as u64;
-                let overrun = elapsed_ms.saturating_sub(timeout_ms.max(0) as u64);
-                if overrun > self.cfg.stall_grace_ms {
-                    self.stats.stalls_total.fetch_add(1, Ordering::Relaxed);
-                    self.dispatch.on_stall(overrun * 1_000_000);
-                }
+            let elapsed_ms = wait_t0.elapsed().as_millis() as u64;
+            let overrun = elapsed_ms.saturating_sub(timeout_ms.max(0) as u64);
+            if overrun > STALL_GRACE_MS {
+                self.stats.stalls_total.fetch_add(1, Ordering::Relaxed);
+                self.dispatch.on_stall(overrun * 1_000_000);
             }
             let now = self.clock.now_ns();
             for &ev in &events {
@@ -419,18 +409,10 @@ impl LoopState {
             // Completions may have arrived while we processed sockets;
             // cheap to check, and it shortens reply latency by a cycle.
             self.apply_completions();
-            for fired in self.timers.advance(now) {
-                match fired {
-                    TimerToken::Batch => {
-                        self.batch_timer = None;
-                        self.flush_batch();
-                    }
-                    TimerToken::Idle(slot, gen) => self.idle_fired(slot, gen, now),
-                }
+            for IdleTimer(slot, gen) in self.timers.advance(now) {
+                self.idle_fired(slot, gen, now);
             }
-            if self.cfg.batch_window_us == 0 || self.draining {
-                self.flush_batch();
-            }
+            self.flush_batch();
         }
         // Teardown: deregister and drop every socket.
         for slot in 0..self.slots.len() {
@@ -461,7 +443,6 @@ impl LoopState {
             self.poller.remove(self.listener.as_raw_fd());
             self.accepting = false;
         }
-        self.flush_batch();
     }
 
     /// Drain is complete when every dispatched frame has completed and
@@ -473,9 +454,7 @@ impl LoopState {
             .map(|t| t.elapsed() > std::time::Duration::from_secs(5))
             .unwrap_or(false);
         timed_out
-            || (self.in_flight == 0
-                && self.batch.is_empty()
-                && self.slots.iter().flatten().all(|c| c.pending_write() == 0))
+            || (self.in_flight == 0 && self.slots.iter().flatten().all(|c| c.pending_write() == 0))
     }
 
     fn accept_ready(&mut self, now: u64) {
@@ -542,7 +521,7 @@ impl LoopState {
         self.slots[slot] = Some(conn);
         if self.cfg.idle_timeout_ms > 0 {
             let dl = now + self.cfg.idle_timeout_ms * 1_000_000;
-            let id = self.timers.schedule(dl, TimerToken::Idle(slot, gen));
+            let id = self.timers.schedule(dl, IdleTimer(slot, gen));
             if let Some(c) = self.slots[slot].as_mut() {
                 c.idle_timer = Some(id);
             }
@@ -581,19 +560,9 @@ impl LoopState {
             });
         }
         match outcome {
-            ReadOutcome::Continue => {
-                if self.batch.len() >= self.cfg.batch_max {
-                    self.flush_batch();
-                } else if !self.batch.is_empty()
-                    && self.batch_timer.is_none()
-                    && self.cfg.batch_window_us > 0
-                {
-                    let dl = now + self.cfg.batch_window_us * 1_000;
-                    self.batch_timer = Some(self.timers.schedule(dl, TimerToken::Batch));
-                }
-                // Backpressure is applied when replies queue up; reads
-                // pausing is decided at flush time.
-            }
+            // Backpressure is applied when replies queue up; reads
+            // pausing is decided at flush time.
+            ReadOutcome::Continue => {}
             ReadOutcome::PeerClosed => {
                 let outstanding = self.outstanding_for(slot, gen);
                 let pending = self.slots[slot]
@@ -618,7 +587,7 @@ impl LoopState {
         }
     }
 
-    /// Frames from `(slot, gen)` currently batched or in flight.
+    /// Frames from `(slot, gen)` decoded this cycle or in flight.
     fn outstanding_for(&self, slot: usize, gen: u64) -> usize {
         // The batch is cheap to scan; in-flight frames are tracked on
         // the connection via its decode counter minus completions is
@@ -644,7 +613,7 @@ impl LoopState {
         if now < deadline {
             // Lazy re-arm: bytes arrived since the timer was set, so
             // push the deadline out instead of cancelling per byte.
-            let id = self.timers.schedule(deadline, TimerToken::Idle(slot, gen));
+            let id = self.timers.schedule(deadline, IdleTimer(slot, gen));
             conn.idle_timer = Some(id);
             return;
         }
@@ -665,12 +634,10 @@ impl LoopState {
         self.flush_conn(slot);
     }
 
+    /// Hands the frames decoded this cycle to the dispatcher.
     fn flush_batch(&mut self) {
         if self.batch.is_empty() {
             return;
-        }
-        if let Some(id) = self.batch_timer.take() {
-            self.timers.cancel(id);
         }
         let batch = std::mem::take(&mut self.batch);
         self.in_flight += batch.len();
@@ -699,7 +666,7 @@ impl LoopState {
             }
             // Strict reply order per connection: a completion ahead of
             // its predecessors (another dispatcher thread finished a
-            // later batch first) parks until the gap fills.
+            // later frame first) parks until the gap fills.
             if c.seq != conn.next_write_seq {
                 conn.held.insert(
                     c.seq,
@@ -724,7 +691,7 @@ impl LoopState {
             }
             // Backpressure: a peer not draining replies stops being
             // read until the buffer half-empties.
-            if !conn.paused && conn.pending_write() > self.cfg.write_buf_limit {
+            if !conn.paused && conn.pending_write() > WRITE_BUF_LIMIT {
                 conn.paused = true;
                 self.stats
                     .backpressure_total
@@ -778,7 +745,7 @@ impl LoopState {
                     conn.want_write = true;
                     changed = true;
                 }
-                if conn.paused && conn.pending_write() <= self.cfg.write_buf_limit / 2 {
+                if conn.paused && conn.pending_write() <= WRITE_BUF_LIMIT / 2 {
                     conn.paused = false;
                     changed = true;
                 }

@@ -9,9 +9,10 @@
 //! JSON with partial-frame resumption ([`conn`]), enforces idle
 //! deadlines through an ordered timer queue riding the workspace
 //! [`cachemap_util::Clock`] (simulated in tests, so nothing sleeps),
-//! and hands decoded frames to a pluggable [`Dispatch`] in batches —
-//! amortizing the queue/condvar crossings that dominate per-request
-//! overhead at high arrival rates.
+//! and hands the frames each poll cycle decoded to a pluggable
+//! [`Dispatch`] at the end of that cycle — no frame waits for company.
+//! Replies come back in any order and are written to each connection
+//! in request order.
 //!
 //! Layering (strictly one-directional):
 //!
@@ -19,7 +20,7 @@
 //! sys    raw syscalls (the only unsafe code)
 //!  └─ poll    Poller (epoll) + Waker (eventfd)
 //!      └─ conn    per-connection read framing / buffered writes
-//!          └─ event_loop    accept, batch, complete, deadlines
+//!          └─ event_loop    accept, dispatch, complete, deadlines
 //! ```
 //!
 //! The crate knows nothing about the mapping protocol: request

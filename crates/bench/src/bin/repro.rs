@@ -28,7 +28,7 @@
 use cachemap_bench::{experiments, report::Matrix, write_report};
 use cachemap_storage::PlatformConfig;
 use cachemap_util::ToJson;
-use cachemap_workloads::Scale;
+use cachemap_workloads::{Application, Scale};
 
 /// Prints each figure and archives its raw numbers: paper scale under
 /// `reports/<id>.json` (the committed copies), test scale under the
@@ -153,8 +153,8 @@ fn usage() -> String {
      \x20 chaos[:<seed>[:<plans>]]      seeded fault-plan campaign\n\
      \x20 chaos-replay <file...>        re-run shrunk repro plans\n\
      mapping service:\n\
-     \x20 serve[:<addr>]                long-running epoll/batching mapping\n\
-     \x20                               server (default 127.0.0.1:7411;\n\
+     \x20 serve[:<addr>]                long-running epoll mapping server\n\
+     \x20                               (default 127.0.0.1:7411;\n\
      \x20                               CACHEMAP_L2_DIR enables the durable\n\
      \x20                               L2 tier, CACHEMAP_L2_TTL_SECS its TTL,\n\
      \x20                               CACHEMAP_TRACING=1 enables request\n\
@@ -195,13 +195,156 @@ fn bad_arg(what: &str, value: &str) -> ! {
     std::process::exit(2)
 }
 
+/// The paper experiments, in the order `all` runs them.
+const ALL: [&str; 19] = [
+    "table1",
+    "table2",
+    "example",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig18",
+    "alphabeta",
+    "prefetch",
+    "refine",
+    "linkage",
+    "policies",
+    "schedmetric",
+    "deps",
+    "multinest",
+    "mapping-cost",
+    "resilience",
+];
+
+/// One subcommand with its arguments parsed. `main` parses the whole
+/// command line before it runs the first command, so a malformed
+/// argument exits 2 with nothing run or written.
+enum Cmd {
+    /// A paper experiment or ablation named in [`ALL`].
+    Paper(&'static str),
+    /// `detail:<app>`: per-version simulator statistics.
+    Detail(Application),
+    /// `clients:<app>`: per-client composition of the inter mapping.
+    Clients(Application),
+    /// `analyze:<app>`: replication and affinity capture per level.
+    Analyze(Application),
+    /// `trace:<app>`: reuse-distance profiles per version.
+    Reuse(Application),
+    /// `obs-export[:<app>]`: one fully observed run.
+    ObsExport(Application),
+    /// `chaos[:<seed>[:<plans>]]`.
+    Chaos(cachemap_bench::chaos::ChaosConfig),
+    /// Hidden `idle-hold:<addr>:<count>`.
+    IdleHold(String, usize),
+    /// `serve-open[:<rps>[:<secs>]]`.
+    ServeOpen(cachemap_bench::open_loop::OpenLoopConfig),
+    /// `serve[:<addr>]`.
+    Serve(String),
+    /// `advisor[:<seed>]`.
+    Advisor(u64),
+    /// `serve-storm[:<seed>]`.
+    ServeStorm(u64),
+}
+
+/// Parses an optional `:<seed>` suffix (absent or empty = 42).
+fn seed_suffix(rest: &str, what: &str) -> u64 {
+    match rest.strip_prefix(':').unwrap_or("") {
+        "" => 42,
+        seed => seed.parse().unwrap_or_else(|_| bad_arg(what, seed)),
+    }
+}
+
+/// Parses one subcommand argument, exiting 2 if it is malformed or
+/// names no experiment.
+fn parse(arg: &str, scale: Scale) -> Cmd {
+    let app = |name: &str| {
+        cachemap_workloads::by_name(name, scale).unwrap_or_else(|| bad_arg("app", name))
+    };
+    if let Some(name) = ALL.iter().find(|n| **n == arg) {
+        return Cmd::Paper(name);
+    }
+    if let Some(name) = arg.strip_prefix("detail:") {
+        return Cmd::Detail(app(name));
+    }
+    if let Some(name) = arg.strip_prefix("clients:") {
+        return Cmd::Clients(app(name));
+    }
+    if let Some(name) = arg.strip_prefix("analyze:") {
+        return Cmd::Analyze(app(name));
+    }
+    if let Some(name) = arg.strip_prefix("trace:") {
+        return Cmd::Reuse(app(name));
+    }
+    if arg == "obs-export" || arg.starts_with("obs-export:") {
+        return Cmd::ObsExport(app(arg.strip_prefix("obs-export:").unwrap_or("contour")));
+    }
+    if arg == "chaos" || arg.starts_with("chaos:") {
+        let mut parts = arg.splitn(3, ':').skip(1);
+        let seed: u64 = parts.next().map_or(42, |p| {
+            p.parse().unwrap_or_else(|_| bad_arg("chaos seed", p))
+        });
+        let mut cfg = cachemap_bench::chaos::ChaosConfig::with_seed(seed);
+        if let Some(p) = parts.next() {
+            cfg.plans = p.parse().unwrap_or_else(|_| bad_arg("chaos budget", p));
+        }
+        cfg.scale = scale;
+        return Cmd::Chaos(cfg);
+    }
+    if let Some(rest) = arg.strip_prefix("idle-hold:") {
+        let (addr, count) = rest
+            .rsplit_once(':')
+            .unwrap_or_else(|| bad_arg("idle-hold spec", rest));
+        let count = count
+            .parse()
+            .unwrap_or_else(|_| bad_arg("idle-hold count", count));
+        return Cmd::IdleHold(addr.to_string(), count);
+    }
+    if arg == "serve-open" || arg.starts_with("serve-open:") {
+        let mut parts = arg.splitn(3, ':').skip(1);
+        let mut cfg = cachemap_bench::open_loop::OpenLoopConfig::default();
+        if let Some(p) = parts.next() {
+            cfg.offered_rps = p.parse().unwrap_or_else(|_| bad_arg("serve-open rate", p));
+        }
+        if let Some(p) = parts.next() {
+            cfg.duration_secs = p
+                .parse()
+                .unwrap_or_else(|_| bad_arg("serve-open duration", p));
+        }
+        if scale == Scale::Test {
+            cfg = cachemap_bench::open_loop::OpenLoopConfig::smoke(cfg.seed);
+        }
+        return Cmd::ServeOpen(cfg);
+    }
+    if arg == "serve" || arg.starts_with("serve:") {
+        return Cmd::Serve(
+            arg.strip_prefix("serve:")
+                .unwrap_or("127.0.0.1:7411")
+                .into(),
+        );
+    }
+    if let Some(rest) = arg.strip_prefix("advisor") {
+        if rest.is_empty() || rest.starts_with(':') {
+            return Cmd::Advisor(seed_suffix(rest, "advisor seed"));
+        }
+    }
+    if let Some(rest) = arg.strip_prefix("serve-storm") {
+        if rest.is_empty() || rest.starts_with(':') {
+            return Cmd::ServeStorm(seed_suffix(rest, "serve-storm seed"));
+        }
+    }
+    eprintln!("unknown experiment: {arg}\n\n{}", usage());
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let test_scale = args.iter().any(|a| a == "--test-scale");
     let wants_help = args
         .iter()
         .any(|a| a == "help" || a == "--help" || a == "-h");
-    let mut wanted: Vec<String> = args
+    let wanted: Vec<String> = args
         .into_iter()
         .filter(|a| !a.starts_with("--") && a != "help" && a != "-h")
         .collect();
@@ -322,38 +465,20 @@ fn main() {
         }
         std::process::exit(if all_reproduced { 0 } else { 1 });
     }
-    if wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "table1",
-            "table2",
-            "example",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig18",
-            "alphabeta",
-            "prefetch",
-            "refine",
-            "linkage",
-            "policies",
-            "schedmetric",
-            "deps",
-            "multinest",
-            "mapping-cost",
-            "resilience",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
-
     let scale = if test_scale {
         Scale::Test
     } else {
         Scale::Paper
     };
+    // Parse the whole command line before running anything; `all`
+    // stands for every paper experiment.
+    let cmds: Vec<Cmd> = wanted
+        .iter()
+        .flat_map(|w| match w.as_str() {
+            "all" => ALL.iter().map(|name| Cmd::Paper(name)).collect(),
+            _ => vec![parse(w, scale)],
+        })
+        .collect();
     let platform = PlatformConfig::paper_default();
 
     // The default-platform runs are shared by table2 / fig10 / fig11 /
@@ -369,79 +494,85 @@ fn main() {
     };
     let _ = needs_default;
 
-    for exp in &wanted {
-        match exp.as_str() {
-            "table1" => println!("{}", experiments::table1(&platform)),
-            "table2" => {
+    for cmd in cmds {
+        match cmd {
+            Cmd::Paper("table1") => println!("{}", experiments::table1(&platform)),
+            Cmd::Paper("table2") => {
                 let runs = get_runs(scale, &platform);
                 emit(&[experiments::table2(&runs, scale)], test_scale);
             }
-            "example" => println!("{}", worked_example()),
-            "fig10" => {
+            Cmd::Paper("example") => println!("{}", worked_example()),
+            Cmd::Paper("fig10") => {
                 let runs = get_runs(scale, &platform);
                 emit(&experiments::fig10(&runs), test_scale);
             }
-            "fig11" => {
+            Cmd::Paper("fig11") => {
                 let runs = get_runs(scale, &platform);
                 emit(&experiments::fig11(&runs), test_scale);
             }
-            "fig12" => {
+            Cmd::Paper("fig12") => {
                 eprintln!("[fig12: topology sweep …]");
                 emit(&experiments::fig12(scale, &platform), test_scale);
             }
-            "fig13" => {
+            Cmd::Paper("fig13") => {
                 eprintln!("[fig13: cache capacity sweep …]");
                 emit(&experiments::fig13(scale, &platform), test_scale);
             }
-            "fig14" => {
+            Cmd::Paper("fig14") => {
                 eprintln!("[fig14: chunk size sweep …]");
                 emit(&experiments::fig14(scale, &platform), test_scale);
             }
-            "fig18" => {
+            Cmd::Paper("fig18") => {
                 let runs = get_runs(scale, &platform);
                 emit(&experiments::fig18(&runs), test_scale);
             }
-            "alphabeta" => {
+            Cmd::Paper("alphabeta") => {
                 eprintln!("[alphabeta: scheduling weight sweep …]");
                 emit(&[experiments::alphabeta(scale, &platform)], test_scale);
             }
-            "refine" => {
+            Cmd::Paper("refine") => {
                 eprintln!("[refine: boundary-refinement ablation …]");
                 emit(
                     &[experiments::refine_ablation(scale, &platform)],
                     test_scale,
                 );
             }
-            "prefetch" => {
+            Cmd::Paper("prefetch") => {
                 eprintln!("[prefetch: server read-ahead ablation …]");
                 emit(
                     &[experiments::prefetch_ablation(scale, &platform)],
                     test_scale,
                 );
             }
-            "linkage" => {
+            Cmd::Paper("linkage") => {
                 eprintln!("[linkage: merge-linkage ablation …]");
                 emit(
                     &[experiments::linkage_ablation(scale, &platform)],
                     test_scale,
                 );
             }
-            "policies" => {
+            Cmd::Paper("policies") => {
                 eprintln!("[policies: replacement-policy ablation …]");
                 emit(
                     &[experiments::policy_ablation(scale, &platform)],
                     test_scale,
                 );
             }
-            "schedmetric" => {
+            Cmd::Paper("schedmetric") => {
                 eprintln!("[schedmetric: scheduling-metric ablation …]");
                 emit(
                     &[experiments::schedule_metric_ablation(scale, &platform)],
                     test_scale,
                 );
             }
-            "deps" => emit(&[experiments::deps_exp(scale, &platform)], test_scale),
-            "resilience" => {
+            Cmd::Paper("deps") => emit(&[experiments::deps_exp(scale, &platform)], test_scale),
+            Cmd::Paper("multinest") => {
+                emit(&[experiments::multinest(scale, &platform)], test_scale)
+            }
+            Cmd::Paper("mapping-cost") => {
+                emit(&[experiments::mapping_cost(scale, &platform)], test_scale)
+            }
+            Cmd::Paper("resilience") => {
                 eprintln!("[resilience: mid-run I/O-node crash, remap vs failover ...]");
                 emit(&[experiments::resilience(scale, &platform)], test_scale);
                 eprintln!("[resilience-online: supervised epochs, oracle-free detection ...]");
@@ -471,19 +602,11 @@ fn main() {
                     Err(e) => eprintln!("   [warning: could not write obs artifact: {e}]\n"),
                 }
             }
-            s if s == "chaos" || s.starts_with("chaos:") => {
-                let mut parts = s.splitn(3, ':').skip(1);
-                let seed: u64 = parts.next().map_or(42, |p| {
-                    p.parse().unwrap_or_else(|_| bad_arg("chaos seed", p))
-                });
-                let mut cfg = cachemap_bench::chaos::ChaosConfig::with_seed(seed);
-                if let Some(p) = parts.next() {
-                    cfg.plans = p.parse().unwrap_or_else(|_| bad_arg("chaos budget", p));
-                }
-                cfg.scale = scale;
+            Cmd::Paper(name) => unreachable!("{name} is not in ALL"),
+            Cmd::Chaos(cfg) => {
                 eprintln!(
-                    "[chaos: seed {seed}, {} randomized fault plans, 4 invariants ...]",
-                    cfg.plans
+                    "[chaos: seed {}, {} randomized fault plans, 4 invariants ...]",
+                    cfg.seed, cfg.plans
                 );
                 let report = cachemap_bench::chaos::run_campaign(&cfg, |p| {
                     let verdict = if p.violations.is_empty() {
@@ -525,10 +648,8 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            s if s == "obs-export" || s.starts_with("obs-export:") => {
-                let name = s.strip_prefix("obs-export:").unwrap_or("contour");
-                let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| bad_arg("app", name));
+            Cmd::ObsExport(app) => {
+                let name = app.name;
                 eprintln!("[obs-export: observed {name} inter-processor+sched run …]");
                 let label = format!("{name}/inter-scheduled");
                 let (rep, artifact) = cachemap_bench::run_cell_observed(
@@ -551,10 +672,8 @@ fn main() {
                     }
                 }
             }
-            s if s.starts_with("detail:") => {
-                let name = &s["detail:".len()..];
-                let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| bad_arg("app", name));
+            Cmd::Detail(app) => {
+                let name = app.name;
                 println!("== detail — {name} per-version simulator statistics ==");
                 for v in cachemap_core::Version::ALL {
                     let rep = cachemap_bench::run_cell(
@@ -583,14 +702,10 @@ fn main() {
                     );
                 }
             }
-            "multinest" => emit(&[experiments::multinest(scale, &platform)], test_scale),
-            "mapping-cost" => emit(&[experiments::mapping_cost(scale, &platform)], test_scale),
-            s if s.starts_with("analyze:") => {
+            Cmd::Analyze(app) => {
                 // Static quality metrics (Section 3's two rules, measured)
                 // for one app: a block split vs the clustered mapping.
-                let name = &s["analyze:".len()..];
-                let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| bad_arg("app", name));
+                let name = app.name;
                 let data =
                     cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
                 let tree = cachemap_storage::HierarchyTree::from_config(&platform)
@@ -636,11 +751,9 @@ fn main() {
                     }
                 }
             }
-            s if s.starts_with("trace:") => {
+            Cmd::Reuse(app) => {
                 // Reuse-distance profiles per version of one app.
-                let name = &s["trace:".len()..];
-                let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| bad_arg("app", name));
+                let name = app.name;
                 let data =
                     cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
                 let tree = cachemap_storage::HierarchyTree::from_config(&platform)
@@ -670,12 +783,10 @@ fn main() {
                     );
                 }
             }
-            s if s.starts_with("clients:") => {
+            Cmd::Clients(app) => {
                 // Per-client composition of the inter-processor mapping:
                 // accesses, unique chunks, simulated finish time.
-                let name = &s["clients:".len()..];
-                let app = cachemap_workloads::by_name(name, scale)
-                    .unwrap_or_else(|| bad_arg("app", name));
+                let name = app.name;
                 let data =
                     cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
                 let tree = cachemap_storage::HierarchyTree::from_config(&platform)
@@ -735,33 +846,13 @@ fn main() {
             }
             // Hidden: the idle-fleet holder `serve-open` spawns so its
             // thousands of parked client fds live in their own process.
-            s if s.starts_with("idle-hold:") => {
-                let rest = &s["idle-hold:".len()..];
-                let (addr, count) = rest
-                    .rsplit_once(':')
-                    .unwrap_or_else(|| bad_arg("idle-hold spec", rest));
-                let count: usize = count
-                    .parse()
-                    .unwrap_or_else(|_| bad_arg("idle-hold count", count));
-                if let Err(e) = cachemap_bench::open_loop::idle_hold(addr, count) {
+            Cmd::IdleHold(addr, count) => {
+                if let Err(e) = cachemap_bench::open_loop::idle_hold(&addr, count) {
                     eprintln!("idle-hold: {e}");
                     std::process::exit(1);
                 }
             }
-            s if s == "serve-open" || s.starts_with("serve-open:") => {
-                let mut parts = s.splitn(3, ':').skip(1);
-                let mut cfg = cachemap_bench::open_loop::OpenLoopConfig::default();
-                if let Some(p) = parts.next() {
-                    cfg.offered_rps = p.parse().unwrap_or_else(|_| bad_arg("serve-open rate", p));
-                }
-                if let Some(p) = parts.next() {
-                    cfg.duration_secs = p
-                        .parse()
-                        .unwrap_or_else(|_| bad_arg("serve-open duration", p));
-                }
-                if test_scale {
-                    cfg = cachemap_bench::open_loop::OpenLoopConfig::smoke(cfg.seed);
-                }
+            Cmd::ServeOpen(mut cfg) => {
                 // The parked fleet rides in a child `repro idle-hold`.
                 cfg.idle_hold_exe = std::env::current_exe().ok();
                 eprintln!(
@@ -791,8 +882,7 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            s if s == "serve" || s.starts_with("serve:") => {
-                let addr = s.strip_prefix("serve:").unwrap_or("127.0.0.1:7411");
+            Cmd::Serve(addr) => {
                 let mut cfg = cachemap_service::ServiceConfig::default();
                 if let Ok(dir) = std::env::var("CACHEMAP_L2_DIR") {
                     if !dir.is_empty() {
@@ -823,7 +913,7 @@ fn main() {
                 }
                 let service = std::sync::Arc::new(cachemap_service::MapService::start(cfg));
                 let server = cachemap_service::aserver::AsyncServer::spawn(
-                    addr,
+                    &addr,
                     std::sync::Arc::clone(&service),
                 )
                 .unwrap_or_else(|e| {
@@ -831,7 +921,7 @@ fn main() {
                     std::process::exit(2);
                 });
                 println!(
-                    "mapping service listening on {} (epoll event loop, batching dispatch;\n\
+                    "mapping service listening on {} (epoll event loop, dispatcher pool;\n\
                      JSON-lines; GET /metrics for Prometheus;\n\
                      send {{\"op\":\"shutdown\",\"id\":0}} to stop)",
                     server.addr()
@@ -839,16 +929,7 @@ fn main() {
                 server.join();
                 service.shutdown();
             }
-            s if s == "advisor" || s.starts_with("advisor:") => {
-                let seed: u64 = s.strip_prefix("advisor").map_or(42, |rest| {
-                    let rest = rest.strip_prefix(':').unwrap_or("");
-                    if rest.is_empty() {
-                        42
-                    } else {
-                        rest.parse()
-                            .unwrap_or_else(|_| bad_arg("advisor seed", rest))
-                    }
-                });
+            Cmd::Advisor(seed) => {
                 eprintln!(
                     "[advisor: seed {seed}, {} workloads × 3 levels × {} policies …]",
                     cachemap_bench::advisor::advisor_workloads(scale).len(),
@@ -866,16 +947,7 @@ fn main() {
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
                 }
             }
-            s if s == "serve-storm" || s.starts_with("serve-storm:") => {
-                let seed: u64 = s.strip_prefix("serve-storm").map_or(42, |rest| {
-                    let rest = rest.strip_prefix(':').unwrap_or("");
-                    if rest.is_empty() {
-                        42
-                    } else {
-                        rest.parse()
-                            .unwrap_or_else(|_| bad_arg("serve-storm seed", rest))
-                    }
-                });
+            Cmd::ServeStorm(seed) => {
                 let mut cfg = if test_scale {
                     cachemap_bench::storm::StormConfig::smoke(seed)
                 } else {
@@ -911,10 +983,6 @@ fn main() {
                     Ok(path) => println!("   [scratch copy: {}]", path.display()),
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
                 }
-            }
-            other => {
-                eprintln!("unknown experiment: {other}\n\n{}", usage());
-                std::process::exit(2);
             }
         }
     }

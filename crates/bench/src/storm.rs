@@ -8,12 +8,10 @@
 //!    request simultaneously at a cold service. Exactly **one** reply
 //!    may report `cached: false` (single pipeline run, asserted both on
 //!    the wire and against the service's miss counter); every reply
-//!    must be byte-identical to the cold oracle. The server runs with
-//!    `batch_max: 1`, so each barrage frame is its own service
-//!    submission: batch dedup would otherwise answer identical lines in
-//!    one batch with one dispatch and fan that single `cached: false`
-//!    reply out to every shooter. At least one request must attach to
-//!    the in-flight computation, so the coalescer is really exercised.
+//!    must be byte-identical to the cold oracle. Each barrage frame is
+//!    its own service submission, and at least one request must attach
+//!    to the in-flight computation, so the coalescer is really
+//!    exercised.
 //! 2. **Pre-kill zipf campaign** — closed-loop clients replay a seeded
 //!    zipf mix; mid-campaign the service is **killed** (crash
 //!    simulation: workers stop, nothing is flushed) and every
@@ -35,7 +33,7 @@
 use crate::serve::{
     build_templates, connect, frames, scrape_metrics, validate_prometheus, Template, Zipf,
 };
-use cachemap_service::aserver::{AsyncServer, AsyncServerConfig};
+use cachemap_service::aserver::AsyncServer;
 use cachemap_service::{MapService, ServiceConfig, TRACE_STAGES};
 use cachemap_util::check::Gen;
 use cachemap_util::{json, Json, ToJson};
@@ -230,19 +228,9 @@ fn service_config(dir: &Path) -> ServiceConfig {
     }
 }
 
-/// Fronts `service` with an async server that dispatches one frame per
-/// batch, so identical barrage lines reach the service's coalescer
-/// instead of being deduped in the batch.
+/// Fronts `service` with a default async server on an ephemeral port.
 fn spawn_server(service: &Arc<MapService>) -> Result<AsyncServer, String> {
-    AsyncServer::spawn_with(
-        "127.0.0.1:0",
-        Arc::clone(service),
-        AsyncServerConfig {
-            batch_max: 1,
-            ..AsyncServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind: {e}"))
+    AsyncServer::spawn("127.0.0.1:0", Arc::clone(service)).map_err(|e| format!("bind: {e}"))
 }
 
 /// Counts `flight-<trigger>-*.json` dumps in the flight directory.

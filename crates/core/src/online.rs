@@ -22,7 +22,7 @@
 //!
 //! Detection is **oracle-free**: it sees only the epoch's
 //! [`cachemap_obs::EngineObs`] — per-node hit/miss/queue series and
-//! client-side distress events (failovers, missed deadlines) — never the
+//! client-side distress events (failovers) — never the
 //! `FaultPlan`. When an I/O node is declared down, every client homed on
 //! it is treated as failed and the *remaining* (not yet executed) work is
 //! redistributed with [`remap_incremental`], which grafts the orphaned
@@ -45,7 +45,7 @@ use cachemap_polyhedral::{DataSpace, Program};
 use cachemap_storage::supervisor::{detect, Verdict};
 use cachemap_storage::{
     CacheSnapshot, Checkpoint, ClientOp, Detection, DetectorConfig, EpochOptions, HierarchyTree,
-    RequestPolicy, SimError, SimReport, Simulator,
+    SimError, SimReport, Simulator,
 };
 
 /// Supervisor knobs.
@@ -58,9 +58,6 @@ pub struct OnlineConfig {
     pub epochs: usize,
     /// Recorder bucket width for the per-epoch observations, ns.
     pub bucket_ns: u64,
-    /// Request-level robustness policy applied inside every epoch
-    /// (deadlines feed the detector; disabled = failovers only).
-    pub policy: RequestPolicy,
     /// Failure-detection thresholds.
     pub detector: DetectorConfig,
     /// Clustering parameters reused by the incremental remap (the
@@ -78,7 +75,6 @@ impl Default for OnlineConfig {
         OnlineConfig {
             epochs: 8,
             bucket_ns: 50_000,
-            policy: RequestPolicy::default(),
             detector: DetectorConfig::default(),
             cluster: ClusterParams::default(),
             remap_gate: true,
@@ -377,7 +373,6 @@ pub fn run_online(
             &prog,
             &mut rec,
             &EpochOptions {
-                policy: cfg.policy,
                 start_clocks: clocks.clone(),
                 resume_caches: caches.take(),
             },

@@ -2,13 +2,16 @@
 //! (plus `GET /metrics`) on a `cachemap-aio` event loop.
 //!
 //! One `aio` thread owns every socket (10k+ connections on a few MB
-//! instead of 10k thread stacks); decoded frames arrive in **batches**
-//! at a small dispatcher pool which (1) dedups byte-identical request
-//! lines inside each batch — the same-fingerprint case, answered once
-//! and fanned out verbatim — and (2) runs the [`crate::dispatch`]
-//! protocol module, which owns every reply byte. Replies flow back
-//! through the loop's completion queue; a stale connection generation
-//! drops the reply instead of writing into a recycled slot.
+//! instead of 10k thread stacks). At the end of each poll cycle it
+//! hands over the frames that cycle decoded; they join one FIFO, and a
+//! small dispatcher pool takes them one at a time, each running the
+//! [`crate::dispatch`] protocol module (which owns every reply byte)
+//! and completing its own reply. Identical requests are not merged
+//! here: concurrent misses on one fingerprint meet in the service's
+//! coalescer. Replies flow back through the loop's completion queue,
+//! which writes each connection's replies in request order; a stale
+//! connection generation drops the reply instead of writing into a
+//! recycled slot.
 //!
 //! Loop-level health is exported on the *service's* metric registry
 //! (`cachemap_aio_*`, preregistered at zero so the first scrape
@@ -28,8 +31,10 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Batch-size histogram buckets (requests per dispatched batch).
+/// Batch-size histogram buckets (frames per poll-cycle handoff).
 const BATCH_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+/// Help text of the `cachemap_aio_batch_size` histogram.
+const BATCH_HELP: &str = "Frames per poll-cycle handoff to the dispatcher pool";
 
 /// Async front-end tuning knobs.
 #[derive(Debug, Clone)]
@@ -38,23 +43,15 @@ pub struct AsyncServerConfig {
     pub max_connections: usize,
     /// Idle read budget per connection, ms (`0` disables).
     pub idle_timeout_ms: u64,
-    /// Batch window in microseconds (`0` = same-poll-cycle batching).
-    pub batch_window_us: u64,
-    /// Dispatch a batch once it holds this many frames.
-    pub batch_max: usize,
     /// Dispatcher threads running protocol work (each may block on the
     /// service's admission queue, so more than one overlaps waits).
     pub dispatchers: usize,
     /// Maximum bytes of a single request frame.
     pub max_frame_bytes: usize,
-    /// Per-connection write-buffer cap before reads pause.
-    pub write_buf_limit: usize,
     /// Time source for deadlines (simulated in tests).
     pub clock: Arc<Clock>,
     /// Connection-level fault injection (tests only; off by default).
     pub faults: FaultPlan,
-    /// Poll-cycle overrun that counts as an accept-loop stall, ms.
-    pub stall_grace_ms: u64,
 }
 
 impl Default for AsyncServerConfig {
@@ -62,14 +59,10 @@ impl Default for AsyncServerConfig {
         AsyncServerConfig {
             max_connections: 10_240,
             idle_timeout_ms: 30_000,
-            batch_window_us: 1_000,
-            batch_max: 64,
             dispatchers: 4,
             max_frame_bytes: 1 << 20,
-            write_buf_limit: 256 << 10,
             clock: Arc::new(Clock::real()),
             faults: FaultPlan::none(),
-            stall_grace_ms: 250,
         }
     }
 }
@@ -88,11 +81,11 @@ struct StatCursor {
     stalls: u64,
 }
 
-/// The [`Dispatch`] implementation: a bounded handoff queue feeding a
-/// small worker pool.
+/// The [`Dispatch`] implementation: a FIFO of frames feeding a small
+/// worker pool, which takes them one at a time.
 struct Batcher {
     service: Arc<MapService>,
-    queue: Mutex<VecDeque<(Vec<Inbound>, Arc<CompletionQueue>)>>,
+    queue: Mutex<VecDeque<(Inbound, Arc<CompletionQueue>)>>,
     available: Condvar,
     stop: AtomicBool,
     /// Loop stats, wired after the loop spawns (the loop owns them).
@@ -103,8 +96,8 @@ struct Batcher {
 impl Batcher {
     /// Folds the loop's atomic counters into the service registry as
     /// deltas (and the connection gauge as a level). Runs before each
-    /// batch, so a `metrics`/`GET /metrics` request in the batch
-    /// scrapes fresh values.
+    /// frame, so a `metrics`/`GET /metrics` request scrapes fresh
+    /// values.
     fn sync_metrics(&self) {
         let Some(stats) = self.loop_stats.get() else {
             return;
@@ -160,7 +153,7 @@ impl Batcher {
         counter(
             &mut m,
             "cachemap_aio_batches_total",
-            "Frame batches dispatched to the worker pool",
+            "Poll cycles that handed frames to the dispatcher pool",
             &mut cur.batches,
             stats.batches_total.load(Ordering::Relaxed),
         );
@@ -183,10 +176,6 @@ impl Batcher {
     /// Declares every `cachemap_aio_*` family at zero so the first
     /// scrape already carries the schema.
     fn preregister(&self) {
-        self.sync_metrics_zero();
-    }
-
-    fn sync_metrics_zero(&self) {
         let mut m = self.service.inner.metrics.lock().expect("metrics poisoned");
         m.gauge_set(
             "cachemap_aio_connections",
@@ -214,7 +203,7 @@ impl Batcher {
             ),
             (
                 "cachemap_aio_batches_total",
-                "Frame batches dispatched to the worker pool",
+                "Poll cycles that handed frames to the dispatcher pool",
             ),
             (
                 "cachemap_aio_idle_timeouts_total",
@@ -227,20 +216,15 @@ impl Batcher {
         ] {
             m.counter_add(name, help, &[], 0);
         }
-        m.histogram_declare(
-            "cachemap_aio_batch_size",
-            "Requests per dispatched batch",
-            &BATCH_BUCKETS,
-            &[],
-        );
+        m.histogram_declare("cachemap_aio_batch_size", BATCH_HELP, &BATCH_BUCKETS, &[]);
     }
 
-    /// One dispatcher thread: drain batches, dedup identical lines,
-    /// run the shared protocol dispatch, fan replies out.
+    /// One dispatcher thread: take frames one at a time, run the
+    /// shared protocol dispatch, complete each frame's reply.
     fn worker_loop(&self) {
         loop {
             let job = {
-                let mut q = self.queue.lock().expect("batch queue poisoned");
+                let mut q = self.queue.lock().expect("frame queue poisoned");
                 loop {
                     if let Some(job) = q.pop_front() {
                         break Some(job);
@@ -251,108 +235,57 @@ impl Batcher {
                     let (guard, _) = self
                         .available
                         .wait_timeout(q, std::time::Duration::from_millis(100))
-                        .expect("batch queue poisoned");
+                        .expect("frame queue poisoned");
                     q = guard;
                 }
             };
-            let Some((batch, done)) = job else { return };
+            let Some((inb, done)) = job else { return };
             self.sync_metrics();
-            {
-                let mut m = self.service.inner.metrics.lock().expect("metrics poisoned");
-                m.histogram_observe(
-                    "cachemap_aio_batch_size",
-                    "Requests per dispatched batch",
-                    &BATCH_BUCKETS,
-                    &[],
-                    batch.len() as f64,
-                );
-            }
-            self.run_batch(batch, &done);
-        }
-    }
-
-    fn run_batch(&self, batch: Vec<Inbound>, done: &Arc<CompletionQueue>) {
-        // Group byte-identical JSON lines: the service coalesces
-        // concurrent same-fingerprint *computes*; this dedups the
-        // parse/lookup/serialize around them too, answering once and
-        // fanning the reply bytes out verbatim. (Identical lines imply
-        // identical fingerprints — the conservative approximation that
-        // needs no parsing.)
-        // Completions must still be *emitted* in arrival order: the
-        // loop writes them to each connection as they land, and a
-        // client pipelining A,B,A expects its replies in that order —
-        // answering group-by-group would reorder them.
-        fn line_of(frame: &Frame) -> Option<&str> {
-            match frame {
-                Frame::Line(l) => Some(l.as_str()),
-                Frame::Http(_) => None,
-            }
-        }
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, inb) in batch.iter().enumerate() {
-            if let Some(line) = line_of(&inb.frame) {
-                match groups
-                    .iter_mut()
-                    .find(|m| line_of(&batch[m[0]].frame) == Some(line))
-                {
-                    Some(members) => members.push(i),
-                    None => groups.push(vec![i]),
+            let (bytes, close_after, shutdown) = match inb.frame {
+                Frame::Line(line) => {
+                    let out = dispatch::dispatch_line(&self.service, &line);
+                    let mut bytes = out.reply.into_bytes();
+                    bytes.push(b'\n');
+                    (bytes, false, out.shutdown)
                 }
-            }
-        }
-        let mut results: Vec<Option<(Vec<u8>, bool)>> = (0..batch.len()).map(|_| None).collect();
-        for members in groups {
-            let line = line_of(&batch[members[0]].frame).expect("groups hold lines");
-            let out = dispatch::dispatch_line(&self.service, line);
-            let mut bytes = out.reply.into_bytes();
-            bytes.push(b'\n');
-            let last = members.len() - 1;
-            for (k, &i) in members.iter().enumerate() {
-                let fanned = if k == last {
-                    std::mem::take(&mut bytes)
-                } else {
-                    bytes.clone()
-                };
-                results[i] = Some((fanned, out.shutdown));
-            }
-        }
-        for (i, inb) in batch.into_iter().enumerate() {
-            match inb.frame {
                 Frame::Http(request_line) => {
                     let reply = dispatch::http_response(&self.service, &request_line);
-                    done.complete(Completion {
-                        token: inb.token,
-                        gen: inb.gen,
-                        seq: inb.seq,
-                        bytes: reply.into_bytes(),
-                        close_after: true,
-                        shutdown: false,
-                    });
+                    (reply.into_bytes(), true, false)
                 }
-                Frame::Line(_) => {
-                    let Some((bytes, shutdown)) = results[i].take() else {
-                        continue;
-                    };
-                    done.complete(Completion {
-                        token: inb.token,
-                        gen: inb.gen,
-                        seq: inb.seq,
-                        bytes,
-                        close_after: false,
-                        shutdown,
-                    });
-                }
-            }
+            };
+            done.complete(Completion {
+                token: inb.token,
+                gen: inb.gen,
+                seq: inb.seq,
+                bytes,
+                close_after,
+                shutdown,
+            });
         }
     }
 }
 
 impl Dispatch for Batcher {
     fn dispatch(&self, batch: Vec<Inbound>, done: &Arc<CompletionQueue>) {
-        let mut q = self.queue.lock().expect("batch queue poisoned");
-        q.push_back((batch, Arc::clone(done)));
+        let frames = batch.len();
+        self.service
+            .inner
+            .metrics
+            .lock()
+            .expect("metrics poisoned")
+            .histogram_observe(
+                "cachemap_aio_batch_size",
+                BATCH_HELP,
+                &BATCH_BUCKETS,
+                &[],
+                frames as f64,
+            );
+        let mut q = self.queue.lock().expect("frame queue poisoned");
+        q.extend(batch.into_iter().map(|inb| (inb, Arc::clone(done))));
         drop(q);
-        self.available.notify_one();
+        for _ in 0..frames {
+            self.available.notify_one();
+        }
     }
 
     fn on_stall(&self, gap_ns: u64) {
@@ -408,13 +341,9 @@ impl AsyncServer {
             bind: bind.to_string(),
             max_connections: cfg.max_connections,
             idle_timeout_ms: cfg.idle_timeout_ms,
-            batch_window_us: cfg.batch_window_us,
-            batch_max: cfg.batch_max,
             max_frame_bytes: cfg.max_frame_bytes,
-            write_buf_limit: cfg.write_buf_limit,
             clock: Arc::clone(&cfg.clock),
             faults: cfg.faults,
-            stall_grace_ms: cfg.stall_grace_ms,
             over_capacity_reply: dispatch::conn_limit_reply(
                 cfg.max_connections,
                 cfg.max_connections,
@@ -458,7 +387,7 @@ impl AsyncServer {
         &self.service
     }
 
-    /// Live loop counters (connections, batches, stalls…).
+    /// Live loop counters (connections, frames, stalls…).
     pub fn loop_stats(&self) -> &Arc<LoopStats> {
         self.handle.stats()
     }

@@ -6,12 +6,13 @@
 //! the mapper into a long-lived, concurrent, cache-fronted service:
 //!
 //! * [`MapService`] — the in-process engine: a fixed worker thread pool
-//!   behind a **weighted-fair admission queue** (per-tenant quotas and
-//!   lanes, reject-on-full backpressure, per-request deadlines, typed
-//!   [`ServiceError`] rejections), fronted by a two-tier mapping cache
-//!   keyed by the canonical content fingerprint of `(program, platform,
-//!   params, version)`: a sharded in-memory LRU (L1) over an optional
-//!   crash-durable disk store (L2, see `cachemap_storage::L2Store`).
+//!   behind a **fair admission queue** (per-tenant quotas and
+//!   round-robin lanes, reject-on-full backpressure, per-request
+//!   deadlines, typed [`ServiceError`] rejections), fronted by a
+//!   two-tier mapping cache keyed by the canonical content fingerprint
+//!   of `(program, platform, params, version)`: a sharded in-memory
+//!   LRU (L1) over an optional crash-durable disk store (L2, see
+//!   `cachemap_storage::L2Store`).
 //!   Concurrent misses on one fingerprint are **coalesced** (see
 //!   `cachemap_util::CoalesceMap`): exactly one pipeline run, everyone
 //!   inherits the result. Because the pipeline is deterministic, a
@@ -22,8 +23,9 @@
 //!   request/response (see [`proto`]) plus a plain-HTTP `GET /metrics`
 //!   Prometheus endpoint on the same port, backed by an
 //!   `obs::Registry`. One `cachemap-aio` event-loop thread owns every
-//!   socket and hands decoded frames to a small dispatcher pool in
-//!   batches; [`dispatch`] turns each line into its reply bytes.
+//!   socket and hands each poll cycle's decoded frames to a small
+//!   dispatcher pool, which takes them one at a time; [`dispatch`]
+//!   turns each line into its reply bytes.
 //!
 //! When [`ServiceConfig::tracing`] is on, every request additionally
 //! carries a deterministic per-request trace — stage-by-stage latency
@@ -118,6 +120,16 @@ pub const FLIGHT_TRIGGERS: [&str; 5] = [
 /// Latency-path labels used on the per-tenant SLO histograms.
 const LATENCY_PATHS: [&str; 5] = ["hit", "l2_hit", "computed", "coalesced", "rejected"];
 
+/// L2 segment roll size in bytes.
+const L2_SEGMENT_BYTES: u64 = 8 << 20;
+/// Flight-recorder ring capacity (recent trace summaries held in memory
+/// for `trace` lookups and anomaly dumps).
+const FLIGHT_CAPACITY: usize = 256;
+/// Fraction of requests allowed to miss the SLO; the burn-rate gauge is
+/// `bad_fraction / SLO_ERROR_BUDGET` (1.0 = burning the budget exactly
+/// as fast as allowed).
+const SLO_ERROR_BUDGET: f64 = 0.01;
+
 /// Service tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
@@ -138,16 +150,11 @@ pub struct ServiceConfig {
     /// A tenant at quota is rejected with a typed `quota_exceeded`
     /// even when the shared queue has room.
     pub tenant_quota: usize,
-    /// Explicit per-tenant dequeue weights for the weighted-fair
-    /// admission queue; tenants not listed get weight 1.
-    pub tenant_weights: Vec<(String, u32)>,
     /// Directory for the crash-durable L2 mapping store; `None`
     /// disables the disk tier entirely.
     pub l2_dir: Option<PathBuf>,
     /// L2 entry time-to-live in seconds; `0` disables expiry.
     pub l2_ttl_secs: u64,
-    /// L2 segment roll size in bytes.
-    pub l2_segment_bytes: u64,
     /// How long a graceful [`MapService::shutdown`] waits for queued
     /// work to finish before deadline-rejecting the remainder.
     pub drain_limit_ms: u64,
@@ -155,9 +162,6 @@ pub struct ServiceConfig {
     /// is allocated, responses are byte-identical to an untraced build,
     /// and the instrumented paths cost one branch each.
     pub tracing: bool,
-    /// Flight-recorder ring capacity (recent trace summaries held in
-    /// memory for `trace` lookups and anomaly dumps).
-    pub flight_capacity: usize,
     /// Traced requests slower than this trigger a `slow_request` flight
     /// dump; `0` disables the trigger.
     pub slow_trace_ms: u64,
@@ -166,10 +170,6 @@ pub struct ServiceConfig {
     /// Per-tenant SLO latency objective in milliseconds: requests over
     /// it (or rejected) count against the tenant's error budget.
     pub slo_latency_ms: u64,
-    /// Fraction of requests allowed to miss the SLO; the burn-rate
-    /// gauge is `bad_fraction / slo_error_budget` (1.0 = burning the
-    /// budget exactly as fast as allowed).
-    pub slo_error_budget: f64,
 }
 
 impl Default for ServiceConfig {
@@ -181,17 +181,13 @@ impl Default for ServiceConfig {
             cache_capacity_per_shard: 128,
             default_deadline_ms: 10_000,
             tenant_quota: 0,
-            tenant_weights: Vec::new(),
             l2_dir: None,
             l2_ttl_secs: 86_400,
-            l2_segment_bytes: 8 << 20,
             drain_limit_ms: 5_000,
             tracing: false,
-            flight_capacity: 256,
             slow_trace_ms: 1_000,
             flight_dir: PathBuf::from("reports"),
             slo_latency_ms: 250,
-            slo_error_budget: 0.01,
         }
     }
 }
@@ -355,9 +351,9 @@ fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// The in-process mapping service: worker pool + weighted-fair
-/// admission queue + two-tier fingerprint-keyed mapping cache. Cheap to
-/// share behind an [`Arc`]; dropped services shut their workers down.
+/// The in-process mapping service: worker pool, fair admission queue
+/// and two-tier fingerprint-keyed mapping cache. Cheap to share behind
+/// an [`Arc`]; dropped services shut their workers down.
 pub struct MapService {
     inner: Arc<Inner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -375,16 +371,12 @@ impl MapService {
             let l2cfg = L2Config {
                 dir,
                 ttl_secs: cfg.l2_ttl_secs,
-                segment_bytes: cfg.l2_segment_bytes.max(1),
+                segment_bytes: L2_SEGMENT_BYTES,
             };
             Mutex::new(L2Store::open(l2cfg, unix_now()).expect("open L2 mapping store"))
         });
         let inner = Arc::new(Inner {
-            queue: Mutex::new(FairQueue::new(
-                cfg.queue_limit,
-                cfg.tenant_quota,
-                cfg.tenant_weights.clone(),
-            )),
+            queue: Mutex::new(FairQueue::new(cfg.queue_limit, cfg.tenant_quota)),
             available: Condvar::new(),
             drained: Condvar::new(),
             cache: ShardedLru::new(cfg.cache_shards.max(1), cfg.cache_capacity_per_shard.max(1)),
@@ -395,9 +387,7 @@ impl MapService {
             draining: AtomicBool::new(false),
             drain_seconds_bits: AtomicU64::new(0f64.to_bits()),
             trace_seq: AtomicU64::new(0),
-            flight: cfg
-                .tracing
-                .then(|| FlightRecorder::new(cfg.flight_capacity.max(1))),
+            flight: cfg.tracing.then(|| FlightRecorder::new(FLIGHT_CAPACITY)),
             slo: Mutex::new(BTreeMap::new()),
             cfg,
         });
@@ -447,7 +437,7 @@ impl MapService {
     ///
     /// Lookup order: L1 (O(hash + shard lookup), no queueing) → L2
     /// (one disk read + promotion to L1) → coalesce with any in-flight
-    /// computation of the same fingerprint → admit to the weighted-fair
+    /// computation of the same fingerprint → admit to the fair
     /// queue (or reject typed) and compute on the worker pool.
     pub fn submit(&self, req: MapRequest) -> Result<MapResponse, ServiceError> {
         self.inner.submit(req, 0)
@@ -1159,26 +1149,22 @@ impl Inner {
     /// zero so the first scrape already carries the full schema.
     fn preregister_metrics(&self) {
         let mut m = self.metrics.lock().expect("metrics poisoned");
-        // Per-tenant SLO families: every configured tenant plus the
-        // anonymous lane, across every outcome path.
-        let mut tenants: Vec<&str> = vec!["anonymous"];
-        tenants.extend(self.cfg.tenant_weights.iter().map(|(t, _)| t.as_str()));
-        for tenant in tenants.drain(..) {
-            for path in LATENCY_PATHS {
-                m.histogram_declare(
-                    "cachemap_service_tenant_latency_seconds",
-                    "Per-tenant end-to-end service latency by outcome path",
-                    &LATENCY_BUCKETS,
-                    &[("outcome", path), ("tenant", tenant)],
-                );
-            }
-            m.gauge_set(
-                "cachemap_service_slo_burn_rate",
-                "Per-tenant SLO burn rate (bad-request fraction over error budget)",
-                &[("tenant", tenant)],
-                0.0,
+        // Per-tenant SLO families for the anonymous lane, across every
+        // outcome path; named tenants appear with their first request.
+        for path in LATENCY_PATHS {
+            m.histogram_declare(
+                "cachemap_service_tenant_latency_seconds",
+                "Per-tenant end-to-end service latency by outcome path",
+                &LATENCY_BUCKETS,
+                &[("outcome", path), ("tenant", "anonymous")],
             );
         }
+        m.gauge_set(
+            "cachemap_service_slo_burn_rate",
+            "Per-tenant SLO burn rate (bad-request fraction over error budget)",
+            &[("tenant", "anonymous")],
+            0.0,
+        );
         // Tracing families, present whether or not tracing is enabled
         // so a scrape schema does not depend on the tracing knob.
         for stage in TRACE_STAGES {
@@ -1258,7 +1244,7 @@ impl Inner {
             if bad {
                 entry.0 += 1;
             }
-            (entry.0 as f64 / entry.1 as f64) / self.cfg.slo_error_budget.max(f64::EPSILON)
+            (entry.0 as f64 / entry.1 as f64) / SLO_ERROR_BUDGET
         };
         let mut m = self.metrics.lock().expect("metrics poisoned");
         m.histogram_observe(
@@ -1368,7 +1354,7 @@ impl Inner {
                     .collect(),
             ),
         ));
-        let cooldown = (self.cfg.flight_capacity as u64 / 2).max(1);
+        let cooldown = FLIGHT_CAPACITY as u64 / 2;
         match fl.dump(&self.cfg.flight_dir, trigger, cooldown, extra) {
             Ok(Some(_)) => {
                 let mut m = self.metrics.lock().expect("metrics poisoned");

@@ -54,7 +54,7 @@ pub struct MapRequest {
     /// default, `Some(0)` is an already-expired deadline (rejected at
     /// admission — useful for probes and tests).
     pub deadline_ms: Option<u64>,
-    /// Tenant for quota accounting and weighted-fair admission; `None`
+    /// Tenant for quota accounting and fair admission; `None`
     /// is the shared anonymous tenant. Deliberately **not** part of the
     /// content fingerprint: identical problems coalesce and share cache
     /// entries across tenants.

@@ -1,11 +1,10 @@
-//! Per-tenant weighted-fair admission queue.
+//! Per-tenant fair admission queue.
 //!
 //! The bounded admission queue used to be one FIFO: a single tenant
 //! flooding the service could starve everyone behind it. This queue
-//! keeps one lane per tenant and serves lanes **weighted round-robin**
-//! (a lane with weight *w* may dequeue up to *w* jobs per rotation
-//! visit), so a burst from one tenant delays its own lane, not the
-//! others. Two admission limits apply on push:
+//! keeps one lane per tenant and serves lanes **round-robin** (one job
+//! per lane per rotation visit), so a burst from one tenant delays its
+//! own lane, not the others. Two admission limits apply on push:
 //!
 //! * a **global** bound (`limit`) — the existing reject-on-full
 //!   backpressure;
@@ -40,36 +39,29 @@ pub enum PushError {
 
 struct Lane<T> {
     tenant: String,
-    weight: u32,
     jobs: VecDeque<T>,
 }
 
-/// A bounded, per-tenant weighted-fair FIFO (see module docs).
+/// A bounded, per-tenant fair FIFO (see module docs).
 pub struct FairQueue<T> {
     lanes: Vec<Lane<T>>,
-    /// Rotation position: index of the lane currently being served.
+    /// Rotation position: index of the lane served next.
     cursor: usize,
-    /// Dequeues the current lane may still take this rotation visit.
-    credit: u32,
     len: usize,
     limit: usize,
     tenant_quota: usize,
-    weights: Vec<(String, u32)>,
 }
 
 impl<T> FairQueue<T> {
-    /// An empty queue with a global `limit`, per-tenant `tenant_quota`
-    /// (`0` = unlimited), and explicit per-tenant `weights` (tenants not
-    /// listed get weight 1).
-    pub fn new(limit: usize, tenant_quota: usize, weights: Vec<(String, u32)>) -> Self {
+    /// An empty queue with a global `limit` and a per-tenant
+    /// `tenant_quota` (`0` = unlimited).
+    pub fn new(limit: usize, tenant_quota: usize) -> Self {
         FairQueue {
             lanes: Vec::new(),
             cursor: 0,
-            credit: 0,
             len: 0,
             limit,
             tenant_quota,
-            weights,
         }
     }
 
@@ -91,13 +83,6 @@ impl<T> FairQueue<T> {
             .map_or(0, |l| l.jobs.len())
     }
 
-    fn weight_for(&self, tenant: &str) -> u32 {
-        self.weights
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map_or(1, |(_, w)| (*w).max(1))
-    }
-
     /// Enqueues `item` on `tenant`'s lane, enforcing the per-tenant
     /// quota first (a tenant at quota is turned away even when the
     /// shared queue has room) and then the global limit.
@@ -117,20 +102,16 @@ impl<T> FairQueue<T> {
         }
         match self.lanes.iter_mut().find(|l| l.tenant == tenant) {
             Some(lane) => lane.jobs.push_back(item),
-            None => {
-                let weight = self.weight_for(tenant);
-                self.lanes.push(Lane {
-                    tenant: tenant.to_string(),
-                    weight,
-                    jobs: VecDeque::from([item]),
-                });
-            }
+            None => self.lanes.push(Lane {
+                tenant: tenant.to_string(),
+                jobs: VecDeque::from([item]),
+            }),
         }
         self.len += 1;
         Ok(())
     }
 
-    /// Dequeues the next job in weighted round-robin order.
+    /// Dequeues the next job in round-robin order.
     pub fn pop(&mut self) -> Option<T> {
         if self.len == 0 {
             return None;
@@ -140,20 +121,11 @@ impl<T> FairQueue<T> {
                 self.cursor = 0;
             }
             let lane = &mut self.lanes[self.cursor];
-            if self.credit == 0 {
-                self.credit = lane.weight;
-            }
+            self.cursor += 1;
             if let Some(job) = lane.jobs.pop_front() {
                 self.len -= 1;
-                self.credit -= 1;
-                if self.credit == 0 || lane.jobs.is_empty() {
-                    self.cursor += 1;
-                    self.credit = 0;
-                }
                 return Some(job);
             }
-            self.cursor += 1;
-            self.credit = 0;
         }
     }
 
@@ -173,7 +145,6 @@ impl<T> FairQueue<T> {
             out.extend(lane.jobs.drain(..));
         }
         self.len = 0;
-        self.credit = 0;
         out
     }
 }
@@ -184,7 +155,7 @@ mod tests {
 
     #[test]
     fn single_tenant_is_fifo() {
-        let mut q: FairQueue<u32> = FairQueue::new(8, 0, vec![]);
+        let mut q: FairQueue<u32> = FairQueue::new(8, 0);
         for x in 0..5 {
             q.push("a", x).unwrap();
         }
@@ -197,7 +168,7 @@ mod tests {
 
     #[test]
     fn rotation_interleaves_tenants_fairly() {
-        let mut q: FairQueue<&str> = FairQueue::new(16, 0, vec![]);
+        let mut q: FairQueue<&str> = FairQueue::new(16, 0);
         for x in ["a1", "a2", "a3"] {
             q.push("a", x).unwrap();
         }
@@ -205,27 +176,13 @@ mod tests {
             q.push("b", x).unwrap();
         }
         let order: Vec<&str> = std::iter::from_fn(|| q.pop()).collect();
-        // Equal weights: strict alternation while both lanes have work.
+        // Strict alternation while both lanes have work.
         assert_eq!(order, vec!["a1", "b1", "a2", "b2", "a3"]);
     }
 
     #[test]
-    fn weights_skew_the_rotation() {
-        let mut q: FairQueue<&str> = FairQueue::new(16, 0, vec![("a".to_string(), 2)]);
-        for x in ["a1", "a2", "a3", "a4"] {
-            q.push("a", x).unwrap();
-        }
-        for x in ["b1", "b2"] {
-            q.push("b", x).unwrap();
-        }
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).collect();
-        // Weight 2 lane serves two jobs per visit.
-        assert_eq!(order, vec!["a1", "a2", "b1", "a3", "a4", "b2"]);
-    }
-
-    #[test]
     fn global_limit_and_tenant_quota_reject_typed() {
-        let mut q: FairQueue<u32> = FairQueue::new(3, 2, vec![]);
+        let mut q: FairQueue<u32> = FairQueue::new(3, 2);
         q.push("a", 1).unwrap();
         q.push("a", 2).unwrap();
         assert_eq!(
@@ -244,7 +201,7 @@ mod tests {
 
     #[test]
     fn quota_frees_up_as_jobs_are_served() {
-        let mut q: FairQueue<u32> = FairQueue::new(8, 1, vec![]);
+        let mut q: FairQueue<u32> = FairQueue::new(8, 1);
         q.push("a", 1).unwrap();
         assert!(matches!(q.push("a", 2), Err(PushError::Quota { .. })));
         assert_eq!(q.pop(), Some(1));
@@ -254,7 +211,7 @@ mod tests {
 
     #[test]
     fn drain_returns_everything() {
-        let mut q: FairQueue<u32> = FairQueue::new(8, 0, vec![]);
+        let mut q: FairQueue<u32> = FairQueue::new(8, 0);
         q.push("a", 1).unwrap();
         q.push("b", 2).unwrap();
         q.push("a", 3).unwrap();

@@ -1,7 +1,7 @@
 //! Async front-end integration tests: wire identity with in-process
-//! dispatch, batching/dedup, fault injection (slow-loris, truncated and
-//! dripped writes), capacity limits, simulated-clock deadlines, and
-//! metric preregistration.
+//! dispatch, pipelined reply order, fault injection (slow-loris,
+//! truncated and dripped writes), capacity limits, simulated-clock
+//! deadlines, and metric preregistration.
 
 use cachemap_aio::FaultPlan;
 use cachemap_core::{Mapper, MapperConfig, Version};
@@ -9,7 +9,7 @@ use cachemap_polyhedral::DataSpace;
 use cachemap_service::aserver::{AsyncServer, AsyncServerConfig};
 use cachemap_service::{dispatch, MapRequest, MapService, ServiceConfig};
 use cachemap_storage::{HierarchyTree, PlatformConfig};
-use cachemap_util::{Clock, ToJson};
+use cachemap_util::{Clock, Json, ToJson};
 use cachemap_workloads::{suite, Scale};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -123,35 +123,77 @@ fn http_metrics_scrape_works_and_preregisters_aio_schema() {
     assert!(body.contains("text/plain; version=0.0.4"));
 }
 
+/// A map reply without the fields that differ between a computed, a
+/// coalesced and a cached answer to the same request (`cached`,
+/// `service_us`).
+fn without_submission_fields(reply: &str) -> String {
+    match cachemap_util::json::parse(reply).unwrap() {
+        Json::Object(pairs) => Json::Object(
+            pairs
+                .into_iter()
+                .filter(|(k, _)| k != "cached" && k != "service_us")
+                .collect(),
+        )
+        .to_string_compact(),
+        other => panic!("reply is not an object: {other:?}"),
+    }
+}
+
 #[test]
-fn identical_lines_in_one_batch_are_deduped_before_admission() {
+fn pipelined_replies_come_back_in_request_order() {
+    // One write: a cold map, pings that finish long before it, the same
+    // map line again (it coalesces with or hits the first), and a second
+    // cold map. The dispatchers finish these out of order; the loop
+    // must still write the replies in request order.
     let svc = service();
-    let cfg = AsyncServerConfig {
-        // A wide window so one pipelined burst lands in one batch.
-        batch_window_us: 200_000,
-        batch_max: 64,
-        ..AsyncServerConfig::default()
-    };
-    let async_srv = AsyncServer::spawn_with("127.0.0.1:0", Arc::clone(&svc), cfg).unwrap();
-    let req = request(0, Version::InterProcessor, 1);
-    let line = req.to_json().to_string_compact();
-    let burst: String = (0..10).map(|_| format!("{line}\n")).collect();
+    let async_srv = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&svc)).unwrap();
+    let first = request(0, Version::InterProcessor, 1);
+    let second = request(1, Version::IntraProcessor, 7);
+    let first_line = first.to_json().to_string_compact();
+    let mut lines = vec![first_line.clone()];
+    lines.extend((2..=6).map(|id| format!("{{\"id\":{id},\"op\":\"ping\"}}")));
+    lines.extend((0..4).map(|_| first_line.clone()));
+    lines.push(second.to_json().to_string_compact());
+    let ids = [1, 2, 3, 4, 5, 6, 1, 1, 1, 1, 7];
+    let burst: String = lines.iter().map(|l| format!("{l}\n")).collect();
     let mut c = TcpStream::connect(async_srv.addr()).unwrap();
     c.write_all(burst.as_bytes()).unwrap();
     let mut r = BufReader::new(c);
-    let mut replies = Vec::new();
-    for _ in 0..10 {
-        let mut reply = String::new();
-        r.read_line(&mut reply).unwrap();
-        replies.push(reply);
+    let replies: Vec<String> = (0..lines.len())
+        .map(|_| {
+            let mut reply = String::new();
+            r.read_line(&mut reply).unwrap();
+            reply
+        })
+        .collect();
+    for (reply, id) in replies.iter().zip(ids) {
+        let parsed = cachemap_util::json::parse(reply).unwrap();
+        assert_eq!(
+            parsed.get("id").and_then(Json::as_u64),
+            Some(id),
+            "replies out of request order: {reply}"
+        );
+        assert!(reply.contains("\"status\":\"ok\""), "{reply}");
     }
-    assert!(replies.iter().all(|x| x == &replies[0]), "fan-out differs");
-    assert!(replies[0].contains("\"status\":\"ok\""), "{}", replies[0]);
-    let stats = svc.stats();
-    assert_eq!(
-        stats.hits + stats.misses + stats.coalesced,
-        1,
-        "10 identical lines should reach admission once (dedup)"
+    let first_oracle = format!("\"mapping\":{}", cold_mapping_bytes(&first));
+    for k in [0, 6, 7, 8, 9] {
+        assert!(
+            replies[k].contains(&first_oracle),
+            "reply {k} lacks the cold mapping"
+        );
+    }
+    let second_oracle = format!("\"mapping\":{}", cold_mapping_bytes(&second));
+    assert!(
+        replies[10].contains(&second_oracle),
+        "second map lacks its cold mapping"
+    );
+    let repeated: Vec<String> = [0, 6, 7, 8, 9]
+        .iter()
+        .map(|&k| without_submission_fields(&replies[k]))
+        .collect();
+    assert!(
+        repeated.iter().all(|x| x == &repeated[0]),
+        "answers to one repeated line differ"
     );
 }
 

@@ -215,56 +215,6 @@ impl From<FaultPlanError> for EngineError {
     }
 }
 
-/// Opt-in request-level robustness policy (all thresholds in simulated
-/// nanoseconds). The default (all zeros) disables every mechanism and
-/// leaves the engine on the unpoliced fast path, bit-identical to a run
-/// without a policy.
-///
-/// The three mechanisms act on an L1 miss, before the request is
-/// committed to an I/O node, using only state a client-side RPC layer
-/// could observe (the target's queue backlog):
-///
-/// 1. **Deadline** — if the L2 queue backlog alone already exceeds
-///    `deadline_ns`, the request is declared late.
-/// 2. **Hedged retries** — a late request is duplicated to up to
-///    `max_hedges` surviving sibling I/O nodes (one extra control hop
-///    each); the replica with the shortest queue wins.
-/// 3. **Admission shed** — if the winner's backlog still exceeds
-///    `shed_queue_ns`, the request sheds to the direct-to-storage path
-///    instead of queueing behind the overloaded cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RequestPolicy {
-    /// Per-request deadline; queue backlog beyond it triggers hedging.
-    /// Zero disables deadlines (and with them hedging).
-    pub deadline_ns: u64,
-    /// Maximum hedged replicas per late request.
-    pub max_hedges: u32,
-    /// Backlog beyond which the request sheds to direct-to-storage.
-    /// Zero disables shedding.
-    pub shed_queue_ns: u64,
-}
-
-impl RequestPolicy {
-    /// True when at least one mechanism is active.
-    pub fn is_enabled(&self) -> bool {
-        self.deadline_ns > 0 || self.shed_queue_ns > 0
-    }
-}
-
-/// Counters for [`RequestPolicy`] decisions during one run (all zero
-/// when no policy is attached).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyStats {
-    /// Requests whose queue backlog exceeded the deadline.
-    pub deadline_violations: u64,
-    /// Hedged replicas sent to sibling I/O nodes.
-    pub hedges: u64,
-    /// Hedges that won (the replica's queue beat the original's).
-    pub hedge_wins: u64,
-    /// Requests shed to the direct-to-storage path.
-    pub sheds: u64,
-}
-
 /// Resident cache lines at an epoch boundary, per level and node, in
 /// eviction order (least-recently-used first).
 ///
@@ -348,8 +298,6 @@ pub struct RunStats {
     pub prefetched_chunks: u64,
     /// Degraded-mode counters (all zero on a fault-free run).
     pub faults: FaultStats,
-    /// Request-policy counters (all zero without a [`RequestPolicy`]).
-    pub policy: PolicyStats,
 }
 
 struct Resources {
@@ -424,10 +372,6 @@ pub struct Engine<'a> {
     /// prefetches beyond it).
     max_chunk: Chunk,
     prefetched: u64,
-    /// Request-level robustness policy; `Some` only when enabled, so the
-    /// unpoliced path stays structurally identical.
-    policy: Option<RequestPolicy>,
-    policy_stats: PolicyStats,
     /// Per-client starting clocks (epoch resume); `None` starts everyone
     /// at zero.
     start_clocks: Option<Vec<u64>>,
@@ -472,8 +416,6 @@ impl<'a> Engine<'a> {
             trace: None,
             max_chunk: 0,
             prefetched: 0,
-            policy: None,
-            policy_stats: PolicyStats::default(),
             start_clocks: None,
             resume_caches: None,
             want_snapshot: false,
@@ -495,16 +437,6 @@ impl<'a> Engine<'a> {
         plan.validate(self.cfg)?;
         self.faults = FaultState::from_plan(plan, self.cfg);
         Ok(self)
-    }
-
-    /// Attaches a request-level robustness policy. A disabled policy
-    /// (all thresholds zero) is ignored, keeping the unpoliced fast
-    /// path byte-identical.
-    pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
-        if policy.is_enabled() {
-            self.policy = Some(policy);
-        }
-        self
     }
 
     /// Starts each client at the given simulated-time clock instead of
@@ -704,7 +636,6 @@ impl<'a> Engine<'a> {
         stats.l2_evictions = self.res.tally[1];
         stats.l3_evictions = self.res.tally[2];
         stats.prefetched_chunks = self.prefetched;
-        stats.policy = self.policy_stats;
         if let Some(f) = &self.faults {
             stats.faults = f.stats;
             stats.faults.recovery_ns = f.recovery_ns.unwrap_or(0);
@@ -873,14 +804,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// True unless fault injection has crashed I/O node `io`.
-    fn io_is_alive(&self, io: usize) -> bool {
-        match &self.faults {
-            Some(f) => f.io_alive[io],
-            None => true,
-        }
-    }
-
     /// Resolves the I/O node an access should use. Returns the node (or
     /// `None` for direct-to-storage when every candidate is dead) and
     /// whether a failover happened.
@@ -970,52 +893,7 @@ impl<'a> Engine<'a> {
         let mut served_by = ServedBy::L2;
         let io_home = self.tree.io_of_client(c);
         t += control_ns(Hop::ClientIo, cfg);
-        let (mut io_route, mut failed_over) = self.route_io(io_home);
-        // Request policy: deadline check, hedged retries against sibling
-        // I/O nodes, and admission shedding — all driven by queue
-        // backlog, the one signal a client-side RPC layer can observe.
-        if let (Some(pol), Some(io)) = (self.policy, io_route) {
-            let mut chosen = io;
-            let mut backlog = self.res.l2_free[io].saturating_sub(t);
-            if pol.deadline_ns > 0 && backlog > pol.deadline_ns {
-                self.policy_stats.deadline_violations += 1;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.event(t, "deadline", c as i64);
-                }
-                let mut hedges = 0u32;
-                for sib in self.tree.io_siblings(io) {
-                    if hedges >= pol.max_hedges {
-                        break;
-                    }
-                    if !self.io_is_alive(sib) {
-                        continue;
-                    }
-                    hedges += 1;
-                    self.policy_stats.hedges += 1;
-                    // Each hedge costs one extra control hop before the
-                    // replica's queue position is known.
-                    t += control_ns(Hop::ClientIo, cfg);
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.event(t, "hedge", c as i64);
-                    }
-                    let sib_backlog = self.res.l2_free[sib].saturating_sub(t);
-                    if sib_backlog < backlog {
-                        chosen = sib;
-                        backlog = sib_backlog;
-                        self.policy_stats.hedge_wins += 1;
-                    }
-                }
-            }
-            if pol.shed_queue_ns > 0 && backlog > pol.shed_queue_ns {
-                self.policy_stats.sheds += 1;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.event(t, "shed", c as i64);
-                }
-                io_route = None;
-            } else {
-                io_route = Some(chosen);
-            }
-        }
+        let (io_route, mut failed_over) = self.route_io(io_home);
         // Transfers on the client⇄io and io⇄storage paths are attributed
         // to the home I/O node even when failover bypassed it, so link
         // tallies stay comparable across faulty and clean runs.

@@ -58,9 +58,7 @@ pub mod trace;
 pub mod wire;
 
 pub use config::{ConfigError, PlatformConfig, PolicyKind};
-pub use engine::{
-    CacheSnapshot, ClientOp, EngineError, EvictionTally, MappedProgram, PolicyStats, RequestPolicy,
-};
+pub use engine::{CacheSnapshot, ClientOp, EngineError, EvictionTally, MappedProgram};
 pub use faults::{
     DegradeLevel, FaultEvent, FaultPlan, FaultPlanError, FaultStats, TransientFaults,
 };

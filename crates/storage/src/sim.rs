@@ -8,9 +8,7 @@
 //! of the fault-injection subsystem when a [`FaultPlan`] is attached.
 
 use crate::config::{ConfigError, PlatformConfig};
-use crate::engine::{
-    CacheSnapshot, Engine, EngineError, EvictionTally, MappedProgram, PolicyStats, RunStats,
-};
+use crate::engine::{CacheSnapshot, Engine, EngineError, EvictionTally, MappedProgram, RunStats};
 use crate::faults::{FaultPlan, FaultPlanError, FaultStats};
 use crate::supervisor::EpochOptions;
 use crate::topology::HierarchyTree;
@@ -108,8 +106,6 @@ pub struct SimReport {
     pub prefetched_chunks: u64,
     /// Degraded-mode counters (all zero without a fault plan).
     pub faults: FaultStats,
-    /// Request-policy counters (all zero without a request policy).
-    pub policy: PolicyStats,
 }
 
 impl SimReport {
@@ -142,7 +138,6 @@ impl SimReport {
             disk_writes: stats.disk_writes,
             prefetched_chunks: stats.prefetched_chunks,
             faults: stats.faults,
-            policy: stats.policy,
         }
     }
 
@@ -231,18 +226,6 @@ impl ToJson for SimReport {
             ),
             ("prefetched_chunks", Json::UInt(self.prefetched_chunks)),
             ("faults", self.faults.to_json()),
-            (
-                "policy",
-                Json::object(vec![
-                    (
-                        "deadline_violations",
-                        Json::UInt(self.policy.deadline_violations),
-                    ),
-                    ("hedges", Json::UInt(self.policy.hedges)),
-                    ("hedge_wins", Json::UInt(self.policy.hedge_wins)),
-                    ("sheds", Json::UInt(self.policy.sheds)),
-                ]),
-            ),
         ])
     }
 }
@@ -314,7 +297,6 @@ impl Simulator {
         }
         let snapshot_wanted = epoch.is_some();
         if let Some(ep) = epoch {
-            engine = engine.with_policy(ep.policy);
             if let Some(clocks) = &ep.start_clocks {
                 engine = engine.with_start_clocks(clocks.clone());
             }

@@ -8,7 +8,7 @@
 //! boundary it snapshots a [`Checkpoint`] and feeds the epoch's
 //! [`EngineObs`] into [`detect`], which infers node failures **from
 //! engine signals only** — per-node hit/miss series going silent plus
-//! client-side distress events (failovers, missed deadlines). It never
+//! client-side distress events (failovers). It never
 //! reads the [`crate::faults::FaultPlan`]: the plan is the experiment's
 //! ground truth, not an input to detection.
 //!
@@ -22,15 +22,13 @@
 //! every cache, and the supervisor feeds it back through
 //! [`EpochOptions::resume_caches`] so the next epoch starts warm.
 
-use crate::engine::{CacheSnapshot, RequestPolicy};
+use crate::engine::CacheSnapshot;
 use crate::topology::HierarchyTree;
 use cachemap_obs::{EngineObs, Level};
 
 /// Per-epoch engine options handed to [`crate::Simulator::run_epoch`].
 #[derive(Debug, Clone, Default)]
 pub struct EpochOptions {
-    /// Request-level robustness policy for the epoch (disabled = off).
-    pub policy: RequestPolicy,
     /// Per-client starting clocks carried over from the previous epoch
     /// (`None` starts everyone at zero — the first epoch).
     pub start_clocks: Option<Vec<u64>>,
@@ -80,8 +78,8 @@ pub struct Detection {
     /// When the supervisor reached the conclusion — the epoch boundary,
     /// since that is when it inspects the series.
     pub detected_at_ns: u64,
-    /// Earliest distress signal (failover/deadline event) that fed the
-    /// verdict, ns.
+    /// Earliest distress signal (failover event) that fed the verdict,
+    /// ns.
     pub first_evidence_ns: u64,
     /// Distress events attributed to the node within the epoch.
     pub distress_events: u64,
@@ -90,8 +88,8 @@ pub struct Detection {
 /// Detection thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
-    /// Minimum distress events (failover or missed-deadline, raised by
-    /// the node's home clients) before a crash verdict is considered.
+    /// Minimum distress events (failovers raised by the node's home
+    /// clients) before a crash verdict is considered.
     pub min_distress_events: u64,
     /// Mean L2 queue wait per access above which a node counts as
     /// sustainedly degraded, ns.
@@ -114,7 +112,7 @@ impl Default for DetectorConfig {
 /// Infers I/O-node failures from one epoch's observations.
 ///
 /// A node is declared [`Verdict::Down`] when (a) at least
-/// `min_distress_events` failover/deadline events were raised by
+/// `min_distress_events` failover events were raised by
 /// clients whose *home* I/O node it is, and (b) the node's own L2
 /// hit/miss series has been silent since before the first such distress
 /// signal — a crashed node records nothing, while a node that merely
@@ -136,7 +134,7 @@ pub fn detect(
     // Distress evidence per home I/O node: count + earliest time.
     let mut distress = vec![(0u64, u64::MAX); num_io];
     for ev in &obs.events {
-        if ev.kind != "failover" && ev.kind != "deadline" {
+        if ev.kind != "failover" {
             continue;
         }
         let client = ev.subject as usize;
@@ -338,7 +336,6 @@ mod tests {
                 &prog,
                 &mut rec2,
                 &EpochOptions {
-                    policy: RequestPolicy::default(),
                     start_clocks: Some(vec![1_000_000; 4]),
                     resume_caches: None,
                 },

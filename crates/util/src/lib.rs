@@ -32,7 +32,7 @@
 //!   its deadlines (simulated tests never sleep).
 //! * [`timer`] — deadlines in order (O(log n) schedule, cancel and
 //!   earliest-deadline query) for the async front end's idle/read
-//!   deadlines and batch windows.
+//!   deadlines.
 //! * [`bufpool`] — a bounded pool of reusable byte buffers for the
 //!   async front end's per-connection read buffers.
 

@@ -1,14 +1,14 @@
 //! Ordered deadlines for the async front end.
 //!
 //! The event loop arms thousands of concurrent idle/read deadlines that
-//! are almost always cancelled (a byte arrives) rather than fired, asks
-//! for the earliest one on every loop turn, and cancels its batch timer
-//! on every batch flush. A [`TimerQueue`] keeps the armed timers in a
-//! `BTreeMap` keyed by `(deadline_ns, id)`, and each [`TimerId`] carries
-//! its deadline, so `schedule`, `cancel` and `next_deadline_ns` are
-//! O(log n) in the armed timers, and `advance` is O(log n) per timer it
-//! fires. Time is plain `u64` nanoseconds — callers feed it from a
-//! [`crate::Clock`], so tests on a simulated clock never sleep.
+//! are almost always cancelled (a byte arrives) rather than fired, and
+//! asks for the earliest one on every loop turn. A [`TimerQueue`] keeps
+//! the armed timers in a `BTreeMap` keyed by `(deadline_ns, id)`, and
+//! each [`TimerId`] carries its deadline, so `schedule`, `cancel` and
+//! `next_deadline_ns` are O(log n) in the armed timers, and `advance`
+//! is O(log n) per timer it fires. Time is plain `u64` nanoseconds —
+//! callers feed it from a [`crate::Clock`], so tests on a simulated
+//! clock never sleep.
 
 use std::collections::BTreeMap;
 
