@@ -379,6 +379,12 @@ mod tests {
     }
 
     #[test]
+    fn chunk_transfer_includes_serialization() {
+        let c = PlatformConfig::paper_default();
+        assert!(c.net_chunk_ns() > c.net_hop_ns);
+    }
+
+    #[test]
     fn disk_transfer_time_64kb_at_80mbs() {
         let c = PlatformConfig::paper_default();
         // 65536 B / (80 MiB/s) ≈ 781 µs.

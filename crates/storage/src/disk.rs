@@ -12,11 +12,18 @@
 use crate::cache::Chunk;
 use crate::config::PlatformConfig;
 
-/// State of one storage-node disk.
+/// State of one storage-node disk, with its service times computed once
+/// from the platform.
 #[derive(Debug, Clone)]
 pub struct Disk {
     /// Chunk that the head is positioned right after, if any.
     last_chunk: Option<Chunk>,
+    /// Chunk-id distance between neighbours on this spindle.
+    stride: usize,
+    /// Service time of a read that follows on from the last chunk, ns.
+    sequential_ns: u64,
+    /// Service time of any other read, and of every write, ns.
+    positioned_ns: u64,
     /// Total reads serviced.
     pub reads: u64,
     /// Total writes serviced.
@@ -26,10 +33,14 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// A disk with an unpositioned head.
-    pub fn new() -> Self {
+    /// A disk of platform `cfg` with an unpositioned head.
+    pub fn new(cfg: &PlatformConfig) -> Self {
+        let transfer = cfg.disk_transfer_ns();
         Disk {
             last_chunk: None,
+            stride: striping_stride(cfg),
+            sequential_ns: transfer,
+            positioned_ns: cfg.seek_ns + cfg.rotational_ns() + transfer,
             reads: 0,
             writes: 0,
             sequential_reads: 0,
@@ -37,30 +48,24 @@ impl Disk {
     }
 
     /// Services a read of `chunk`; returns the service time in ns.
-    pub fn read(&mut self, chunk: Chunk, cfg: &PlatformConfig) -> u64 {
+    pub fn read(&mut self, chunk: Chunk) -> u64 {
         self.reads += 1;
-        let sequential = self.last_chunk == Some(chunk.wrapping_sub(striping_stride(cfg)));
+        let sequential = self.last_chunk == Some(chunk.wrapping_sub(self.stride));
         self.last_chunk = Some(chunk);
         if sequential {
             self.sequential_reads += 1;
-            cfg.disk_transfer_ns()
+            self.sequential_ns
         } else {
-            cfg.seek_ns + cfg.rotational_ns() + cfg.disk_transfer_ns()
+            self.positioned_ns
         }
     }
 
     /// Services a write-back of `chunk`; returns the service time in ns.
     /// Writes always pay positioning (they interrupt a read stream).
-    pub fn write(&mut self, chunk: Chunk, cfg: &PlatformConfig) -> u64 {
+    pub fn write(&mut self, chunk: Chunk) -> u64 {
         self.writes += 1;
         self.last_chunk = Some(chunk);
-        cfg.seek_ns + cfg.rotational_ns() + cfg.disk_transfer_ns()
-    }
-}
-
-impl Default for Disk {
-    fn default() -> Self {
-        Self::new()
+        self.positioned_ns
     }
 }
 
@@ -121,8 +126,8 @@ mod tests {
     #[test]
     fn random_read_pays_positioning() {
         let c = cfg();
-        let mut d = Disk::new();
-        let t = d.read(5, &c);
+        let mut d = Disk::new(&c);
+        let t = d.read(5);
         assert_eq!(t, c.seek_ns + c.rotational_ns() + c.disk_transfer_ns());
         assert_eq!(d.reads, 1);
         assert_eq!(d.sequential_reads, 0);
@@ -131,27 +136,27 @@ mod tests {
     #[test]
     fn sequential_read_skips_positioning() {
         let c = cfg();
-        let mut d = Disk::new();
+        let mut d = Disk::new(&c);
         // Spindle (0,0) holds chunks 0, 64, 128, … — reading them in
         // order is sequential after the first.
-        d.read(0, &c);
-        let t = d.read(64, &c);
+        d.read(0);
+        let t = d.read(64);
         assert_eq!(t, c.disk_transfer_ns());
         assert_eq!(d.sequential_reads, 1);
-        let t2 = d.read(192, &c); // skipped 128 → not sequential
+        let t2 = d.read(192); // skipped 128 → not sequential
         assert!(t2 > c.disk_transfer_ns());
     }
 
     #[test]
     fn write_pays_positioning_and_disturbs_stream() {
         let c = cfg();
-        let mut d = Disk::new();
-        d.read(0, &c);
-        let tw = d.write(100, &c);
+        let mut d = Disk::new(&c);
+        d.read(0);
+        let tw = d.write(100);
         assert_eq!(tw, c.seek_ns + c.rotational_ns() + c.disk_transfer_ns());
         assert_eq!(d.writes, 1);
         // Next read of 64 is no longer sequential (head moved).
-        let t = d.read(64, &c);
+        let t = d.read(64);
         assert!(t > c.disk_transfer_ns());
     }
 }

@@ -2,12 +2,24 @@
 //!
 //! Each client node executes an ordered stream of [`ClientOp`]s (compute,
 //! chunk accesses, and the synchronization signals/waits used by the
-//! dependence extension of Section 5.4). The engine interleaves clients
-//! in **global simulated-time order** — a binary heap keyed by
+//! dependence extension of Section 5.4). The engine serves **shared
+//! work in global simulated-time order** — a binary heap keyed by
 //! `(client clock, client id)` — so shared caches observe a single,
 //! reproducible access order that approximates parallel execution, and
 //! shared resources (I/O-node caches, storage-node caches, disks) apply
 //! back-pressure through per-resource "next free" clocks.
+//!
+//! Work that touches only a client's own clock and private L1 needs no
+//! global order. The client at the top of the heap runs its next op,
+//! whatever it is, and then runs ahead while its next op is private: a
+//! `Compute`, or an `Access` that hits its L1, each starting before the
+//! next unapplied fault event. An L1 miss found this way stays pending,
+//! with the lookup and the miss already counted, and resumes from the
+//! L2 step when the client's unchanged `(start, client)` key next
+//! reaches the top. `Signal` and `Wait` run only at the top. So every
+//! shared op still runs in `(time, client)` order, and every statistic,
+//! trace and recorder series is the same as if each op took its own
+//! turn through the heap.
 //!
 //! The access path mirrors the platform of Section 5.1: an L1 miss is
 //! forwarded by the client to its I/O node (L2); an L2 miss is forwarded
@@ -15,27 +27,30 @@
 //! the disk of the *striping owner* of the chunk, with a peer-forwarding
 //! hop when the owner differs from the tree-route storage node. Caches
 //! are write-allocate / write-back, and dirty evictions cascade one level
-//! down with their costs charged to the access that triggered them.
+//! down with their costs charged to the access that triggered them. The
+//! platform's costs and each client's route are computed once, when the
+//! engine is built.
 //!
 //! Fault injection ([`crate::faults`]) threads through the same global
-//! clock: scheduled events are applied lazily when the heap reaches their
-//! time, failover routing replaces crashed nodes on the access path, and
-//! transient errors draw from a seeded generator in heap order — so a
-//! faulty run is exactly as reproducible as a clean one, and a run with
-//! an empty [`FaultPlan`] is bit-identical to a fault-free run.
+//! clock: scheduled events are a time-sorted list, applied at heap visits
+//! before any op that starts at or after them (no op runs ahead past the
+//! next one); failover routing replaces crashed nodes on the access path,
+//! and transient errors draw from a seeded generator in the order of the
+//! L1 misses — so a faulty run is exactly as reproducible as a clean one,
+//! and a run with an empty [`FaultPlan`] is bit-identical to a fault-free
+//! run.
 
 use crate::cache::{build_cache, Chunk, ChunkCache, InsertOutcome};
 use crate::config::{ConfigError, PlatformConfig};
 use crate::disk::{disk_index, owner_of_chunk, striping_stride, total_disks, Disk};
 use crate::faults::{DegradeLevel, FaultEvent, FaultPlan, FaultPlanError, FaultStats};
-use crate::net::{chunk_transfer_ns, control_ns, Hop};
 use crate::topology::HierarchyTree;
 use crate::trace::{ServedBy, Trace, TraceEvent};
 use cachemap_obs::{Level as ObsLevel, LinkHop, Recorder};
 use cachemap_util::stats::HitMiss;
 use cachemap_util::{Backoff, FxHashMap, XorShift64};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 /// Retry attempts per access before a transient error is forced to
@@ -314,6 +329,37 @@ struct Resources {
     tally: [EvictionTally; 3],
 }
 
+/// Where each client's misses go, read off the hierarchy tree once, so
+/// the access path never walks the tree or builds a failover list.
+struct Routes {
+    /// The I/O node of each client.
+    client_io: Vec<usize>,
+    /// The storage node of each client (via its I/O node).
+    client_storage: Vec<usize>,
+    /// The storage node above each I/O node.
+    io_storage: Vec<usize>,
+    /// Each I/O node's failover candidates: the other I/O nodes under the
+    /// same storage node, in increasing order.
+    io_siblings: Vec<Vec<usize>>,
+}
+
+impl Routes {
+    fn new(tree: &HierarchyTree, cfg: &PlatformConfig) -> Routes {
+        let client_io: Vec<usize> = (0..cfg.num_clients).map(|c| tree.io_of_client(c)).collect();
+        let io_storage: Vec<usize> = (0..cfg.num_io_nodes)
+            .map(|io| tree.storage_of_io(io))
+            .collect();
+        Routes {
+            client_storage: client_io.iter().map(|&io| io_storage[io]).collect(),
+            client_io,
+            io_storage,
+            io_siblings: (0..cfg.num_io_nodes)
+                .map(|io| tree.io_siblings(io))
+                .collect(),
+        }
+    }
+}
+
 /// Mutable fault-injection state derived from a [`FaultPlan`].
 struct FaultState {
     /// Events sorted by `(at_ns, plan order)`; applied lazily.
@@ -353,15 +399,43 @@ impl FaultState {
             recovery_ns: None,
         })
     }
+
+    /// Time of the next unapplied event; `u64::MAX` when none is left.
+    fn next_event_ns(&self) -> u64 {
+        self.events
+            .get(self.next_event)
+            .map_or(u64::MAX, FaultEvent::at_ns)
+    }
+}
+
+/// One client's progress through its op stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClientRun {
+    /// Simulated clock, ns: the start of the next op.
+    clock: u64,
+    /// Index of the next op.
+    pc: usize,
+    /// Time spent inside `Access` ops, ns.
+    io_ns: u64,
+    /// Time spent inside `Compute` ops, ns.
+    compute_ns: u64,
+    /// The `Access` at `pc` has looked up its L1 and missed; it resumes
+    /// at the L2 step when the client next reaches the top of the heap.
+    missed_l1: bool,
 }
 
 /// The discrete-event engine. Construct with [`Engine::new`], then call
 /// [`Engine::run`] once.
 pub struct Engine<'a> {
     cfg: &'a PlatformConfig,
-    tree: &'a HierarchyTree,
+    routes: Routes,
+    /// One chunk over one network link (latency plus serialization), ns.
+    chunk_ns: u64,
     res: Resources,
     faults: Option<FaultState>,
+    /// Time of the next unapplied fault event (`u64::MAX` when none):
+    /// no op runs ahead of the heap at or past it.
+    next_fault_ns: u64,
     /// Metric recorder; `Some` only when the caller attached an *enabled*
     /// recorder, so the disabled path stays structurally identical to a
     /// run without observability (mirrors the empty-`FaultPlan` fast
@@ -382,8 +456,9 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds the engine's cache/disk state for a platform.
-    pub fn new(cfg: &'a PlatformConfig, tree: &'a HierarchyTree) -> Result<Self, EngineError> {
+    /// Builds the engine's cache/disk state for a platform, and computes
+    /// the platform's costs and each client's route once.
+    pub fn new(cfg: &'a PlatformConfig, tree: &HierarchyTree) -> Result<Self, EngineError> {
         cfg.validate()?;
         if tree.num_clients() != cfg.num_clients {
             return Err(EngineError::TreeMismatch {
@@ -403,15 +478,17 @@ impl<'a> Engine<'a> {
                 .collect(),
             l2_free: vec![0; cfg.num_io_nodes],
             l3_free: vec![0; cfg.num_storage_nodes],
-            disks: (0..total_disks(cfg)).map(|_| Disk::new()).collect(),
+            disks: vec![Disk::new(cfg); total_disks(cfg)],
             disk_free: vec![0; total_disks(cfg)],
             tally: [EvictionTally::default(); 3],
         };
         Ok(Engine {
             cfg,
-            tree,
+            routes: Routes::new(tree, cfg),
+            chunk_ns: cfg.net_chunk_ns(),
             res,
             faults: None,
+            next_fault_ns: u64::MAX,
             obs: None,
             trace: None,
             max_chunk: 0,
@@ -436,6 +513,10 @@ impl<'a> Engine<'a> {
     pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Result<Self, EngineError> {
         plan.validate(self.cfg)?;
         self.faults = FaultState::from_plan(plan, self.cfg);
+        self.next_fault_ns = self
+            .faults
+            .as_ref()
+            .map_or(u64::MAX, FaultState::next_event_ns);
         Ok(self)
     }
 
@@ -506,7 +587,7 @@ impl<'a> Engine<'a> {
             .max()
             .unwrap_or(0);
 
-        let mut clock = match self.start_clocks.take() {
+        let clocks = match self.start_clocks.take() {
             Some(clocks) if clocks.len() == n => clocks,
             Some(clocks) => {
                 return Err(EngineError::StartClockMismatch {
@@ -534,75 +615,89 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let mut pc = vec![0usize; n];
-        let mut io_ns = vec![0u64; n];
-        let mut compute_ns = vec![0u64; n];
+        let mut runs: Vec<ClientRun> = clocks
+            .into_iter()
+            .map(|clock| ClientRun {
+                clock,
+                ..ClientRun::default()
+            })
+            .collect();
+        let sync_ns = self.cfg.sync_ns;
         let mut signals: FxHashMap<u32, u64> = FxHashMap::default();
         let mut parked: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
 
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
             .filter(|&c| !program.per_client[c].is_empty())
-            .map(|c| Reverse((clock[c], c)))
+            .map(|c| Reverse((runs[c].clock, c)))
             .collect();
 
-        while let Some(Reverse((t, c))) = heap.pop() {
-            debug_assert_eq!(t, clock[c]);
-            self.apply_due_faults(t);
-            let op = program.per_client[c][pc[c]];
-            pc[c] += 1;
-            let mut park = false;
-            match op {
-                ClientOp::Compute { ns } => {
-                    clock[c] += ns;
-                    compute_ns[c] += ns;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.client_compute(c, t, ns);
-                    }
-                }
+        loop {
+            let Some(mut top) = heap.peek_mut() else {
+                break;
+            };
+            let Reverse((t, c)) = *top;
+            debug_assert_eq!(t, runs[c].clock);
+            if t >= self.next_fault_ns {
+                self.apply_due_faults(t);
+            }
+            let ops = &program.per_client[c];
+            // The op at the top runs whatever it is.
+            match ops[runs[c].pc] {
+                ClientOp::Compute { ns } => self.compute(c, &mut runs[c], ns),
                 ClientOp::Access { chunk, write } => {
-                    let start = clock[c];
-                    let (end, served_by) = self.access(c, chunk, write, start);
-                    io_ns[c] += end - start;
-                    clock[c] = end;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.client_io(c, start, end - start);
-                        o.chunk_access(chunk as u64);
-                    }
-                    if let Some(tr) = &mut self.trace {
-                        tr.push(TraceEvent {
-                            time_ns: start,
-                            client: c,
-                            chunk,
-                            write,
-                            served_by,
-                        });
-                    }
+                    let run = &mut runs[c];
+                    let hit = !std::mem::take(&mut run.missed_l1)
+                        && self.l1_lookup(c, chunk, write, run.clock);
+                    self.finish_access(c, run, chunk, write, hit);
                 }
                 ClientOp::Signal { token } => {
-                    clock[c] += self.cfg.sync_ns;
-                    let prev = signals.insert(token, clock[c]);
-                    if prev.is_some() {
+                    let run = &mut runs[c];
+                    run.pc += 1;
+                    run.clock += sync_ns;
+                    let at = run.clock;
+                    let more = run.pc < ops.len();
+                    if signals.insert(token, at).is_some() {
                         return Err(EngineError::DuplicateSignal { token });
                     }
                     if let Some(waiters) = parked.remove(&token) {
+                        // The waiters enter the heap, and at `sync_ns = 0`
+                        // a lower-numbered one sorts ahead of the
+                        // signaller: it leaves the top and re-enters at
+                        // its clock.
+                        PeekMut::pop(top);
                         for w in waiters {
-                            clock[w] = clock[w].max(clock[c]) + self.cfg.sync_ns;
-                            heap.push(Reverse((clock[w], w)));
+                            let run = &mut runs[w];
+                            run.clock = run.clock.max(at) + sync_ns;
+                            if run.pc < program.per_client[w].len() {
+                                heap.push(Reverse((run.clock, w)));
+                            }
                         }
+                        if more {
+                            heap.push(Reverse((at, c)));
+                        }
+                        continue;
                     }
                 }
                 ClientOp::Wait { token } => {
+                    let run = &mut runs[c];
+                    run.pc += 1;
                     if let Some(&ts) = signals.get(&token) {
-                        clock[c] = clock[c].max(ts) + self.cfg.sync_ns;
+                        run.clock = run.clock.max(ts) + sync_ns;
                     } else {
-                        // Park: will be re-queued by the matching Signal.
+                        // Park: the matching Signal re-queues the client.
                         parked.entry(token).or_default().push(c);
-                        park = true;
+                        PeekMut::pop(top);
+                        continue;
                     }
                 }
             }
-            if !park && pc[c] < program.per_client[c].len() {
-                heap.push(Reverse((clock[c], c)));
+            let run = &mut runs[c];
+            self.run_ahead(c, run, ops);
+            if run.pc < ops.len() {
+                // Re-key in place: one sift instead of a pop and a push.
+                *top = Reverse((run.clock, c));
+            } else {
+                PeekMut::pop(top);
             }
         }
 
@@ -613,9 +708,9 @@ impl<'a> Engine<'a> {
         }
 
         let mut stats = RunStats {
-            per_client_io_ns: io_ns,
-            per_client_compute_ns: compute_ns,
-            per_client_finish_ns: clock,
+            per_client_io_ns: runs.iter().map(|r| r.io_ns).collect(),
+            per_client_compute_ns: runs.iter().map(|r| r.compute_ns).collect(),
+            per_client_finish_ns: runs.iter().map(|r| r.clock).collect(),
             ..RunStats::default()
         };
         for c in &self.res.l1 {
@@ -666,7 +761,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Applies every scheduled fault event whose time has been reached.
-    /// Runs at each heap pop, so events fire in global-time order.
+    /// Runs at heap visits, so events fire in global-time order, each
+    /// before any op that starts at or after it.
     fn apply_due_faults(&mut self, now: u64) {
         let Some(f) = self.faults.as_mut() else {
             return;
@@ -677,6 +773,7 @@ impl<'a> Engine<'a> {
                 break;
             }
             f.next_event += 1;
+            self.next_fault_ns = f.next_event_ns();
             match ev {
                 FaultEvent::IoNodeCrash { io, at_ns } => {
                     if f.io_alive[io] {
@@ -735,7 +832,7 @@ impl<'a> Engine<'a> {
                     match level {
                         DegradeLevel::Client => {
                             let evicted = self.res.l1[node].set_capacity(capacity_chunks);
-                            let io = self.tree.io_of_client(node);
+                            let io = self.routes.client_io[node];
                             for (victim, dirty) in evicted {
                                 self.res.tally[0].bump(dirty);
                                 if let Some(o) = self.obs.as_deref_mut() {
@@ -747,9 +844,9 @@ impl<'a> Engine<'a> {
                                         &mut self.res,
                                         f,
                                         self.cfg,
-                                        self.tree,
                                         self.obs.as_deref_mut(),
                                         io,
+                                        self.routes.io_storage[io],
                                         victim,
                                         t,
                                     );
@@ -758,7 +855,7 @@ impl<'a> Engine<'a> {
                         }
                         DegradeLevel::Io => {
                             let evicted = self.res.l2[node].set_capacity(capacity_chunks);
-                            let s = self.tree.storage_of_io(node);
+                            let s = self.routes.io_storage[node];
                             for (victim, dirty) in evicted {
                                 self.res.tally[1].bump(dirty);
                                 if let Some(o) = self.obs.as_deref_mut() {
@@ -814,10 +911,9 @@ impl<'a> Engine<'a> {
             Some(f) => {
                 // Fail over to the lowest-indexed surviving sibling
                 // under the same storage parent.
-                let sibling = self
-                    .tree
-                    .io_siblings(io)
-                    .into_iter()
+                let sibling = self.routes.io_siblings[io]
+                    .iter()
+                    .copied()
                     .find(|&x| f.io_alive[x]);
                 (sibling, true)
             }
@@ -853,7 +949,7 @@ impl<'a> Engine<'a> {
 
     /// Disk read service time including any degradation factor.
     fn disk_read_service(&mut self, di: usize, chunk: Chunk) -> u64 {
-        let base = self.res.disks[di].read(chunk, self.cfg);
+        let base = self.res.disks[di].read(chunk);
         base * self.disk_factor(di)
     }
 
@@ -869,30 +965,99 @@ impl<'a> Engine<'a> {
     fn disk_writeback(&mut self, victim: Chunk, t: u64) -> u64 {
         let di = disk_index(victim, self.cfg);
         let start = t.max(self.res.disk_free[di]);
-        let service = self.res.disks[di].write(victim, self.cfg) * self.disk_factor(di);
+        let service = self.res.disks[di].write(victim) * self.disk_factor(di);
         self.res.disk_free[di] = start + service;
         start + service
     }
 
-    /// Executes one chunk access for client `c` starting at time `t`;
-    /// returns the completion time and the level that served the data.
-    fn access(&mut self, c: usize, chunk: Chunk, write: bool, t: u64) -> (u64, ServedBy) {
-        let cfg = self.cfg;
-        let mut t = t + cfg.cache_access_ns; // L1 lookup
-        let l1_hit = self.res.l1[c].access(chunk, write);
+    /// Runs one `Compute` op of client `c`.
+    fn compute(&mut self, c: usize, run: &mut ClientRun, ns: u64) {
         if let Some(o) = self.obs.as_deref_mut() {
-            o.cache_access(ObsLevel::L1, c, t, l1_hit);
+            o.client_compute(c, run.clock, ns);
         }
-        if l1_hit {
-            return (t, ServedBy::L1);
+        run.clock += ns;
+        run.compute_ns += ns;
+        run.pc += 1;
+    }
+
+    /// Runs client `c` on from the top of the heap through its private
+    /// ops — computes, and accesses that hit its L1 — while they start
+    /// before the next unapplied fault event. Stops at the first shared
+    /// op: a `Signal`, a `Wait`, or an access that missed its L1, which
+    /// stays pending with the miss counted.
+    fn run_ahead(&mut self, c: usize, run: &mut ClientRun, ops: &[ClientOp]) {
+        while run.pc < ops.len() && run.clock < self.next_fault_ns {
+            match ops[run.pc] {
+                ClientOp::Compute { ns } => self.compute(c, run, ns),
+                ClientOp::Access { chunk, write } => {
+                    if !self.l1_lookup(c, chunk, write, run.clock) {
+                        run.missed_l1 = true;
+                        return;
+                    }
+                    self.finish_access(c, run, chunk, write, true);
+                }
+                ClientOp::Signal { .. } | ClientOp::Wait { .. } => return,
+            }
         }
+    }
+
+    /// Looks `chunk` up in client `c`'s L1 for an access starting at
+    /// `start`; counts the hit or miss.
+    fn l1_lookup(&mut self, c: usize, chunk: Chunk, write: bool, start: u64) -> bool {
+        let hit = self.res.l1[c].access(chunk, write);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.cache_access(ObsLevel::L1, c, start + self.cfg.cache_access_ns, hit);
+        }
+        hit
+    }
+
+    /// Completes the access at `run.pc`, whose L1 lookup has been made,
+    /// and advances the client past it.
+    fn finish_access(
+        &mut self,
+        c: usize,
+        run: &mut ClientRun,
+        chunk: Chunk,
+        write: bool,
+        l1_hit: bool,
+    ) {
+        let start = run.clock;
+        let t = start + self.cfg.cache_access_ns;
+        let (end, served_by) = if l1_hit {
+            (t, ServedBy::L1)
+        } else {
+            self.remote(c, chunk, write, t)
+        };
+        run.pc += 1;
+        run.io_ns += end - start;
+        run.clock = end;
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.client_io(c, start, end - start);
+            o.chunk_access(chunk as u64);
+        }
+        if let Some(tr) = &mut self.trace {
+            tr.push(TraceEvent {
+                time_ns: start,
+                client: c,
+                chunk,
+                write,
+                served_by,
+            });
+        }
+    }
+
+    /// Serves an L1 miss of client `c` from the L2 step on, at time `t`
+    /// after the L1 lookup; returns the completion time and the level
+    /// that served the data.
+    fn remote(&mut self, c: usize, chunk: Chunk, write: bool, mut t: u64) -> (u64, ServedBy) {
+        let cfg = self.cfg;
         // The access leaves the client: transient errors may hit the
         // request and are retried with backoff before it proceeds.
         t = self.transient_retries(c, t);
 
         let mut served_by = ServedBy::L2;
-        let io_home = self.tree.io_of_client(c);
-        t += control_ns(Hop::ClientIo, cfg);
+        let io_home = self.routes.client_io[c];
+        t += cfg.net_hop_ns;
         let (io_route, mut failed_over) = self.route_io(io_home);
         // Transfers on the client⇄io and io⇄storage paths are attributed
         // to the home I/O node even when failover bypassed it, so link
@@ -903,7 +1068,7 @@ impl<'a> Engine<'a> {
         if let Some(io) = io_route {
             if io != io_home {
                 // Redirect hop to the failover sibling.
-                t += control_ns(Hop::ClientIo, cfg);
+                t += cfg.net_hop_ns;
             }
             t = self.serve_l2(io, t);
             l2_hit = self.res.l2[io].access(chunk, false);
@@ -913,8 +1078,8 @@ impl<'a> Engine<'a> {
         }
         if !l2_hit {
             // L2 miss (or no surviving L2) → storage node on the path.
-            let s = self.tree.storage_of_client(c);
-            t += control_ns(Hop::IoStorage, cfg);
+            let s = self.routes.client_storage[c];
+            t += cfg.net_hop_ns;
             let storage_alive = self.storage_is_alive(s);
             let mut l3_hit = false;
             if storage_alive {
@@ -934,7 +1099,7 @@ impl<'a> Engine<'a> {
                 // L3 miss → disk of the striping owner.
                 let owner = owner_of_chunk(chunk, cfg);
                 if owner != s {
-                    t += control_ns(Hop::StoragePeer, cfg);
+                    t += cfg.net_hop_ns;
                 }
                 let di = disk_index(chunk, cfg);
                 let start = t.max(self.res.disk_free[di]);
@@ -942,7 +1107,7 @@ impl<'a> Engine<'a> {
                 t = start + service;
                 self.res.disk_free[di] = t;
                 if owner != s {
-                    t += chunk_transfer_ns(Hop::StoragePeer, cfg);
+                    t += self.chunk_ns;
                     if let Some(o) = self.obs.as_deref_mut() {
                         o.link_transfer(LinkHop::StoragePeer, owner, s, cfg.chunk_bytes);
                     }
@@ -959,7 +1124,7 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            t += chunk_transfer_ns(Hop::IoStorage, cfg);
+            t += self.chunk_ns;
             if let Some(o) = self.obs.as_deref_mut() {
                 o.link_transfer(LinkHop::IoStorage, s, io_link, cfg.chunk_bytes);
             }
@@ -968,7 +1133,7 @@ impl<'a> Engine<'a> {
                 t = self.fill_l2(io, chunk, false, t);
             }
         }
-        t += chunk_transfer_ns(Hop::ClientIo, cfg);
+        t += self.chunk_ns;
         if let Some(o) = self.obs.as_deref_mut() {
             o.link_transfer(LinkHop::ClientIo, io_link, c, cfg.chunk_bytes);
         }
@@ -988,7 +1153,7 @@ impl<'a> Engine<'a> {
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L1, c, t, true);
                 }
-                t += chunk_transfer_ns(Hop::ClientIo, cfg);
+                t += self.chunk_ns;
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.link_transfer(LinkHop::ClientIo, c, io_link, cfg.chunk_bytes);
                 }
@@ -996,8 +1161,8 @@ impl<'a> Engine<'a> {
                     t = self.serve_l2(io, t);
                     t = self.fill_l2(io, victim, true, t);
                 } else {
-                    let s = self.tree.storage_of_client(c);
-                    t += chunk_transfer_ns(Hop::IoStorage, cfg);
+                    let s = self.routes.client_storage[c];
+                    t += self.chunk_ns;
                     if let Some(o) = self.obs.as_deref_mut() {
                         o.link_transfer(LinkHop::IoStorage, io_link, s, cfg.chunk_bytes);
                     }
@@ -1085,8 +1250,8 @@ impl<'a> Engine<'a> {
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L2, io, t, true);
                 }
-                let s = self.tree.storage_of_io(io);
-                t += chunk_transfer_ns(Hop::IoStorage, self.cfg);
+                let s = self.routes.io_storage[io];
+                t += self.chunk_ns;
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.link_transfer(LinkHop::IoStorage, io, s, self.cfg.chunk_bytes);
                 }
@@ -1123,18 +1288,19 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Asynchronous degrade-time write-back into an L2 cache (free function
-/// so [`Engine::apply_due_faults`] can borrow `FaultState` alongside the
-/// resources). Cascades a dirty victim toward L3/disk like
-/// [`Engine::fill_l2`], without charging any client.
+/// Asynchronous degrade-time write-back into the L2 cache of I/O node
+/// `io` (free function so [`Engine::apply_due_faults`] can borrow
+/// `FaultState` alongside the resources). Cascades a dirty victim toward
+/// `io`'s storage node `s` like [`Engine::fill_l2`], without charging any
+/// client.
 #[allow(clippy::too_many_arguments)]
 fn write_back_l2(
     res: &mut Resources,
     f: &FaultState,
     cfg: &PlatformConfig,
-    tree: &HierarchyTree,
     mut obs: Option<&mut Recorder>,
     io: usize,
+    s: usize,
     chunk: Chunk,
     t: u64,
 ) {
@@ -1152,7 +1318,6 @@ fn write_back_l2(
             if let Some(o) = obs.as_deref_mut() {
                 o.eviction(ObsLevel::L2, io, t, true);
             }
-            let s = tree.storage_of_io(io);
             let free = res.l2_free[io];
             write_back_l3(res, f, cfg, obs, s, victim, free);
         }
@@ -1203,7 +1368,7 @@ fn write_back_disk(
 ) {
     let di = disk_index(chunk, cfg);
     let start = t.max(res.disk_free[di]);
-    let service = res.disks[di].write(chunk, cfg) * f.disk_factor[di / cfg.disks_per_node];
+    let service = res.disks[di].write(chunk) * f.disk_factor[di / cfg.disks_per_node];
     res.disk_free[di] = start + service;
 }
 
@@ -1393,6 +1558,20 @@ mod tests {
         ];
         let stats = run(&cfg, &tree, &prog);
         assert!(stats.per_client_finish_ns[1] >= 5_000_000);
+    }
+
+    #[test]
+    fn a_wait_that_ends_a_stream_finishes_at_the_signal() {
+        let (cfg, tree) = tiny();
+        let mut prog = MappedProgram::new(cfg.num_clients);
+        prog.per_client[0] = vec![
+            ClientOp::Compute { ns: 1_000_000 },
+            ClientOp::Signal { token: 4 },
+        ];
+        prog.per_client[1] = vec![ClientOp::Wait { token: 4 }];
+        let stats = run(&cfg, &tree, &prog);
+        // Client 1 parks at time 0 and has nothing left once woken.
+        assert_eq!(stats.per_client_finish_ns[1], 1_000_000 + 2 * cfg.sync_ns);
     }
 
     #[test]

@@ -11,16 +11,18 @@
 //! * [`topology`] — the storage cache hierarchy tree of Figure 1/Section 4.3
 //!   (client L1 → I/O node L2 → storage node L3, dummy root when there are
 //!   multiple storage nodes), with the affinity queries the mapper needs;
-//! * [`cache`] — chunk-granularity caches with pluggable replacement
-//!   (LRU as in the paper, FIFO/LFU for ablations), write-allocate and
-//!   write-back dirty eviction;
+//! * [`cache`] — chunk-granularity caches behind the [`cache::ChunkCache`]
+//!   trait, with five replacement policies (LRU as in the paper; FIFO,
+//!   LFU, SLRU and LFUDA for ablations and the policy advisor),
+//!   write-allocate and write-back dirty eviction;
 //! * [`disk`] — seek + rotational-delay + transfer disk model with
 //!   sequential-access detection, PVFS-style striping across storage
 //!   nodes;
-//! * [`net`] — per-hop link latency/bandwidth between layers;
-//! * [`engine`] — a deterministic discrete-event engine that interleaves
-//!   the per-client operation streams in global time order, modelling
-//!   contention at shared caches and disks;
+//! * [`engine`] — a deterministic discrete-event engine that serves the
+//!   per-client operation streams' shared work (L1 misses, signals and
+//!   waits) in global time order, modelling contention at shared caches
+//!   and disks, while each client runs ahead through its computes and L1
+//!   hits; per-hop link latency and bandwidth are part of its cost table;
 //! * [`trace`] — optional access-trace capture and Mattson
 //!   reuse-distance analysis (drives the calibration discussion in
 //!   EXPERIMENTS.md);
@@ -50,7 +52,6 @@ pub mod disk;
 pub mod engine;
 pub mod faults;
 pub mod l2store;
-pub mod net;
 pub mod sim;
 pub mod supervisor;
 pub mod topology;
