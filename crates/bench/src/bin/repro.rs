@@ -10,11 +10,6 @@
 //! mapping-cost resilience`, plus the diagnostics `detail:<app>` and
 //! `clients:<app>`.
 //!
-//! Chaos: `repro chaos[:<seed>[:<plans>]]` runs a seeded fault-plan
-//! campaign against the online supervisor and checks four invariants
-//! per plan; violated plans are shrunk to minimal `chaos_repro_*.json`
-//! files, which `repro chaos-replay <file...>` re-runs byte-for-byte.
-//!
 //! Each experiment prints a paper-style table and archives the raw
 //! numbers under `reports/<id>.json`; with `--test-scale`, under
 //! `reports/test-scale/<id>.json` instead.
@@ -149,9 +144,6 @@ fn usage() -> String {
      \x20 trace <file...>               render request traces / flight\n\
      \x20                               dumps (flight-*.json, trace-op\n\
      \x20                               replies, map response lines)\n\
-     fault injection:\n\
-     \x20 chaos[:<seed>[:<plans>]]      seeded fault-plan campaign\n\
-     \x20 chaos-replay <file...>        re-run shrunk repro plans\n\
      mapping service:\n\
      \x20 serve[:<addr>]                long-running epoll mapping server\n\
      \x20                               (default 127.0.0.1:7411;\n\
@@ -182,8 +174,8 @@ fn usage() -> String {
      help:\n\
      \x20 help | --help | -h            this screen\n\
      environment:\n\
-     \x20 CACHEMAP_THREADS=<n>          worker pool of the suite, advisor\n\
-     \x20                               and chaos sweeps (default: all\n\
+     \x20 CACHEMAP_THREADS=<n>          worker pool of the suite and\n\
+     \x20                               advisor sweeps (default: all\n\
      \x20                               cores; results are identical)"
         .to_string()
 }
@@ -234,8 +226,6 @@ enum Cmd {
     Reuse(Application),
     /// `obs-export[:<app>]`: one fully observed run.
     ObsExport(Application),
-    /// `chaos[:<seed>[:<plans>]]`.
-    Chaos(cachemap_bench::chaos::ChaosConfig),
     /// Hidden `idle-hold:<addr>:<count>`.
     IdleHold(String, usize),
     /// `serve-open[:<rps>[:<secs>]]`.
@@ -279,18 +269,6 @@ fn parse(arg: &str, scale: Scale) -> Cmd {
     }
     if arg == "obs-export" || arg.starts_with("obs-export:") {
         return Cmd::ObsExport(app(arg.strip_prefix("obs-export:").unwrap_or("contour")));
-    }
-    if arg == "chaos" || arg.starts_with("chaos:") {
-        let mut parts = arg.splitn(3, ':').skip(1);
-        let seed: u64 = parts.next().map_or(42, |p| {
-            p.parse().unwrap_or_else(|_| bad_arg("chaos seed", p))
-        });
-        let mut cfg = cachemap_bench::chaos::ChaosConfig::with_seed(seed);
-        if let Some(p) = parts.next() {
-            cfg.plans = p.parse().unwrap_or_else(|_| bad_arg("chaos budget", p));
-        }
-        cfg.scale = scale;
-        return Cmd::Chaos(cfg);
     }
     if let Some(rest) = arg.strip_prefix("idle-hold:") {
         let (addr, count) = rest
@@ -432,39 +410,6 @@ fn main() {
         }
         return;
     }
-    // `repro chaos-replay <path...>` re-runs shrunk chaos plans; the
-    // remaining arguments are repro files, not experiment names.
-    if wanted[0] == "chaos-replay" {
-        if wanted.len() < 2 {
-            eprintln!("usage: repro chaos-replay <chaos_repro_*.json...>");
-            std::process::exit(2);
-        }
-        let mut all_reproduced = true;
-        for path in &wanted[1..] {
-            match cachemap_bench::chaos::replay(std::path::Path::new(path)) {
-                Ok(outcome) => {
-                    if outcome.reproduced() {
-                        println!(
-                            "{path}: failure reproduced ({})",
-                            outcome.observed.join("; ")
-                        );
-                    } else {
-                        all_reproduced = false;
-                        println!(
-                            "{path}: NOT reproduced — recorded [{}], observed [{}]",
-                            outcome.recorded.join("; "),
-                            outcome.observed.join("; ")
-                        );
-                    }
-                }
-                Err(e) => {
-                    all_reproduced = false;
-                    eprintln!("{path}: {e}");
-                }
-            }
-        }
-        std::process::exit(if all_reproduced { 0 } else { 1 });
-    }
     let scale = if test_scale {
         Scale::Test
     } else {
@@ -575,23 +520,6 @@ fn main() {
             Cmd::Paper("resilience") => {
                 eprintln!("[resilience: mid-run I/O-node crash, remap vs failover ...]");
                 emit(&[experiments::resilience(scale, &platform)], test_scale);
-                eprintln!("[resilience-online: supervised epochs, oracle-free detection ...]");
-                let online = experiments::resilience_online(scale, &platform);
-                for (app, cells) in &online.rows {
-                    // cells: unremapped, online, detect latency (ns), remaps.
-                    if cells[2] >= 0.0 {
-                        println!(
-                            "   detection latency {app}: {:.3} ms simulated ({} remap{})",
-                            cells[2] / 1e6,
-                            cells[3] as u64,
-                            if cells[3] as u64 == 1 { "" } else { "s" }
-                        );
-                    } else {
-                        println!("   detection latency {app}: crash never detected");
-                    }
-                }
-                println!();
-                emit(&[online], test_scale);
                 let artifact = cachemap_bench::obs::resilience_observed(scale, &platform);
                 let label = artifact.meta.label.clone();
                 match cachemap_bench::write_obs_artifact(&label, &artifact) {
@@ -603,51 +531,6 @@ fn main() {
                 }
             }
             Cmd::Paper(name) => unreachable!("{name} is not in ALL"),
-            Cmd::Chaos(cfg) => {
-                eprintln!(
-                    "[chaos: seed {}, {} randomized fault plans, 4 invariants ...]",
-                    cfg.seed, cfg.plans
-                );
-                let report = cachemap_bench::chaos::run_campaign(&cfg, |p| {
-                    let verdict = if p.violations.is_empty() {
-                        "ok".to_string()
-                    } else {
-                        format!("VIOLATED: {}", p.violations.join("; "))
-                    };
-                    println!(
-                        "  plan {:>3} {:<10} {} event{}{}: {verdict}",
-                        p.index,
-                        p.app,
-                        p.events,
-                        if p.events == 1 { "" } else { "s" },
-                        if p.transient { " + transients" } else { "" },
-                    );
-                });
-                if report.clean() {
-                    println!(
-                        "chaos campaign clean: {} plans, zero invariant violations",
-                        report.plans.len()
-                    );
-                } else {
-                    for f in &report.failures {
-                        eprintln!(
-                            "plan {} ({}) failed after shrinking to {} event(s): {}",
-                            f.plan_index,
-                            f.app,
-                            f.shrunk.events.len(),
-                            f.violations.join("; ")
-                        );
-                        if let Some(p) = &f.repro_path {
-                            eprintln!(
-                                "  repro: {} (replay with `repro chaos-replay {}`)",
-                                p.display(),
-                                p.display()
-                            );
-                        }
-                    }
-                    std::process::exit(1);
-                }
-            }
             Cmd::ObsExport(app) => {
                 let name = app.name;
                 eprintln!("[obs-export: observed {name} inter-processor+sched run …]");

@@ -885,99 +885,6 @@ pub fn resilience(scale: Scale, platform: &PlatformConfig) -> Matrix {
     m
 }
 
-/// Online variant of the resilience experiment: storage group 0's whole
-/// rack — its I/O nodes *and* its storage node — fails mid-run, and
-/// nobody tells the mapper. The affected clients limp along direct to
-/// disk (no L2, no L3). The [`cachemap_core::online`] supervisor runs
-/// the inter-processor plan in epochs, infers the crash at an epoch
-/// boundary purely from engine observations (failover events + the
-/// nodes' L2 series going silent — it never reads the `FaultPlan`),
-/// live-remaps the remaining iterations onto the surviving clusters with
-/// `cluster::remap_incremental`, and resumes from the checkpoint. The
-/// unremapped run of the *same* plan under the *same* fault plan is the
-/// baseline it must beat.
-pub fn resilience_online(scale: Scale, platform: &PlatformConfig) -> Matrix {
-    use cachemap_core::cluster::ClusterParams;
-    use cachemap_core::online::{plan_joint, run_online, OnlineConfig};
-    use cachemap_core::schedule::ScheduleParams;
-    use cachemap_storage::{FaultEvent, FaultPlan, HierarchyTree, Simulator};
-
-    let mut m = Matrix::new(
-        "resilience-online",
-        "Online supervisor vs unremapped run, same mid-run I/O-group crash (no oracle)",
-        vec![
-            "app".into(),
-            "unremapped (ms)".into(),
-            "online (ms)".into(),
-            "detect latency (ns)".into(),
-            "remaps".into(),
-        ],
-        CellFormat::Plain,
-    );
-    let tree = HierarchyTree::from_config(platform).expect("valid platform config");
-    let crashed_ios: Vec<usize> = (0..platform.num_io_nodes)
-        .filter(|&io| tree.storage_of_io(io) == 0)
-        .collect();
-    for app in cachemap_workloads::suite(scale) {
-        let data = cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
-        let (chunks, dist) = plan_joint(
-            &app.program,
-            &data,
-            &tree,
-            &ClusterParams::default(),
-            &ScheduleParams::default(),
-        );
-        let full = cachemap_core::codegen::lower_distribution(&dist, &chunks, &app.program, &data);
-
-        // Crash a tenth of the way into the fault-free run of this plan:
-        // early enough that most of the work is still outstanding, which
-        // is the regime where live remapping can pay.
-        let clean = Simulator::new(platform.clone())
-            .expect("valid platform config")
-            .run(&full)
-            .expect("well-formed mapped program");
-        let at_ns = (clean.exec_time_ns / 10).max(1);
-        let mut plan =
-            FaultPlan::new().with_event(FaultEvent::StorageNodeCrash { storage: 0, at_ns });
-        for &io in &crashed_ios {
-            plan = plan.with_event(FaultEvent::IoNodeCrash { io, at_ns });
-        }
-        let sim = Simulator::new(platform.clone())
-            .expect("valid platform config")
-            .with_fault_plan(plan)
-            .expect("plan fits the platform");
-
-        let unremapped = sim.run(&full).expect("well-formed mapped program");
-        let cfg = OnlineConfig {
-            // Shorter epochs keep the crash epoch's healthy prefix from
-            // diluting the limp-rate sample the remap gate judges with.
-            epochs: 6,
-            // Fine-grained series so the silence check resolves within
-            // the crash epoch, sized to stay compact at every scale.
-            bucket_ns: (clean.exec_time_ns / 5000).max(20_000),
-            ..OnlineConfig::default()
-        };
-        let online = run_online(&sim, &app.program, &data, &chunks, &dist, &cfg)
-            .expect("online supervised run completes");
-        let latency = online
-            .detection_latency_ns(at_ns)
-            .map_or(-1.0, |l| l as f64);
-        m.row(
-            app.name,
-            vec![
-                unremapped.exec_time_ns as f64 / 1e6,
-                online.exec_time_ms(),
-                latency,
-                online.remaps as f64,
-            ],
-        );
-    }
-    m.note("detect latency = simulated ns from fault injection to the supervisor's Down verdict");
-    m.note("the supervisor sees only engine observations, never the fault plan");
-    m.note("remaps = 0 means the cost gate predicted limping beats shifting the orphans");
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1021,39 +928,6 @@ mod tests {
     fn multinest_covers_multi_nest_apps() {
         let m = multinest(Scale::Test, &test_platform());
         assert_eq!(m.rows.len(), 2);
-    }
-
-    #[test]
-    fn resilience_online_beats_unremapped_and_measures_latency() {
-        let m = resilience_online(Scale::Test, &test_platform());
-        assert_eq!(m.rows.len(), 8);
-        // Columns: unremapped, online, detect latency, remaps.
-        let means = m.column_means();
-        assert!(
-            means[1] < means[0],
-            "online supervisor must beat the unremapped run on average: {means:?}"
-        );
-        let mut remaps_total = 0.0;
-        for (app, cells) in &m.rows {
-            // The cost gate makes the supervisor do no harm per app: it
-            // only shifts orphans when the model predicts a win, so the
-            // worst case is tracking the unremapped run (plus noise from
-            // epoch-boundary flushes, hence the small tolerance).
-            assert!(
-                cells[1] <= cells[0] * 1.02,
-                "{app}: online may not lose to the unremapped run: {cells:?}"
-            );
-            assert!(
-                cells[2] > 0.0,
-                "{app}: the crash must be detected without the oracle: {cells:?}"
-            );
-            remaps_total += cells[3];
-        }
-        assert!(
-            remaps_total >= 1.0,
-            "at least one app must live-remap: {:?}",
-            m.rows
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This crate contains the shared machinery behind the `repro` binary:
 //! one subcommand per table/figure of the paper's Section 5, plus the
-//! service, policy-advisor and chaos campaigns. The central entry point
+//! service and policy-advisor campaigns. The central entry point
 //! is [`run_cell`]: map one application with one version on one
 //! platform, simulate it, and return the [`SimReport`]. Everything above
 //! that is sweep + formatting logic.
@@ -16,7 +16,6 @@ use cachemap_storage::{HierarchyTree, PlatformConfig, SimReport, Simulator};
 use cachemap_workloads::{Application, Scale};
 
 pub mod advisor;
-pub mod chaos;
 pub mod experiments;
 pub mod obs;
 pub mod open_loop;

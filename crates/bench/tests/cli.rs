@@ -9,10 +9,9 @@ fn malformed_arguments_exit_2_without_panicking_or_writing() {
     let dir = std::env::temp_dir().join(format!("cachemap-repro-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["detail:nosuchapp"], "repro: bad "),
         (&["advisor:x"], "repro: bad "),
-        (&["chaos:1:x"], "repro: bad "),
         (&["serve-open:x"], "repro: bad "),
         (&["--test-scale", "table2", "advisor:x"], "repro: bad "),
         (

@@ -1048,115 +1048,6 @@ pub fn remap_failed(
     Ok(out)
 }
 
-/// Incremental failure-aware remapping for the online supervisor's live
-/// remap: in contrast to [`remap_failed`], the survivors **keep their
-/// own remaining items untouched** (preserving the cache affinity they
-/// have already built up mid-run) and only the failed clients' remaining
-/// items are reassigned. Instead of re-running the full Figure 5
-/// clustering, each survivor's **tag aggregate** — the [`CountVec`] sum
-/// over its remaining items, exactly the cluster tag Stage 1 maintained —
-/// is reused: every orphan item goes to the survivor with the highest
-/// tag dot-product whose post-assignment load stays within the `BThres`
-/// cap (`mean · (1 + balance_threshold)` over the survivors), ties
-/// broken by lower load, then lower client index. When no survivor fits
-/// under the cap the affinity winner takes the item anyway, so the remap
-/// always terminates with every orphan placed.
-///
-/// `remaining` holds each client's **not-yet-executed** items in the
-/// original client numbering; the result uses the same numbering, with
-/// failed clients left empty.
-///
-/// # Errors
-/// See [`RemapError`]; an empty `failed` returns `remaining` unchanged.
-pub fn remap_incremental(
-    remaining: &Distribution,
-    chunks: &[IterationChunk],
-    tree: &HierarchyTree,
-    failed: &[usize],
-    params: &ClusterParams,
-) -> Result<Distribution, RemapError> {
-    if remaining.per_client.len() != tree.num_clients() {
-        return Err(RemapError::ClientCountMismatch {
-            distribution_clients: remaining.per_client.len(),
-            tree_clients: tree.num_clients(),
-        });
-    }
-    for items in &remaining.per_client {
-        for item in items {
-            if item.chunk >= chunks.len() {
-                return Err(RemapError::ChunkIndexOutOfRange {
-                    chunk: item.chunk,
-                    num_chunks: chunks.len(),
-                });
-            }
-        }
-    }
-    if failed.is_empty() {
-        return Ok(remaining.clone());
-    }
-    // Reuse the prune validation (bad indices, no survivors) without
-    // keeping the pruned tree — the incremental path never re-clusters.
-    let _ = tree.prune_clients(failed)?;
-
-    let n = remaining.per_client.len();
-    let mut is_failed = vec![false; n];
-    for &c in failed {
-        is_failed[c] = true;
-    }
-    let r = chunks.first().map_or(0, |c| c.tag.len());
-
-    let mut out = Distribution {
-        per_client: vec![Vec::new(); n],
-    };
-    let mut tags: Vec<CountVec> = (0..n).map(|_| CountVec::new(r)).collect();
-    let mut load = vec![0u64; n];
-    let mut orphans: Vec<WorkItem> = Vec::new();
-    for (c, items) in remaining.per_client.iter().enumerate() {
-        if is_failed[c] {
-            orphans.extend(items.iter().copied());
-        } else {
-            for it in items {
-                tags[c].add_bitset(&chunks[it.chunk].tag);
-                load[c] += it.len() as u64;
-            }
-            out.per_client[c] = items.clone();
-        }
-    }
-    if orphans.is_empty() {
-        return Ok(out);
-    }
-    // Deterministic placement order independent of which client held an
-    // orphan: earliest iterations first.
-    orphans.sort_by_key(|it| (it.chunk, it.start));
-
-    let survivors: Vec<usize> = (0..n).filter(|&c| !is_failed[c]).collect();
-    let total: u64 =
-        load.iter().sum::<u64>() + orphans.iter().map(|it| it.len() as u64).sum::<u64>();
-    let mean = total as f64 / survivors.len() as f64;
-    let cap = (mean * (1.0 + params.balance_threshold)).ceil() as u64;
-
-    for it in orphans {
-        let tag = &chunks[it.chunk].tag;
-        let mut best = survivors[0];
-        let mut best_key = (false, 0u64, u64::MAX);
-        for &s in &survivors {
-            let under_cap = load[s] + it.len() as u64 <= cap;
-            let affinity = tags[s].dot_bitset(tag);
-            // Prefer fitting under the cap, then affinity, then the
-            // lighter client; the ascending scan settles index ties low.
-            let key = (under_cap, affinity, u64::MAX - load[s]);
-            if key > best_key {
-                best_key = key;
-                best = s;
-            }
-        }
-        load[best] += it.len() as u64;
-        tags[best].add_bitset(tag);
-        out.per_client[best].push(it);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1443,127 +1334,6 @@ mod tests {
             remap_failed(&bogus, &chunks, &tree, &[0], &params, &mut off),
             Err(RemapError::ChunkIndexOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn incremental_remap_preserves_survivor_items_and_covers_orphans() {
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams::default();
-        let dist = distribute(&chunks, &tree, &params);
-        let before = covered(&dist);
-
-        let remapped = remap_incremental(&dist, &chunks, &tree, &[0], &params).unwrap();
-        assert!(remapped.per_client[0].is_empty());
-        // Exact partition is preserved.
-        assert_eq!(covered(&remapped), before);
-        // Unlike the full re-cluster, every survivor keeps its original
-        // items as a prefix — mid-run state stays valid.
-        for c in [1, 2, 3] {
-            assert!(
-                remapped.per_client[c].starts_with(&dist.per_client[c]),
-                "client {c} must keep its own remaining items in place"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_remap_follows_tag_affinity() {
-        // Figure 9/17 clustering puts one tag family per I/O-node pair.
-        // When one member of a pair fails, its items share chunks with
-        // its partner's — the aggregate-tag greedy must send every
-        // orphan iteration to a client of the same family when the cap
-        // allows, never to the unrelated family.
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams {
-            // Loose cap: affinity alone decides.
-            balance_threshold: 1.0,
-            ..ClusterParams::default()
-        };
-        let dist = distribute(&chunks, &tree, &params);
-        // Find the partner of client 0: the other client whose chunks
-        // overlap the same family (clients 0,1 share I/O node 0 and the
-        // clustering keeps a family within the pair).
-        let fam0: Vec<usize> = dist.per_client[0].iter().map(|it| it.chunk).collect();
-        let remapped = remap_incremental(&dist, &chunks, &tree, &[0], &params).unwrap();
-        // All of client 0's items must land on client 1 (same family,
-        // highest dot product), not on the other I/O node's family.
-        let added_to_1 = remapped.per_client[1].len() - dist.per_client[1].len();
-        assert_eq!(
-            added_to_1,
-            dist.per_client[0].len(),
-            "family partner must absorb the orphans (orphan chunks {fam0:?})"
-        );
-    }
-
-    #[test]
-    fn incremental_remap_respects_balance_cap_when_spreading() {
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams::default(); // 10% threshold
-        let dist = distribute(&chunks, &tree, &params);
-        let remapped = remap_incremental(&dist, &chunks, &tree, &[2], &params).unwrap();
-        let per = remapped.iterations_per_client();
-        assert_eq!(per[2], 0);
-        assert_eq!(per.iter().sum::<u64>(), 32);
-        // 32 iterations over 3 survivors, mean 10.67, cap = ceil(11.7) =
-        // 12: whole 4-iteration chunks can honor it (8+4 = 12).
-        let survivors: Vec<u64> = [0, 1, 3].iter().map(|&c| per[c]).collect();
-        assert!(
-            survivors.iter().all(|&x| x <= 12),
-            "loads {survivors:?} must stay under the BThres cap"
-        );
-    }
-
-    #[test]
-    fn incremental_remap_identity_and_errors_match_full_remap() {
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams::default();
-        let dist = distribute(&chunks, &tree, &params);
-        assert_eq!(
-            remap_incremental(&dist, &chunks, &tree, &[], &params).unwrap(),
-            dist
-        );
-        assert!(matches!(
-            remap_incremental(&dist, &chunks, &tree, &[9], &params),
-            Err(RemapError::Prune(_))
-        ));
-        assert!(matches!(
-            remap_incremental(&dist, &chunks, &tree, &[0, 1, 2, 3], &params),
-            Err(RemapError::Prune(_))
-        ));
-        let short = Distribution {
-            per_client: vec![Vec::new(); 2],
-        };
-        assert!(matches!(
-            remap_incremental(&short, &chunks, &tree, &[0], &params),
-            Err(RemapError::ClientCountMismatch { .. })
-        ));
-        let bogus = Distribution {
-            per_client: {
-                let mut v = vec![Vec::new(); 4];
-                v[0].push(WorkItem::whole(99, 4));
-                v
-            },
-        };
-        assert!(matches!(
-            remap_incremental(&bogus, &chunks, &tree, &[0], &params),
-            Err(RemapError::ChunkIndexOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn incremental_remap_handles_partial_items() {
-        // Orphans that are split mid-chunk (the supervisor hands over
-        // half-executed chunks) still cover exactly the remaining range.
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams::default();
-        let mut dist = distribute(&chunks, &tree, &params);
-        // Simulate partial progress: client 0 already executed the first
-        // half of its first item.
-        let first = &mut dist.per_client[0][0];
-        first.start = first.end / 2;
-        let before = covered(&dist);
-        let remapped = remap_incremental(&dist, &chunks, &tree, &[0], &params).unwrap();
-        assert_eq!(covered(&remapped), before);
     }
 }
 

@@ -33,11 +33,7 @@
 //!    together, including multi-nest mapping (§5.4);
 //! 9. [`refine`] / [`analysis`] — extensions beyond the paper: optional
 //!    KL-style boundary refinement of the distribution, and static
-//!    quality metrics (replication, affinity capture) for diagnostics;
-//! 10. [`online`] — the online resilience supervisor: epoch-sliced
-//!     execution with checkpointed progress, oracle-free failure
-//!     detection from engine observations, and incremental live
-//!     remapping of the remaining work onto surviving clusters.
+//!    quality metrics (replication, affinity capture) for diagnostics.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -49,7 +45,6 @@ pub mod codegen;
 pub mod deps;
 pub mod graph;
 pub mod mapper;
-pub mod online;
 pub mod refine;
 pub mod schedule;
 pub mod tags;
@@ -57,6 +52,5 @@ pub mod wire;
 
 pub use cluster::{Distribution, WorkItem};
 pub use mapper::{Mapper, MapperConfig, Version};
-pub use online::{run_online, OnlineConfig, OnlineDetection, OnlineError, OnlineOutcome};
 pub use tags::{IterationChunk, TaggedNest};
 pub use wire::fingerprint;

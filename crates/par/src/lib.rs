@@ -3,7 +3,7 @@
 //! thread count, including one.
 //!
 //! The determinism contract, which every tenant in this workspace leans
-//! on (chaos replay, service cache fingerprints, golden reports):
+//! on (service cache fingerprints, golden reports):
 //!
 //! - **Work is split by index.** Workers pull item indices from a shared
 //!   atomic counter; which worker computes which item is racy, but the

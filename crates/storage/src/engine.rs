@@ -149,13 +149,6 @@ pub enum EngineError {
         /// Clients in the configuration.
         config_clients: usize,
     },
-    /// Start clocks were supplied for a different client count.
-    StartClockMismatch {
-        /// Clocks supplied.
-        given: usize,
-        /// Clients in the configuration.
-        config_clients: usize,
-    },
     /// A synchronization token was signalled twice.
     DuplicateSignal {
         /// The offending token.
@@ -189,13 +182,6 @@ impl fmt::Display for EngineError {
                 f,
                 "program has {program_clients} clients, platform has {config_clients}"
             ),
-            EngineError::StartClockMismatch {
-                given,
-                config_clients,
-            } => write!(
-                f,
-                "{given} start clocks supplied, platform has {config_clients} clients"
-            ),
             EngineError::DuplicateSignal { token } => {
                 write!(f, "token {token} signalled twice")
             }
@@ -227,38 +213,6 @@ impl From<ConfigError> for EngineError {
 impl From<FaultPlanError> for EngineError {
     fn from(e: FaultPlanError) -> Self {
         EngineError::Fault(e)
-    }
-}
-
-/// Resident cache lines at an epoch boundary, per level and node, in
-/// eviction order (least-recently-used first).
-///
-/// Epoch boundaries have checkpoint-flush semantics: dirty lines are
-/// written back at the boundary, but the (now clean) data stays
-/// resident — a checkpoint does not wipe caches. Restoring a snapshot
-/// reinserts the lines clean, oldest first, so LRU recency is
-/// preserved exactly; FIFO keeps its queue order, and LFU restarts
-/// every line at frequency one (the boundary forgets hotness, not
-/// residency).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Per-client L1 residents.
-    pub l1: Vec<Vec<Chunk>>,
-    /// Per-I/O-node L2 residents.
-    pub l2: Vec<Vec<Chunk>>,
-    /// Per-storage-node L3 residents.
-    pub l3: Vec<Vec<Chunk>>,
-}
-
-impl CacheSnapshot {
-    /// Total resident lines across all levels.
-    pub fn resident_lines(&self) -> usize {
-        self.l1
-            .iter()
-            .chain(self.l2.iter())
-            .chain(self.l3.iter())
-            .map(Vec::len)
-            .sum()
     }
 }
 
@@ -446,13 +400,6 @@ pub struct Engine<'a> {
     /// prefetches beyond it).
     max_chunk: Chunk,
     prefetched: u64,
-    /// Per-client starting clocks (epoch resume); `None` starts everyone
-    /// at zero.
-    start_clocks: Option<Vec<u64>>,
-    /// Cache residents carried over from the previous epoch.
-    resume_caches: Option<CacheSnapshot>,
-    /// Capture the final cache residents when the run ends.
-    want_snapshot: bool,
 }
 
 impl<'a> Engine<'a> {
@@ -493,9 +440,6 @@ impl<'a> Engine<'a> {
             trace: None,
             max_chunk: 0,
             prefetched: 0,
-            start_clocks: None,
-            resume_caches: None,
-            want_snapshot: false,
         })
     }
 
@@ -520,28 +464,11 @@ impl<'a> Engine<'a> {
         Ok(self)
     }
 
-    /// Starts each client at the given simulated-time clock instead of
-    /// zero (the supervisor's epoch loop uses this to keep absolute time
-    /// continuous across epochs). Length is validated at run time.
-    pub fn with_start_clocks(mut self, clocks: Vec<u64>) -> Self {
-        self.start_clocks = Some(clocks);
-        self
-    }
-
-    /// Seeds the caches with the resident lines of a previous epoch's
-    /// snapshot (all clean) before the run starts. Crash events that
-    /// re-fire at the first tick still drain the seeded state, so a
-    /// node that died in an earlier epoch stays cold.
-    pub fn with_cache_snapshot(mut self, snapshot: CacheSnapshot) -> Self {
-        self.resume_caches = Some(snapshot);
-        self
-    }
-
     /// Like [`Engine::run`] but also records every access into a
     /// [`Trace`].
     pub fn run_traced(mut self, program: &MappedProgram) -> Result<(RunStats, Trace), EngineError> {
         self.trace = Some(Vec::new());
-        let (stats, trace, _) = self.run_impl(program)?;
+        let (stats, trace) = self.run_impl(program)?;
         // Invariant: run_impl returns the trace whenever capture was
         // primed above; fall back to an empty trace defensively.
         debug_assert!(trace.is_some(), "trace capture was enabled");
@@ -553,22 +480,10 @@ impl<'a> Engine<'a> {
         Ok(self.run_impl(program)?.0)
     }
 
-    /// Like [`Engine::run`] but also returns the final cache residents
-    /// (dirty lines flushed to clean) for the next epoch to resume from.
-    pub fn run_with_snapshot(
-        mut self,
-        program: &MappedProgram,
-    ) -> Result<(RunStats, CacheSnapshot), EngineError> {
-        self.want_snapshot = true;
-        let (stats, _, snapshot) = self.run_impl(program)?;
-        debug_assert!(snapshot.is_some(), "snapshot capture was enabled");
-        Ok((stats, snapshot.unwrap_or_default()))
-    }
-
     fn run_impl(
         mut self,
         program: &MappedProgram,
-    ) -> Result<(RunStats, Option<Trace>, Option<CacheSnapshot>), EngineError> {
+    ) -> Result<(RunStats, Option<Trace>), EngineError> {
         let n = self.cfg.num_clients;
         if program.num_clients() != n {
             return Err(EngineError::ProgramMismatch {
@@ -587,48 +502,14 @@ impl<'a> Engine<'a> {
             .max()
             .unwrap_or(0);
 
-        let clocks = match self.start_clocks.take() {
-            Some(clocks) if clocks.len() == n => clocks,
-            Some(clocks) => {
-                return Err(EngineError::StartClockMismatch {
-                    given: clocks.len(),
-                    config_clients: n,
-                })
-            }
-            None => vec![0u64; n],
-        };
-        if let Some(snap) = self.resume_caches.take() {
-            // Reinsert carried-over residents clean, oldest first, so
-            // replacement order survives the boundary. `insert` does not
-            // touch hit/miss statistics, so seeded lines cost nothing.
-            let levels = [
-                (&mut self.res.l1, &snap.l1),
-                (&mut self.res.l2, &snap.l2),
-                (&mut self.res.l3, &snap.l3),
-            ];
-            for (caches, lines) in levels {
-                for (cache, resident) in caches.iter_mut().zip(lines) {
-                    for &chunk in resident {
-                        cache.insert(chunk, false);
-                    }
-                }
-            }
-        }
-
-        let mut runs: Vec<ClientRun> = clocks
-            .into_iter()
-            .map(|clock| ClientRun {
-                clock,
-                ..ClientRun::default()
-            })
-            .collect();
+        let mut runs = vec![ClientRun::default(); n];
         let sync_ns = self.cfg.sync_ns;
         let mut signals: FxHashMap<u32, u64> = FxHashMap::default();
         let mut parked: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
 
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
             .filter(|&c| !program.per_client[c].is_empty())
-            .map(|c| Reverse((runs[c].clock, c)))
+            .map(|c| Reverse((0, c)))
             .collect();
 
         loop {
@@ -739,25 +620,7 @@ impl<'a> Engine<'a> {
             events.sort_by_key(|e| (e.time_ns, e.client));
             Trace { events }
         });
-        // Snapshot after statistics: `drain` keeps stats intact and
-        // returns residents in eviction order. The dirty flag is
-        // dropped — the boundary flushes those lines.
-        let snapshot = if self.want_snapshot {
-            let take = |caches: &mut Vec<Box<dyn ChunkCache + Send>>| -> Vec<Vec<Chunk>> {
-                caches
-                    .iter_mut()
-                    .map(|c| c.drain().into_iter().map(|(chunk, _)| chunk).collect())
-                    .collect()
-            };
-            Some(CacheSnapshot {
-                l1: take(&mut self.res.l1),
-                l2: take(&mut self.res.l2),
-                l3: take(&mut self.res.l3),
-            })
-        } else {
-            None
-        };
-        Ok((stats, trace, snapshot))
+        Ok((stats, trace))
     }
 
     /// Applies every scheduled fault event whose time has been reached.
@@ -832,13 +695,27 @@ impl<'a> Engine<'a> {
                     match level {
                         DegradeLevel::Client => {
                             let evicted = self.res.l1[node].set_capacity(capacity_chunks);
-                            let io = self.routes.client_io[node];
+                            // Dirty victims take the route an L1 miss
+                            // would: the home I/O node or its surviving
+                            // sibling, else the storage node, else disk.
+                            let home = self.routes.client_io[node];
+                            let io_route = if f.io_alive[home] {
+                                Some(home)
+                            } else {
+                                self.routes.io_siblings[home]
+                                    .iter()
+                                    .copied()
+                                    .find(|&x| f.io_alive[x])
+                            };
                             for (victim, dirty) in evicted {
                                 self.res.tally[0].bump(dirty);
                                 if let Some(o) = self.obs.as_deref_mut() {
                                     o.eviction(ObsLevel::L1, node, at_ns, dirty);
                                 }
-                                if dirty && f.io_alive[io] {
+                                if !dirty {
+                                    continue;
+                                }
+                                if let Some(io) = io_route {
                                     let t = at_ns.max(self.res.l2_free[io]);
                                     write_back_l2(
                                         &mut self.res,
@@ -847,6 +724,18 @@ impl<'a> Engine<'a> {
                                         self.obs.as_deref_mut(),
                                         io,
                                         self.routes.io_storage[io],
+                                        victim,
+                                        t,
+                                    );
+                                } else {
+                                    let s = self.routes.client_storage[node];
+                                    let t = at_ns.max(self.res.l3_free[s]);
+                                    write_back_l3(
+                                        &mut self.res,
+                                        f,
+                                        self.cfg,
+                                        self.obs.as_deref_mut(),
+                                        s,
                                         victim,
                                         t,
                                     );
@@ -1671,54 +1560,6 @@ mod tests {
         assert_eq!(prog.total_accesses(), 2);
         assert_eq!(prog.accesses_per_client(), vec![1, 1]);
     }
-
-    #[test]
-    fn snapshot_round_trip_makes_the_next_run_warm() {
-        let (cfg, tree) = tiny();
-        let mut prog = MappedProgram::new(cfg.num_clients);
-        prog.per_client[0] = vec![ClientOp::Access {
-            chunk: 3,
-            write: true,
-        }];
-        let (cold, snap) = Engine::new(&cfg, &tree)
-            .unwrap()
-            .run_with_snapshot(&prog)
-            .unwrap();
-        assert_eq!(cold.l1.misses, 1);
-        assert_eq!(cold.disk_reads, 1);
-        assert!(snap.resident_lines() >= 3, "line resident at every level");
-        assert!(snap.l1[0].contains(&3));
-
-        // Resuming from the snapshot hits in L1 immediately: the dirty
-        // flag was flushed at the boundary but residency survived.
-        let (warm, again) = Engine::new(&cfg, &tree)
-            .unwrap()
-            .with_cache_snapshot(snap.clone())
-            .run_with_snapshot(&prog)
-            .unwrap();
-        assert_eq!(warm.l1.hits, 1);
-        assert_eq!(warm.l1.misses, 0);
-        assert_eq!(warm.disk_reads, 0);
-        assert!(warm.per_client_finish_ns[0] < cold.per_client_finish_ns[0]);
-        assert_eq!(again, snap, "residency is stable across a warm replay");
-    }
-
-    #[test]
-    fn snapshot_seeding_leaves_stats_untouched() {
-        let (cfg, tree) = tiny();
-        let snap = CacheSnapshot {
-            l2: vec![vec![1, 2, 3], vec![]],
-            ..Default::default()
-        };
-        let prog = MappedProgram::new(cfg.num_clients);
-        let (stats, out) = Engine::new(&cfg, &tree)
-            .unwrap()
-            .with_cache_snapshot(snap)
-            .run_with_snapshot(&prog)
-            .unwrap();
-        assert_eq!(stats.l2.accesses(), 0, "seeding is not an access");
-        assert_eq!(out.l2[0], vec![1, 2, 3]);
-    }
 }
 
 #[cfg(test)]
@@ -1994,6 +1835,72 @@ mod fault_tests {
     }
 
     #[test]
+    fn client_degrade_after_home_io_crash_routes_dirty_victims_like_a_miss() {
+        // Client 0 dirties three chunks, idles while its cache shrinks to
+        // one chunk, then reads a fourth chunk. Crashing its I/O node
+        // before the shrink must move the dirty victims to the surviving
+        // sibling, not drop them: every level below L1 sees the same
+        // writebacks as with the home node alive.
+        let cfg = PlatformConfig::tiny().with_cache_chunks(4, 1, 1);
+        let tree = HierarchyTree::from_config(&cfg).unwrap();
+        let mut prog = MappedProgram::new(cfg.num_clients);
+        prog.per_client[0] = (0..3)
+            .map(|chunk| ClientOp::Access { chunk, write: true })
+            .chain([
+                ClientOp::Compute { ns: 1 << 40 },
+                ClientOp::Access {
+                    chunk: 3,
+                    write: false,
+                },
+            ])
+            .collect();
+        let degrade = FaultEvent::CacheDegrade {
+            level: DegradeLevel::Client,
+            node: 0,
+            at_ns: 1 << 39,
+            capacity_chunks: 1,
+        };
+        let crash = FaultEvent::IoNodeCrash {
+            io: 0,
+            at_ns: 1 << 38,
+        };
+        let alive = run_with(&cfg, &tree, &prog, &FaultPlan::new().with_event(degrade));
+        let crashed = run_with(
+            &cfg,
+            &tree,
+            &prog,
+            &FaultPlan::new().with_event(crash).with_event(degrade),
+        );
+        let writebacks = |s: &RunStats| {
+            (
+                s.l1_evictions.writebacks,
+                s.l2_evictions.writebacks,
+                s.l3_evictions.writebacks,
+                s.disk_writes,
+            )
+        };
+        assert_eq!(writebacks(&alive), (3, 2, 1, 1));
+        assert_eq!(
+            writebacks(&crashed),
+            writebacks(&alive),
+            "(L1, L2, L3 writebacks, disk writes)"
+        );
+        assert_eq!(crashed.faults.lost_dirty_chunks, 0);
+        // With no I/O node left, the victims go to the storage node's L3.
+        let both = FaultPlan::new()
+            .with_event(crash)
+            .with_event(FaultEvent::IoNodeCrash {
+                io: 1,
+                at_ns: 1 << 38,
+            })
+            .with_event(degrade);
+        assert_eq!(
+            writebacks(&run_with(&cfg, &tree, &prog, &both)),
+            (3, 0, 2, 2)
+        );
+    }
+
+    #[test]
     fn transient_errors_retry_and_charge_time() {
         let (cfg, tree) = tiny();
         let prog = workload(&cfg);
@@ -2053,38 +1960,6 @@ mod fault_tests {
             .err()
             .expect("out-of-range io must be rejected");
         assert!(matches!(err, EngineError::Fault(_)));
-    }
-
-    #[test]
-    fn crash_at_start_drains_seeded_snapshot_state() {
-        // A node already dead when the epoch starts must not serve hits
-        // from carried-over residency: the crash event re-fires at the
-        // first tick and drains the seeded (clean) lines.
-        let (cfg, tree) = tiny();
-        let plan = FaultPlan::new().with_event(FaultEvent::IoNodeCrash { io: 0, at_ns: 0 });
-        let snap = CacheSnapshot {
-            l2: vec![vec![3], vec![]],
-            ..Default::default()
-        };
-        let mut prog = MappedProgram::new(cfg.num_clients);
-        prog.per_client[0] = vec![ClientOp::Access {
-            chunk: 3,
-            write: false,
-        }];
-        let stats = Engine::new(&cfg, &tree)
-            .unwrap()
-            .with_fault_plan(&plan)
-            .unwrap()
-            .with_cache_snapshot(snap)
-            .run(&prog)
-            .unwrap();
-        assert_eq!(stats.l2.hits, 0, "dead node must not serve seeded lines");
-        assert_eq!(stats.disk_reads, 1);
-        assert!(stats.faults.failovers >= 1);
-        assert_eq!(
-            stats.faults.lost_dirty_chunks, 0,
-            "seeded residency is clean, so nothing is lost"
-        );
     }
 }
 

@@ -36,10 +36,6 @@
 //!   [`sim::SimReport`] with per-level hit/miss statistics, I/O latency,
 //!   execution time — exactly the three result types Section 5.1
 //!   reports — plus the degraded-mode counters.
-//! * [`supervisor`] — the storage-side half of the online resilience
-//!   layer: epoch options, checkpoints, and a failure detector that
-//!   infers crashes/degradation from the recorder's per-node series and
-//!   client-side distress events, never from the fault plan.
 //!
 //! Simulated time is integer **nanoseconds** (`u64`) for reproducibility.
 
@@ -53,17 +49,15 @@ pub mod engine;
 pub mod faults;
 pub mod l2store;
 pub mod sim;
-pub mod supervisor;
 pub mod topology;
 pub mod trace;
 pub mod wire;
 
 pub use config::{ConfigError, PlatformConfig, PolicyKind};
-pub use engine::{CacheSnapshot, ClientOp, EngineError, EvictionTally, MappedProgram};
+pub use engine::{ClientOp, EngineError, EvictionTally, MappedProgram};
 pub use faults::{
     DegradeLevel, FaultEvent, FaultPlan, FaultPlanError, FaultStats, TransientFaults,
 };
 pub use l2store::{L2Config, L2Store, RecoveryStats};
 pub use sim::{SimError, SimReport, Simulator};
-pub use supervisor::{Checkpoint, Detection, DetectorConfig, EpochOptions, Verdict};
 pub use topology::{CacheLevel, HierarchyTree, NodeId, PruneError};

@@ -8,9 +8,8 @@
 //! of the fault-injection subsystem when a [`FaultPlan`] is attached.
 
 use crate::config::{ConfigError, PlatformConfig};
-use crate::engine::{CacheSnapshot, Engine, EngineError, EvictionTally, MappedProgram, RunStats};
+use crate::engine::{Engine, EngineError, EvictionTally, MappedProgram, RunStats};
 use crate::faults::{FaultPlan, FaultPlanError, FaultStats};
-use crate::supervisor::EpochOptions;
 use crate::topology::HierarchyTree;
 use cachemap_obs::Recorder;
 use cachemap_util::stats::HitMiss;
@@ -281,41 +280,9 @@ impl Simulator {
         }
     }
 
-    /// Shared run path: builds the engine (with the attached fault
-    /// plan), applies the optional recorder and epoch options, and runs
-    /// the program. Every public run flavour — and the supervisor's
-    /// epoch loop — funnels through here.
-    fn run_inner(
-        &self,
-        program: &MappedProgram,
-        rec: Option<&mut Recorder>,
-        epoch: Option<&EpochOptions>,
-    ) -> Result<(SimReport, Option<CacheSnapshot>), SimError> {
-        let mut engine = self.engine()?;
-        if let Some(rec) = rec {
-            engine = engine.with_recorder(rec);
-        }
-        let snapshot_wanted = epoch.is_some();
-        if let Some(ep) = epoch {
-            if let Some(clocks) = &ep.start_clocks {
-                engine = engine.with_start_clocks(clocks.clone());
-            }
-            if let Some(caches) = &ep.resume_caches {
-                engine = engine.with_cache_snapshot(caches.clone());
-            }
-        }
-        if snapshot_wanted {
-            let (stats, snapshot) = engine.run_with_snapshot(program)?;
-            Ok((SimReport::from_run(stats), Some(snapshot)))
-        } else {
-            let stats = engine.run(program)?;
-            Ok((SimReport::from_run(stats), None))
-        }
-    }
-
     /// Runs a mapped program on a fresh platform state (cold caches).
     pub fn run(&self, program: &MappedProgram) -> Result<SimReport, SimError> {
-        Ok(self.run_inner(program, None, None)?.0)
+        Ok(SimReport::from_run(self.engine()?.run(program)?))
     }
 
     /// Like [`Simulator::run`] but feeds observations into `rec`. With a
@@ -327,25 +294,8 @@ impl Simulator {
         program: &MappedProgram,
         rec: &mut Recorder,
     ) -> Result<SimReport, SimError> {
-        Ok(self.run_inner(program, Some(rec), None)?.0)
-    }
-
-    /// One supervised epoch: runs an epoch slice of a program with a
-    /// request policy and per-client starting clocks, feeding the
-    /// detector's observations into `rec`. The epoch boundary has
-    /// checkpoint-flush semantics: dirty lines count as written back
-    /// (lost ones are replayed from storage on first use), while clean
-    /// residency survives — pass the previous epoch's returned
-    /// [`CacheSnapshot`] via [`EpochOptions::resume_caches`] to carry it
-    /// over; without it caches start cold.
-    pub fn run_epoch(
-        &self,
-        program: &MappedProgram,
-        rec: &mut Recorder,
-        options: &EpochOptions,
-    ) -> Result<(SimReport, CacheSnapshot), SimError> {
-        let (report, snapshot) = self.run_inner(program, Some(rec), Some(options))?;
-        Ok((report, snapshot.unwrap_or_default()))
+        let stats = self.engine()?.with_recorder(rec).run(program)?;
+        Ok(SimReport::from_run(stats))
     }
 
     /// Runs a mapped program and also captures the full access trace
