@@ -16,31 +16,48 @@
 //!
 //! Observability: `repro obs-export[:<app>]` captures one fully observed
 //! run (mapper phase profile + engine time series) into
-//! `reports/<app>-inter-scheduled.obs.json`; `repro obs <path...>`
-//! renders such artifacts; `repro resilience` additionally exports an
-//! artifact showing the crash → failover → steady-state timeline.
+//! `reports/<app>-inter-scheduled.obs.json` (under `reports/test-scale/`
+//! with `--test-scale`); `repro obs <path...>` renders such artifacts;
+//! `repro resilience` additionally exports an artifact showing the
+//! crash → failover → steady-state timeline.
 
 use cachemap_bench::{experiments, report::Matrix, write_report};
+use cachemap_obs::ObsArtifact;
 use cachemap_storage::PlatformConfig;
 use cachemap_util::ToJson;
 use cachemap_workloads::{Application, Scale};
 
-/// Prints each figure and archives its raw numbers: paper scale under
-/// `reports/<id>.json` (the committed copies), test scale under the
-/// gitignored `reports/test-scale/<id>.json`.
+/// The [`write_report`] name of an output: paper scale under
+/// `reports/<name>.json` (the committed copies), test scale under the
+/// gitignored `reports/test-scale/<name>.json`.
+fn report_name(name: &str, test_scale: bool) -> String {
+    if test_scale {
+        format!("test-scale/{name}")
+    } else {
+        name.to_string()
+    }
+}
+
+/// Prints each figure and archives its raw numbers (see [`report_name`]).
 fn emit(matrices: &[Matrix], test_scale: bool) {
     for m in matrices {
         println!("{}", m.render());
-        let name = if test_scale {
-            format!("test-scale/{}", m.id)
-        } else {
-            m.id.clone()
-        };
-        match write_report(&name, m) {
+        match write_report(&report_name(&m.id, test_scale), m) {
             Ok(path) => println!("   [raw numbers: {}]\n", path.display()),
             Err(e) => eprintln!("   [warning: could not write report: {e}]\n"),
         }
     }
+}
+
+/// Writes an obs artifact next to the reports (see [`report_name`]) as
+/// `<label>.obs.json`, with each `/` or `\` in `label` turned into `-`.
+fn write_obs(
+    label: &str,
+    artifact: &ObsArtifact,
+    test_scale: bool,
+) -> std::io::Result<std::path::PathBuf> {
+    let safe = label.replace(['/', '\\'], "-");
+    write_report(&report_name(&format!("{safe}.obs"), test_scale), artifact)
 }
 
 /// Renders the §4.4 worked example (Figures 6-9 and 17) as text.
@@ -518,11 +535,10 @@ fn main() {
                 emit(&[experiments::mapping_cost(scale, &platform)], test_scale)
             }
             Cmd::Paper("resilience") => {
-                eprintln!("[resilience: mid-run I/O-node crash, remap vs failover ...]");
+                eprintln!("[resilience: mid-run I/O-node crash, failover ...]");
                 emit(&[experiments::resilience(scale, &platform)], test_scale);
                 let artifact = cachemap_bench::obs::resilience_observed(scale, &platform);
-                let label = artifact.meta.label.clone();
-                match cachemap_bench::write_obs_artifact(&label, &artifact) {
+                match write_obs(&artifact.meta.label, &artifact, test_scale) {
                     Ok(path) => println!(
                         "   [obs artifact: {} — inspect with `repro obs`]\n",
                         path.display()
@@ -542,7 +558,7 @@ fn main() {
                     cachemap_core::Version::InterProcessorScheduled,
                     &label,
                 );
-                match cachemap_bench::write_obs_artifact(&label, &artifact) {
+                match write_obs(&label, &artifact, test_scale) {
                     Ok(path) => println!(
                         "wrote {} (exec {:.1} ms — inspect with `repro obs {}`)",
                         path.display(),

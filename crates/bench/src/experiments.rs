@@ -9,7 +9,9 @@ use crate::report::{CellFormat, Matrix};
 use crate::{run_cell, run_suite, AppResults};
 use cachemap_core::deps::DepStrategy;
 use cachemap_core::{MapperConfig, Version};
-use cachemap_storage::{PlatformConfig, SimReport};
+use cachemap_storage::{
+    FaultEvent, FaultPlan, HierarchyTree, MappedProgram, PlatformConfig, SimReport, Simulator,
+};
 use cachemap_workloads::Scale;
 
 /// All four versions in figure order.
@@ -796,19 +798,38 @@ pub fn mapping_cost(scale: Scale, platform: &PlatformConfig) -> Matrix {
     m
 }
 
-/// Resilience experiment (beyond the paper): every I/O node of storage
-/// group 0 crashes a third of the way into the run — a correlated
-/// failure (shared rack, PSU, or switch) that leaves the affected
-/// clients with no surviving sibling I/O node, so their accesses go
-/// direct-to-storage with no L2 at all. Three conditions per app, all
-/// under the same fault plan: the original mapping and the
-/// inter-processor mapping run unmodified (degraded clients limp along
-/// on the direct path), and a failure-aware inter-processor mapping
-/// redistributes the affected clients' iterations over the survivors
-/// before the run via [`cachemap_core::Mapper::map_with_failures`].
-pub fn resilience(scale: Scale, platform: &PlatformConfig) -> Matrix {
-    use cachemap_storage::{FaultEvent, FaultPlan, HierarchyTree, Simulator};
+/// The fault plan of the resilience experiments: every I/O node of
+/// storage group 0 crashes a third of the way into `inter`'s fault-free
+/// run. It is a correlated failure (shared rack, PSU, or switch) that
+/// leaves the group's clients with no surviving sibling I/O node, so
+/// their accesses go direct-to-storage with no L2 at all. Returns a
+/// simulator that applies the plan.
+pub fn group0_crash_simulator(
+    platform: &PlatformConfig,
+    tree: &HierarchyTree,
+    inter: &MappedProgram,
+) -> Simulator {
+    let clean = Simulator::new(platform.clone())
+        .expect("valid platform config")
+        .run(inter)
+        .expect("well-formed mapped program");
+    let at_ns = (clean.exec_time_ns / 3).max(1);
+    let plan = (0..platform.num_io_nodes)
+        .filter(|&io| tree.storage_of_io(io) == 0)
+        .fold(FaultPlan::new(), |plan, io| {
+            plan.with_event(FaultEvent::IoNodeCrash { io, at_ns })
+        });
+    Simulator::new(platform.clone())
+        .expect("valid platform config")
+        .with_fault_plan(plan)
+        .expect("plan fits the platform")
+}
 
+/// Resilience experiment (beyond the paper): the original and the
+/// inter-processor mappings run unmodified under the crash of
+/// [`group0_crash_simulator`], and the crashed group's clients fail
+/// over to the direct path.
+pub fn resilience(scale: Scale, platform: &PlatformConfig) -> Matrix {
     let mut m = Matrix::new(
         "resilience",
         "Mid-run crash of storage group 0's I/O nodes: exec time (ms) + degraded-mode counters",
@@ -816,7 +837,6 @@ pub fn resilience(scale: Scale, platform: &PlatformConfig) -> Matrix {
             "app".into(),
             "orig+crash (ms)".into(),
             "inter+crash (ms)".into(),
-            "inter+remap (ms)".into(),
             "failovers".into(),
             "lost dirty".into(),
         ],
@@ -824,12 +844,6 @@ pub fn resilience(scale: Scale, platform: &PlatformConfig) -> Matrix {
     );
     let tree = HierarchyTree::from_config(platform).expect("valid platform config");
     let mapper = cachemap_core::Mapper::new(MapperConfig::default());
-    let crashed_ios: Vec<usize> = (0..platform.num_io_nodes)
-        .filter(|&io| tree.storage_of_io(io) == 0)
-        .collect();
-    let failed: Vec<usize> = (0..platform.num_clients)
-        .filter(|&c| crashed_ios.contains(&tree.io_of_client(c)))
-        .collect();
     for app in cachemap_workloads::suite(scale) {
         let data = cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
         let orig = mapper.map(&app.program, &data, platform, &tree, Version::Original);
@@ -840,48 +854,20 @@ pub fn resilience(scale: Scale, platform: &PlatformConfig) -> Matrix {
             &tree,
             Version::InterProcessor,
         );
-        let remapped = mapper
-            .map_with_failures(
-                &app.program,
-                &data,
-                platform,
-                &tree,
-                Version::InterProcessor,
-                &failed,
-            )
-            .expect("valid failed-client set");
-
-        // Crash a third of the way into the fault-free inter run.
-        let clean = Simulator::new(platform.clone())
-            .expect("valid platform config")
-            .run(&inter)
-            .expect("well-formed mapped program");
-        let at_ns = (clean.exec_time_ns / 3).max(1);
-        let mut plan = FaultPlan::new();
-        for &io in &crashed_ios {
-            plan = plan.with_event(FaultEvent::IoNodeCrash { io, at_ns });
-        }
-        let sim = Simulator::new(platform.clone())
-            .expect("valid platform config")
-            .with_fault_plan(plan)
-            .expect("plan fits the platform");
-
+        let sim = group0_crash_simulator(platform, &tree, &inter);
         let r_orig = sim.run(&orig).expect("well-formed mapped program");
         let r_inter = sim.run(&inter).expect("well-formed mapped program");
-        let r_remap = sim.run(&remapped).expect("well-formed mapped program");
         m.row(
             app.name,
             vec![
                 r_orig.exec_time_ns as f64 / 1e6,
                 r_inter.exec_time_ns as f64 / 1e6,
-                r_remap.exec_time_ns as f64 / 1e6,
                 r_orig.faults.failovers as f64,
                 r_orig.faults.lost_dirty_chunks as f64,
             ],
         );
     }
     m.note("failovers / lost dirty are from the unremapped original run");
-    m.note("remapping moves the crashed I/O group's iterations to survivors up front");
     m
 }
 
@@ -931,20 +917,20 @@ mod tests {
     }
 
     #[test]
-    fn resilience_remapped_inter_beats_unremapped_original() {
+    fn resilience_inter_beats_original_under_the_same_crash() {
         let m = resilience(Scale::Test, &test_platform());
         assert_eq!(m.rows.len(), 8);
         let means = m.column_means();
-        // Columns: orig+crash, inter+crash, inter+remap, failovers, lost.
+        // Columns: orig+crash, inter+crash, failovers, lost.
         assert!(
-            means[2] < means[0],
-            "remapped inter must beat unremapped original on average: {means:?}"
+            means[1] < means[0],
+            "inter must beat original under the same crash on average: {means:?}"
         );
-        // The crash must actually bite: the unremapped runs fail over.
-        assert!(means[3] > 0.0, "no failovers recorded: {means:?}");
+        // The crash must actually bite: the runs fail over.
+        assert!(means[2] > 0.0, "no failovers recorded: {means:?}");
         for (app, cells) in &m.rows {
             assert!(
-                cells.iter().take(3).all(|&c| c > 0.0),
+                cells.iter().take(2).all(|&c| c > 0.0),
                 "{app}: every condition must complete: {cells:?}"
             );
         }

@@ -24,7 +24,7 @@ pub mod serve;
 pub mod storm;
 pub mod tracefmt;
 
-pub use obs::{render_artifact, run_cell_observed, write_obs_artifact};
+pub use obs::{render_artifact, run_cell_observed};
 
 /// Runs one (application, version, platform) cell end to end.
 pub fn run_cell(

@@ -10,7 +10,6 @@ use cachemap_obs::{
 use cachemap_polyhedral::DataSpace;
 use cachemap_storage::{HierarchyTree, PlatformConfig, SimReport, Simulator};
 use cachemap_util::table::TextTable;
-use cachemap_util::ToJson;
 use cachemap_workloads::{Application, Scale};
 
 /// How many simulated-time buckets the exporter aims for per run.
@@ -79,63 +78,27 @@ pub fn run_cell_observed(
 }
 
 /// The observed companion of the `resilience` experiment, for the first
-/// app of the suite: the *unremapped* inter-processor mapping runs under
-/// the same crash plan with a recorder (so the `io_crash` and `failover`
-/// events and the post-crash steady state land on the timeline), while
-/// the failure-aware mapping is re-derived with a profile (so the
-/// `remap` span shows up in the phase profile).
+/// app of the suite: the inter-processor mapping is derived with a
+/// profile, then runs under the same crash plan with a recorder, so the
+/// `io_crash` and `failover` events and the post-crash steady state land
+/// on the timeline.
 pub fn resilience_observed(scale: Scale, platform: &PlatformConfig) -> ObsArtifact {
-    use cachemap_storage::{FaultEvent, FaultPlan};
-
     let app = cachemap_workloads::suite(scale)
         .into_iter()
         .next()
         .expect("non-empty suite");
     let tree = HierarchyTree::from_config(platform).expect("valid platform config");
-    let mapper = Mapper::new(MapperConfig::default());
-    let crashed_ios: Vec<usize> = (0..platform.num_io_nodes)
-        .filter(|&io| tree.storage_of_io(io) == 0)
-        .collect();
-    let failed: Vec<usize> = (0..platform.num_clients)
-        .filter(|&c| crashed_ios.contains(&tree.io_of_client(c)))
-        .collect();
-
     let data = DataSpace::new(&app.program.arrays, platform.chunk_bytes);
-    let inter = mapper.map(
+    let mut prof = Profile::enabled();
+    let inter = Mapper::new(MapperConfig::default()).map_profiled(
         &app.program,
         &data,
         platform,
         &tree,
         Version::InterProcessor,
+        &mut prof,
     );
-    let mut prof = Profile::enabled();
-    let _remapped = mapper
-        .map_with_failures_profiled(
-            &app.program,
-            &data,
-            platform,
-            &tree,
-            Version::InterProcessor,
-            &failed,
-            &mut prof,
-        )
-        .expect("valid failed-client set");
-
-    // Same schedule as experiments::resilience: crash a third of the way
-    // into the fault-free run.
-    let clean = Simulator::new(platform.clone())
-        .expect("valid platform config")
-        .run(&inter)
-        .expect("well-formed mapped program");
-    let at_ns = (clean.exec_time_ns / 3).max(1);
-    let mut plan = FaultPlan::new();
-    for &io in &crashed_ios {
-        plan = plan.with_event(FaultEvent::IoNodeCrash { io, at_ns });
-    }
-    let sim = Simulator::new(platform.clone())
-        .expect("valid platform config")
-        .with_fault_plan(plan)
-        .expect("plan fits the platform");
+    let sim = crate::experiments::group0_crash_simulator(platform, &tree, &inter);
     let degraded = sim.run(&inter).expect("well-formed mapped program");
     let mut rec = Recorder::enabled(pick_bucket_ns(degraded.exec_time_ns));
     let _ = sim
@@ -147,23 +110,6 @@ pub fn resilience_observed(scale: Scale, platform: &PlatformConfig) -> ObsArtifa
         mapper: Some(prof),
         engine: rec.finish(),
     }
-}
-
-/// Writes an artifact as pretty JSON under `reports/<name>.obs.json`
-/// (slashes in `name` become dashes).
-pub fn write_obs_artifact(
-    name: &str,
-    artifact: &ObsArtifact,
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("reports");
-    std::fs::create_dir_all(dir)?;
-    let safe: String = name
-        .chars()
-        .map(|c| if c == '/' || c == '\\' { '-' } else { c })
-        .collect();
-    let path = dir.join(format!("{safe}.obs.json"));
-    std::fs::write(&path, artifact.to_json().to_string_pretty())?;
-    Ok(path)
 }
 
 const SPARK_RAMP: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -327,6 +273,7 @@ pub fn render_artifact(artifact: &ObsArtifact) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachemap_util::ToJson;
 
     #[test]
     fn bucket_width_is_a_readable_step() {
@@ -381,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn resilience_artifact_shows_failover_and_remap() {
+    fn resilience_artifact_shows_failover_and_cluster_span() {
         let platform = PlatformConfig::paper_default().with_cache_chunks(8, 8, 8);
         let artifact = resilience_observed(Scale::Test, &platform);
         let obs = artifact.engine.as_ref().expect("engine series captured");
@@ -396,8 +343,8 @@ mod tests {
         let prof = artifact.mapper.as_ref().expect("mapper profile captured");
         let map = prof.root_named("map").expect("map span");
         assert!(
-            map.children.iter().any(|&i| prof.node(i).name == "remap"),
-            "remap span in the profile"
+            map.children.iter().any(|&i| prof.node(i).name == "cluster"),
+            "cluster span in the profile"
         );
         let text = render_artifact(&artifact);
         assert!(text.contains("io_crash"));

@@ -1,8 +1,28 @@
 //! `repro` rejects a malformed subcommand argument with the usage-error
 //! exit code 2 and a one-line message, before it runs or writes
-//! anything — also when the bad argument follows a good one.
+//! anything — also when the bad argument follows a good one. A
+//! `--test-scale` run writes only under `reports/test-scale/`.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// Every file under `dir`, recursively, sorted.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                out.push(path);
+            }
+        }
+    }
+    out.sort();
+    out
+}
 
 #[test]
 fn malformed_arguments_exit_2_without_panicking_or_writing() {
@@ -36,5 +56,27 @@ fn malformed_arguments_exit_2_without_panicking_or_writing() {
             "{args:?} wrote into its directory: {left:?}"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn test_scale_obs_export_writes_only_under_reports_test_scale() {
+    let dir = std::env::temp_dir().join(format!("cachemap-repro-obs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--test-scale", "obs-export:contour"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        files_under(&dir),
+        [dir.join("reports/test-scale/contour-inter-scheduled.obs.json")]
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

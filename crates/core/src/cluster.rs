@@ -286,17 +286,6 @@ fn distribute_at_node(
             .min()
             .unwrap_or((usize::MAX, usize::MAX))
     });
-    // On an asymmetric tree (a pruned degraded hierarchy), the children
-    // lead unequal numbers of clients, so the per-child shares must be
-    // proportional to subtree width, not equal.
-    let weights: Vec<u64> = tn
-        .children
-        .iter()
-        .map(|&ch| tree.clients_under(ch).len() as u64)
-        .collect();
-    if weights.windows(2).any(|w| w[0] != w[1]) {
-        balance_to_weights(&mut clusters, chunks, params, &weights, prof);
-    }
     for (cluster, &child) in clusters.into_iter().zip(&tn.children) {
         distribute_at_node(chunks, tree, child, cluster.items, params, per_client, prof);
     }
@@ -817,237 +806,6 @@ fn balance_stage(
     }
 }
 
-/// Weighted variant of [`balance_stage`] for asymmetric (pruned) trees:
-/// cluster `i`'s target load is `total · weights[i] / Σweights`, and the
-/// `BThres` band is taken around each target. Clusters stay aligned with
-/// their position (the caller pairs position `i` with child `i`), so only
-/// sizes move, not assignments.
-fn balance_to_weights(
-    clusters: &mut [Cluster],
-    chunks: &[IterationChunk],
-    params: &ClusterParams,
-    weights: &[u64],
-    prof: &mut Profile,
-) {
-    let n = clusters.len();
-    debug_assert_eq!(n, weights.len(), "one weight per cluster");
-    let total_weight: u64 = weights.iter().sum();
-    if n < 2 || total_weight == 0 {
-        return;
-    }
-    let total: u64 = clusters.iter().map(|c| c.size).sum();
-    let bthres = params.balance_threshold.max(0.0);
-    let target = |i: usize| total as f64 * weights[i] as f64 / total_weight as f64;
-    let ulim = |i: usize| target(i) * (1.0 + bthres);
-    let llim = |i: usize| (target(i) * (1.0 - bthres)).max(0.0);
-
-    let max_rounds = 4 * n * chunks.len().max(1);
-    for _ in 0..max_rounds {
-        // Donor: largest absolute excess over its upper band edge.
-        let donor = match (0..n)
-            .filter(|&i| clusters[i].size as f64 > ulim(i))
-            .max_by(|&a, &b| {
-                let ea = clusters[a].size as f64 - ulim(a);
-                let eb = clusters[b].size as f64 - ulim(b);
-                ea.total_cmp(&eb).then(b.cmp(&a)) // ties → lowest index
-            }) {
-            Some(i) => i,
-            None => break,
-        };
-        // Recipient: largest headroom below its upper band edge.
-        let recipient = match (0..n)
-            .filter(|&i| i != donor && (clusters[i].size as f64) < ulim(i))
-            .max_by(|&a, &b| {
-                let ha = ulim(a) - clusters[a].size as f64;
-                let hb = ulim(b) - clusters[b].size as f64;
-                ha.total_cmp(&hb).then(b.cmp(&a))
-            }) {
-            Some(i) => i,
-            None => break,
-        };
-
-        let donor_size = clusters[donor].size;
-        let recipient_size = clusters[recipient].size;
-        let max_evict = (donor_size as f64 - llim(donor)).floor().max(0.0) as u64;
-        let max_accept = (ulim(recipient) - recipient_size as f64).floor().max(0.0) as u64;
-        let allowed = max_evict.min(max_accept);
-        if allowed == 0 {
-            break;
-        }
-
-        // Prefer moving a whole item with the best affinity to the
-        // recipient; otherwise split the best-affinity oversized item.
-        let mut best: Option<(usize, u64)> = None;
-        for (ii, item) in clusters[donor].items.iter().enumerate() {
-            let ilen = item.len() as u64;
-            if ilen == 0 || ilen > allowed {
-                continue;
-            }
-            let d = clusters[recipient].tag.dot_bitset(&chunks[item.chunk].tag);
-            match best {
-                Some((_, bd)) if d <= bd => {}
-                _ => best = Some((ii, d)),
-            }
-        }
-        if let Some((ii, _)) = best {
-            let item = clusters[donor].items.remove(ii);
-            let tag = &chunks[item.chunk].tag;
-            clusters[donor].tag.sub_bitset(tag);
-            clusters[donor].size -= item.len() as u64;
-            clusters[recipient].tag.add_bitset(tag);
-            clusters[recipient].size += item.len() as u64;
-            clusters[recipient].items.push(item);
-            prof.count("weighted_moves", 1);
-            continue;
-        }
-        let (ii, _) = match clusters[donor]
-            .items
-            .iter()
-            .enumerate()
-            .filter(|(_, it)| it.len() as u64 > allowed)
-            .map(|(ii, it)| {
-                (
-                    ii,
-                    clusters[recipient].tag.dot_bitset(&chunks[it.chunk].tag),
-                )
-            })
-            .max_by_key(|&(ii, d)| (d, std::cmp::Reverse(ii)))
-        {
-            Some(x) => x,
-            None => break,
-        };
-        let item = clusters[donor].items[ii];
-        let cut = item.end - allowed as usize;
-        clusters[donor].items[ii] = WorkItem {
-            chunk: item.chunk,
-            start: item.start,
-            end: cut,
-        };
-        clusters[donor].size -= allowed;
-        let tail = WorkItem {
-            chunk: item.chunk,
-            start: cut,
-            end: item.end,
-        };
-        let tag = &chunks[item.chunk].tag;
-        clusters[recipient].tag.add_bitset(tag);
-        clusters[recipient].size += allowed;
-        clusters[recipient].items.push(tail);
-        prof.count("weighted_moves", 1);
-    }
-}
-
-/// Why a failure-aware remap could not be computed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RemapError {
-    /// Pruning the hierarchy tree failed (bad client index, or no
-    /// survivors to remap onto).
-    Prune(cachemap_storage::topology::PruneError),
-    /// The distribution was built for a different client count than the
-    /// tree has.
-    ClientCountMismatch {
-        /// Clients in the distribution.
-        distribution_clients: usize,
-        /// Clients in the tree.
-        tree_clients: usize,
-    },
-    /// A work item references a chunk index outside the chunk list.
-    ChunkIndexOutOfRange {
-        /// The offending chunk index.
-        chunk: usize,
-        /// Length of the chunk list.
-        num_chunks: usize,
-    },
-}
-
-impl std::fmt::Display for RemapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RemapError::Prune(e) => write!(f, "{e}"),
-            RemapError::ClientCountMismatch {
-                distribution_clients,
-                tree_clients,
-            } => write!(
-                f,
-                "distribution has {distribution_clients} clients, tree has {tree_clients}"
-            ),
-            RemapError::ChunkIndexOutOfRange { chunk, num_chunks } => {
-                write!(f, "work item references chunk {chunk} of {num_chunks}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RemapError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RemapError::Prune(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<cachemap_storage::topology::PruneError> for RemapError {
-    fn from(e: cachemap_storage::topology::PruneError) -> Self {
-        RemapError::Prune(e)
-    }
-}
-
-/// Failure-aware remapping: redistributes the whole iteration load over
-/// the survivors by re-running the hierarchical clustering of Figure 5
-/// against the *pruned* tree.
-///
-/// Re-clustering everything (rather than just the failed clients' items)
-/// keeps the `BThres` load balance *global*: each survivor ends near
-/// `total / survivors` iterations, and the affinity structure is rebuilt
-/// for the degraded hierarchy, so orphan work lands with the clients
-/// that already share its data. The translated result uses the original
-/// client numbering; failed clients end with empty item lists.
-///
-/// `prof` records the re-clustering pass over the pruned tree with the
-/// spans of [`distribute_pooled`].
-///
-/// # Errors
-/// See [`RemapError`].
-pub fn remap_failed(
-    dist: &Distribution,
-    chunks: &[IterationChunk],
-    tree: &HierarchyTree,
-    failed: &[usize],
-    params: &ClusterParams,
-    prof: &mut Profile,
-) -> Result<Distribution, RemapError> {
-    if dist.per_client.len() != tree.num_clients() {
-        return Err(RemapError::ClientCountMismatch {
-            distribution_clients: dist.per_client.len(),
-            tree_clients: tree.num_clients(),
-        });
-    }
-    for items in &dist.per_client {
-        for item in items {
-            if item.chunk >= chunks.len() {
-                return Err(RemapError::ChunkIndexOutOfRange {
-                    chunk: item.chunk,
-                    num_chunks: chunks.len(),
-                });
-            }
-        }
-    }
-    if failed.is_empty() {
-        return Ok(dist.clone());
-    }
-    let (pruned, survivor_map) = tree.prune_clients(failed)?;
-
-    let sub_dist = distribute_profiled(chunks, &pruned, params, prof);
-    let mut out = Distribution {
-        per_client: vec![Vec::new(); dist.per_client.len()],
-    };
-    for (new_client, items) in sub_dist.per_client.iter().enumerate() {
-        out.per_client[survivor_map[new_client]] = items.clone();
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1239,101 +997,6 @@ mod tests {
             per.iter().all(|&x| (x as f64) <= mean * 2.0 + 8.0),
             "{per:?}"
         );
-    }
-
-    /// All `(chunk, iteration)` pairs a distribution covers.
-    fn covered(dist: &Distribution) -> FxHashSet<(usize, usize)> {
-        let mut seen = FxHashSet::default();
-        for items in &dist.per_client {
-            for it in items {
-                for k in it.start..it.end {
-                    assert!(seen.insert((it.chunk, k)), "duplicate iteration");
-                }
-            }
-        }
-        seen
-    }
-
-    #[test]
-    fn remap_moves_all_failed_work_to_survivors() {
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams::default();
-        let mut off = Profile::disabled();
-        let dist = distribute(&chunks, &tree, &params);
-        let before = covered(&dist);
-
-        let failed = vec![0, 1]; // whole I/O-node-0 subtree fails
-        let remapped = remap_failed(&dist, &chunks, &tree, &failed, &params, &mut off).unwrap();
-        assert!(remapped.per_client[0].is_empty());
-        assert!(remapped.per_client[1].is_empty());
-        // Exact-partition: the same iterations, each exactly once.
-        assert_eq!(covered(&remapped), before);
-        // Every surviving client carries some of the rebalanced load.
-        assert!(!remapped.per_client[2].is_empty());
-        assert!(!remapped.per_client[3].is_empty());
-    }
-
-    #[test]
-    fn remap_balances_over_survivors() {
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams::default();
-        let mut off = Profile::disabled();
-        let dist = distribute(&chunks, &tree, &params);
-        let remapped = remap_failed(&dist, &chunks, &tree, &[2], &params, &mut off).unwrap();
-        let per = remapped.iterations_per_client();
-        assert_eq!(per[2], 0);
-        // 32 iterations over 3 survivors: each within BThres of the
-        // 10.67 mean after splitting (11 ± 1).
-        let survivors: Vec<u64> = [0, 1, 3].iter().map(|&c| per[c]).collect();
-        assert_eq!(survivors.iter().sum::<u64>(), 32);
-        assert!(
-            survivors.iter().all(|&x| (10..=12).contains(&x)),
-            "survivor loads {survivors:?} must stay near the mean"
-        );
-    }
-
-    #[test]
-    fn remap_with_no_failures_is_identity() {
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams::default();
-        let mut off = Profile::disabled();
-        let dist = distribute(&chunks, &tree, &params);
-        let same = remap_failed(&dist, &chunks, &tree, &[], &params, &mut off).unwrap();
-        assert_eq!(same, dist);
-    }
-
-    #[test]
-    fn remap_rejects_bad_inputs() {
-        let (chunks, tree) = figure_example();
-        let params = ClusterParams::default();
-        let mut off = Profile::disabled();
-        let dist = distribute(&chunks, &tree, &params);
-        assert!(matches!(
-            remap_failed(&dist, &chunks, &tree, &[9], &params, &mut off),
-            Err(RemapError::Prune(_))
-        ));
-        assert!(matches!(
-            remap_failed(&dist, &chunks, &tree, &[0, 1, 2, 3], &params, &mut off),
-            Err(RemapError::Prune(_))
-        ));
-        let short = Distribution {
-            per_client: vec![Vec::new(); 2],
-        };
-        assert!(matches!(
-            remap_failed(&short, &chunks, &tree, &[0], &params, &mut off),
-            Err(RemapError::ClientCountMismatch { .. })
-        ));
-        let bogus = Distribution {
-            per_client: {
-                let mut v = vec![Vec::new(); 4];
-                v[0].push(WorkItem::whole(99, 4));
-                v
-            },
-        };
-        assert!(matches!(
-            remap_failed(&bogus, &chunks, &tree, &[0], &params, &mut off),
-            Err(RemapError::ChunkIndexOutOfRange { .. })
-        ));
     }
 }
 

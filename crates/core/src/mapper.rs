@@ -16,7 +16,7 @@
 //! to each processor" — the mapper guarantees exactly that.
 
 use crate::baseline;
-use crate::cluster::{self, ClusterParams, RemapError};
+use crate::cluster::{self, ClusterParams};
 use crate::codegen;
 use crate::deps::{self, DepStrategy};
 use crate::schedule::{self, ScheduleParams};
@@ -169,93 +169,22 @@ impl Mapper {
                 }
                 Version::InterProcessor | Version::InterProcessorScheduled => {
                     let sched = version == Version::InterProcessorScheduled;
-                    match self.map_inter(program, data, tree, sched, &[], prof) {
-                        Ok(mp) => mp,
-                        Err(_) => {
-                            // Invariant: with no failed clients the remap step
-                            // is skipped, so map_inter cannot fail.
-                            debug_assert!(false, "mapping without failures cannot fail");
-                            MappedProgram::new(tree.num_clients())
-                        }
-                    }
+                    self.map_inter(program, data, tree, sched, prof)
                 }
             }
         })
     }
 
-    /// Failure-aware mapping: like [`Mapper::map`], but the iteration
-    /// ranges of `failed_clients` are redistributed over the survivors.
-    ///
-    /// For the inter-processor versions the failed clients' chunks are
-    /// re-clustered against the *pruned* hierarchy tree (Figure 5 on the
-    /// degraded platform, honoring `BThres`); for the baselines — which
-    /// are hierarchy-agnostic by construction — the orphaned op streams
-    /// are reassigned round-robin over the survivors.
-    ///
-    /// # Errors
-    /// See [`RemapError`]; an empty `failed_clients` never fails.
-    pub fn map_with_failures(
-        &self,
-        program: &Program,
-        data: &DataSpace,
-        platform: &PlatformConfig,
-        tree: &HierarchyTree,
-        version: Version,
-        failed_clients: &[usize],
-    ) -> Result<MappedProgram, RemapError> {
-        self.map_with_failures_profiled(
-            program,
-            data,
-            platform,
-            tree,
-            version,
-            failed_clients,
-            &mut Profile::disabled(),
-        )
-    }
-
-    /// [`Mapper::map_with_failures`] with phase accounting (see
-    /// [`Mapper::map_profiled`]); the failure-aware re-clustering shows
-    /// up as a `remap` span inside the pipeline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_with_failures_profiled(
-        &self,
-        program: &Program,
-        data: &DataSpace,
-        platform: &PlatformConfig,
-        tree: &HierarchyTree,
-        version: Version,
-        failed_clients: &[usize],
-        prof: &mut Profile,
-    ) -> Result<MappedProgram, RemapError> {
-        if failed_clients.is_empty() {
-            return Ok(self.map_profiled(program, data, platform, tree, version, prof));
-        }
-        prof.scope("map", |prof| match version {
-            Version::Original | Version::IntraProcessor => {
-                let mp = self.map(program, data, platform, tree, version);
-                reassign_round_robin(mp, failed_clients)
-            }
-            Version::InterProcessor => {
-                self.map_inter(program, data, tree, false, failed_clients, prof)
-            }
-            Version::InterProcessorScheduled => {
-                self.map_inter(program, data, tree, true, failed_clients, prof)
-            }
-        })
-    }
-
-    /// The inter-processor pipeline: tag → cluster → (remap) →
-    /// (schedule) → (dependences) → lower.
+    /// The inter-processor pipeline: tag → cluster → (schedule) →
+    /// (dependences) → lower.
     fn map_inter(
         &self,
         program: &Program,
         data: &DataSpace,
         tree: &HierarchyTree,
         with_schedule: bool,
-        failed_clients: &[usize],
         prof: &mut Profile,
-    ) -> Result<MappedProgram, RemapError> {
+    ) -> MappedProgram {
         let nest_groups: Vec<Vec<usize>> = if self.cfg.joint_nests {
             vec![(0..program.nests.len()).collect()]
         } else {
@@ -265,21 +194,12 @@ impl Mapper {
 
         let mut mp = MappedProgram::new(tree.num_clients());
         for group in nest_groups {
-            let part = self.map_nest_group(
-                program,
-                data,
-                tree,
-                &group,
-                with_schedule,
-                failed_clients,
-                prof,
-            )?;
+            let part = self.map_nest_group(program, data, tree, &group, with_schedule, prof);
             codegen::append_program(&mut mp, part);
         }
-        Ok(mp)
+        mp
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn map_nest_group(
         &self,
         program: &Program,
@@ -287,9 +207,8 @@ impl Mapper {
         tree: &HierarchyTree,
         nest_indices: &[usize],
         with_schedule: bool,
-        failed_clients: &[usize],
         prof: &mut Profile,
-    ) -> Result<MappedProgram, RemapError> {
+    ) -> MappedProgram {
         // 1. Tagging (multi-nest groups share the data space).
         let (mut chunks, _ranges) = prof.scope("tagging", |prof| {
             let tagged = tags::tag_nests(program, nest_indices, data);
@@ -337,22 +256,6 @@ impl Mapper {
             });
         }
 
-        // 4c. Failure-aware remap: re-cluster the failed clients' work
-        //     over the pruned hierarchy before scheduling/lowering.
-        if !failed_clients.is_empty() {
-            dist = prof.scope("remap", |prof| {
-                prof.count("failed_clients", failed_clients.len() as u64);
-                cluster::remap_failed(
-                    &dist,
-                    &chunks,
-                    tree,
-                    failed_clients,
-                    &self.cfg.cluster,
-                    prof,
-                )
-            })?;
-        }
-
         // 5. Chunk execution order. The paper's base inter-processor
         //    scheme executed each client's chunks "randomly" (§5.4); we
         //    use deterministic program order (lexicographically first
@@ -381,7 +284,7 @@ impl Mapper {
         //    with synchronization for the cross-client edges.
         prof.scope("lower", |_| {
             if edges.is_empty() {
-                Ok(codegen::lower_distribution(&dist, &chunks, program, data))
+                codegen::lower_distribution(&dist, &chunks, program, data)
             } else {
                 // Drop the (rare) cyclic artifacts of the conservative
                 // chunk-granularity graph, impose one global topological
@@ -389,44 +292,10 @@ impl Mapper {
                 // forward edges — provably deadlock-free.
                 let edges = deps::acyclic_edges(&edges);
                 deps::enforce_intra_client_order(&mut dist, &edges);
-                Ok(deps::lower_with_sync(&dist, &chunks, program, data, &edges))
+                deps::lower_with_sync(&dist, &chunks, program, data, &edges)
             }
         })
     }
-}
-
-/// Reassigns the op streams of failed clients round-robin over the
-/// survivors (the hierarchy-agnostic fallback used for the baseline
-/// versions).
-fn reassign_round_robin(
-    mut mp: MappedProgram,
-    failed: &[usize],
-) -> Result<MappedProgram, RemapError> {
-    use cachemap_storage::topology::PruneError;
-    let n = mp.num_clients();
-    let mut is_failed = vec![false; n];
-    for &c in failed {
-        if c >= n {
-            return Err(RemapError::Prune(PruneError::UnknownClient {
-                client: c,
-                num_clients: n,
-            }));
-        }
-        is_failed[c] = true;
-    }
-    let survivors: Vec<usize> = (0..n).filter(|&c| !is_failed[c]).collect();
-    if survivors.is_empty() {
-        return Err(RemapError::Prune(PruneError::NoSurvivors));
-    }
-    let mut rr = 0usize;
-    for (c, &dead) in is_failed.iter().enumerate() {
-        if dead {
-            let ops = std::mem::take(&mut mp.per_client[c]);
-            mp.per_client[survivors[rr % survivors.len()]].extend(ops);
-            rr += 1;
-        }
-    }
-    Ok(mp)
 }
 
 #[cfg(test)]
@@ -466,77 +335,6 @@ mod tests {
             assert!(rep.l1.accesses() > 0, "{v:?} produced no accesses");
             assert!(rep.exec_time_ns > 0);
         }
-    }
-
-    #[test]
-    fn failure_mapping_preserves_total_work_in_every_version() {
-        let (program, data, cfg, tree) = setup();
-        let mapper = Mapper::paper_defaults();
-        for v in Version::ALL {
-            let healthy = mapper.map(&program, &data, &cfg, &tree, v);
-            let degraded = mapper
-                .map_with_failures(&program, &data, &cfg, &tree, v, &[0])
-                .unwrap();
-            assert_eq!(
-                degraded.total_accesses(),
-                healthy.total_accesses(),
-                "{v:?}: failures must not change the executed iterations"
-            );
-            assert!(
-                degraded.per_client[0]
-                    .iter()
-                    .all(|op| !matches!(op, cachemap_storage::ClientOp::Access { .. })),
-                "{v:?}: failed client 0 must issue no accesses"
-            );
-        }
-    }
-
-    #[test]
-    fn failure_mapping_with_no_failures_matches_map() {
-        let (program, data, cfg, tree) = setup();
-        let mapper = Mapper::paper_defaults();
-        for v in Version::ALL {
-            let a = mapper.map(&program, &data, &cfg, &tree, v);
-            let b = mapper
-                .map_with_failures(&program, &data, &cfg, &tree, v, &[])
-                .unwrap();
-            assert_eq!(a, b, "{v:?}");
-        }
-    }
-
-    #[test]
-    fn failure_mapping_rejects_bad_client_sets() {
-        let (program, data, cfg, tree) = setup();
-        let mapper = Mapper::paper_defaults();
-        for v in [Version::Original, Version::InterProcessor] {
-            assert!(mapper
-                .map_with_failures(&program, &data, &cfg, &tree, v, &[7])
-                .is_err());
-            assert!(mapper
-                .map_with_failures(&program, &data, &cfg, &tree, v, &[0, 1, 2, 3])
-                .is_err());
-        }
-    }
-
-    #[test]
-    fn degraded_inter_mapping_simulates_end_to_end() {
-        let (program, data, cfg, tree) = setup();
-        let mapper = Mapper::paper_defaults();
-        let sim = Simulator::new(cfg.clone()).unwrap();
-        let mp = mapper
-            .map_with_failures(
-                &program,
-                &data,
-                &cfg,
-                &tree,
-                Version::InterProcessor,
-                &[0, 1],
-            )
-            .unwrap();
-        let rep = sim.run(&mp).unwrap();
-        assert!(rep.l1.accesses() > 0);
-        assert_eq!(rep.per_client_finish_ns[0], 0, "failed client idles");
-        assert_eq!(rep.per_client_finish_ns[1], 0, "failed client idles");
     }
 
     #[test]
@@ -588,39 +386,6 @@ mod tests {
             .children
             .iter()
             .any(|&i| prof.node(i).name == "level:io"));
-    }
-
-    #[test]
-    fn profiled_failure_mapping_records_remap_span() {
-        let (program, data, cfg, tree) = setup();
-        let mapper = Mapper::paper_defaults();
-        let mut prof = Profile::enabled();
-        let mp = mapper
-            .map_with_failures_profiled(
-                &program,
-                &data,
-                &cfg,
-                &tree,
-                Version::InterProcessor,
-                &[0],
-                &mut prof,
-            )
-            .unwrap();
-        assert_eq!(
-            mp,
-            mapper
-                .map_with_failures(&program, &data, &cfg, &tree, Version::InterProcessor, &[0])
-                .unwrap(),
-            "profiling must not change the mapping"
-        );
-        let map = prof.root_named("map").expect("map span recorded");
-        let remap = map
-            .children
-            .iter()
-            .map(|&i| prof.node(i))
-            .find(|n| n.name == "remap")
-            .expect("remap span");
-        assert_eq!(remap.count("failed_clients"), Some(1));
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Figure 15. Driven by the in-repo deterministic harness
 //! (`cachemap_util::check`).
 
-use cachemap_core::cluster::{distribute, remap_failed, ClusterParams, Distribution, Linkage};
+use cachemap_core::cluster::{distribute, ClusterParams, Linkage};
 use cachemap_core::schedule::{schedule, ScheduleParams};
 use cachemap_core::tags::{tag_nest, IterationChunk};
-use cachemap_obs::Profile;
 use cachemap_polyhedral::{
     AffineExpr, ArrayDecl, ArrayRef, DataSpace, IterationSpace, LoopNest, Program,
 };
@@ -135,71 +134,6 @@ fn deeper_trees_distribute_over_all_clients() {
         let total: u64 = chunks.iter().map(|c| c.len() as u64).sum();
         assert_eq!(dist.total_iterations(), total);
         assert_eq!(dist.per_client.len(), 16);
-    });
-}
-
-#[test]
-fn remap_partitions_exactly_over_survivors_within_bthres() {
-    cases(0x3A9_0006, 96, |g| {
-        let chunks = arb_chunks(g);
-        let tree = tiny_tree(); // 4 clients
-        let params = ClusterParams::default();
-        let dist = distribute(&chunks, &tree, &params);
-
-        // Fail a random nonempty strict subset of the clients.
-        let nfail = g.usize_in(1, 2);
-        let mut failed: Vec<usize> = Vec::new();
-        while failed.len() < nfail {
-            let c = g.usize_in(0, 3);
-            if !failed.contains(&c) {
-                failed.push(c);
-            }
-        }
-        failed.sort_unstable();
-        let remapped = remap_failed(
-            &dist,
-            &chunks,
-            &tree,
-            &failed,
-            &params,
-            &mut Profile::disabled(),
-        )
-        .unwrap();
-
-        // Failed clients hold nothing.
-        for &f in &failed {
-            assert!(remapped.per_client[f].is_empty(), "client {f} failed");
-        }
-        // Exact partition: the remap covers the same (chunk, iteration)
-        // set as the original distribution, each exactly once.
-        let cover = |d: &Distribution| {
-            let mut set = std::collections::BTreeSet::new();
-            for items in &d.per_client {
-                for it in items {
-                    for k in it.start..it.end {
-                        assert!(set.insert((it.chunk, k)), "duplicated iteration");
-                    }
-                }
-            }
-            set
-        };
-        assert_eq!(cover(&remapped), cover(&dist));
-        // Survivor loads stay near the survivor mean up to the balance
-        // threshold compounded over the tree levels plus chunk slack.
-        let per = remapped.iterations_per_client();
-        let survivors: Vec<u64> = (0..per.len())
-            .filter(|c| !failed.contains(c))
-            .map(|c| per[c])
-            .collect();
-        let mean = survivors.iter().sum::<u64>() as f64 / survivors.len() as f64;
-        let largest = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as f64;
-        let slack = mean * (params.balance_threshold + 0.35) + largest + 1.0;
-        for &p in &survivors {
-            assert!(
-                (p as f64) <= mean + slack,
-                "survivor load {p} vs mean {mean} (slack {slack})"
-            );
-        }
     });
 }
 

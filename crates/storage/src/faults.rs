@@ -541,8 +541,8 @@ pub struct FaultStats {
     pub crashed_io_nodes: u64,
     /// Storage-node crashes applied.
     pub crashed_storage_nodes: u64,
-    /// Clients whose work was redistributed by failure-aware remapping
-    /// (filled in by the mapping layer, not the engine).
+    /// Always 0: no layer moves a failed client's work elsewhere. The
+    /// field stays so serialized reports keep their shape.
     pub remap_count: u64,
     /// Time from the first crash to the first access completed over a
     /// failover route, ns (0 when no failover happened).

@@ -10,7 +10,8 @@
 //!   cache:data ratios;
 //! * [`topology`] — the storage cache hierarchy tree of Figure 1/Section 4.3
 //!   (client L1 → I/O node L2 → storage node L3, dummy root when there are
-//!   multiple storage nodes), with the affinity queries the mapper needs;
+//!   multiple storage nodes), with the queries the mapper and the engine's
+//!   failover routes need;
 //! * [`cache`] — chunk-granularity caches behind the [`cache::ChunkCache`]
 //!   trait, with five replacement policies (LRU as in the paper; FIFO,
 //!   LFU, SLRU and LFUDA for ablations and the policy advisor),
@@ -60,4 +61,4 @@ pub use faults::{
 };
 pub use l2store::{L2Config, L2Store, RecoveryStats};
 pub use sim::{SimError, SimReport, Simulator};
-pub use topology::{CacheLevel, HierarchyTree, NodeId, PruneError};
+pub use topology::{CacheLevel, HierarchyTree, NodeId};

@@ -1,11 +1,10 @@
 //! Degraded hierarchy: inject faults into the storage platform and
-//! compare plain failover against failure-aware remapping.
+//! watch the original and inter-processor mappings fail over.
 //!
 //! A mid-run crash takes out every I/O node of storage group 0. The
-//! crashed nodes' clients either keep their work and fail over (extra
-//! hop, no L2), or — with `Mapper::map_with_failures` — hand their
-//! iterations to the survivors by re-clustering against the pruned
-//! cache tree.
+//! crashed nodes' clients keep their work and fail over: with no
+//! surviving sibling I/O node, their accesses go direct to storage
+//! (an extra hop and no L2).
 //!
 //! ```text
 //! cargo run --release --example degraded_hierarchy
@@ -29,29 +28,18 @@ fn main() {
     let crashed_ios: Vec<usize> = (0..platform.num_io_nodes)
         .filter(|&io| tree.storage_of_io(io) == 0)
         .collect();
-    let failed_clients: Vec<usize> = (0..platform.num_clients)
+    let stranded_clients: Vec<usize> = (0..platform.num_clients)
         .filter(|&c| crashed_ios.contains(&tree.io_of_client(c)))
         .collect();
     println!(
         "crashing I/O nodes {:?} -> stranding clients {:?}\n",
-        crashed_ios, failed_clients
+        crashed_ios, stranded_clients
     );
 
-    // Three mappings: the original block mapping and the healthy
-    // inter-processor mapping (both will fail over), and the
-    // inter-processor version remapped around the crash up front.
+    // Two mappings, both of which will fail over: the original block
+    // mapping and the healthy inter-processor mapping.
     let orig = mapper.map(program, &data, &platform, &tree, Version::Original);
     let inter = mapper.map(program, &data, &platform, &tree, Version::InterProcessor);
-    let remapped = mapper
-        .map_with_failures(
-            program,
-            &data,
-            &platform,
-            &tree,
-            Version::InterProcessor,
-            &failed_clients,
-        )
-        .expect("valid failed-client set");
 
     // Schedule the crash a third of the way into the healthy run, and
     // sprinkle in seeded transient errors and a slow disk group.
@@ -79,11 +67,7 @@ fn main() {
         "{:<28} {:>10} {:>9} {:>8} {:>10} {:>10}",
         "mapping", "exec (ms)", "failovers", "retries", "lost dirty", "recov (ms)"
     );
-    for (label, mapped) in [
-        ("original + failover", &orig),
-        ("inter + failover", &inter),
-        ("inter + remap", &remapped),
-    ] {
+    for (label, mapped) in [("original + failover", &orig), ("inter + failover", &inter)] {
         let rep = Simulator::new(platform.clone())
             .expect("valid platform config")
             .with_fault_plan(plan.clone())
@@ -101,7 +85,7 @@ fn main() {
         );
     }
     println!(
-        "\n(healthy inter-processor run: {:.1} ms; the crash fires at {:.1} ms.\n Remapping avoids the degraded route entirely — zero failovers — at the\n cost of slightly larger survivor shares. `repro resilience` sweeps this\n comparison over the whole application suite.)",
+        "\n(healthy inter-processor run: {:.1} ms; the crash fires at {:.1} ms.\n `repro resilience` sweeps this comparison over the whole application\n suite.)",
         clean.exec_time_ms(),
         at_ns as f64 / 1e6
     );
