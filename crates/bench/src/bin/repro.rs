@@ -7,7 +7,7 @@
 //!
 //! Experiments: `table1 table2 example fig10 fig11 fig12 fig13 fig14
 //! fig18 alphabeta prefetch refine linkage policies schedmetric deps multinest
-//! mapping-cost resilience`, plus the diagnostics `detail:<app>` and
+//! mapping-cost`, plus the diagnostics `detail:<app>` and
 //! `clients:<app>`.
 //!
 //! Each experiment prints a paper-style table and archives the raw
@@ -17,9 +17,7 @@
 //! Observability: `repro obs-export[:<app>]` captures one fully observed
 //! run (mapper phase profile + engine time series) into
 //! `reports/<app>-inter-scheduled.obs.json` (under `reports/test-scale/`
-//! with `--test-scale`); `repro obs <path...>` renders such artifacts;
-//! `repro resilience` additionally exports an artifact showing the
-//! crash → failover → steady-state timeline.
+//! with `--test-scale`); `repro obs <path...>` renders such artifacts.
 
 use cachemap_bench::{experiments, report::Matrix, write_report};
 use cachemap_obs::ObsArtifact;
@@ -36,6 +34,32 @@ fn report_name(name: &str, test_scale: bool) -> String {
     } else {
         name.to_string()
     }
+}
+
+/// Where a `BENCH_<name>.json` ledger goes: the committed copy at the
+/// repository root at paper scale, and under `reports/test-scale/` (see
+/// [`report_name`]) with `--test-scale`, so a smoke run never
+/// overwrites the committed numbers.
+fn bench_path(name: &str, test_scale: bool) -> std::path::PathBuf {
+    if test_scale {
+        std::path::Path::new("reports").join(format!("{}.json", report_name(name, true)))
+    } else {
+        std::path::PathBuf::from(format!("{name}.json"))
+    }
+}
+
+/// Writes a `BENCH_<name>.json` ledger (see [`bench_path`]).
+fn write_bench(
+    name: &str,
+    json: &cachemap_util::Json,
+    test_scale: bool,
+) -> std::io::Result<std::path::PathBuf> {
+    let path = bench_path(name, test_scale);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(&path, json.to_string_pretty())?;
+    Ok(path)
 }
 
 /// Prints each figure and archives its raw numbers (see [`report_name`]).
@@ -123,13 +147,18 @@ fn worked_example() -> String {
     out
 }
 
-/// Updates one section of the committed `BENCH_service.json`, which
-/// holds `{"open": {…}, "storm": {…}}`. A missing file
-/// or one with any other top-level key starts a fresh sectioned object.
-fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Result<()> {
+/// Updates one section of `BENCH_service.json` (see [`bench_path`]),
+/// which holds `{"open": {…}, "storm": {…}}`, and returns its path. A
+/// missing file or one with any other top-level key starts a fresh
+/// sectioned object.
+fn merge_bench_service(
+    section: &str,
+    value: cachemap_util::Json,
+    test_scale: bool,
+) -> std::io::Result<std::path::PathBuf> {
     use cachemap_util::Json;
-    let path = "BENCH_service.json";
-    let mut pairs: Vec<(String, Json)> = match std::fs::read_to_string(path)
+    let path = bench_path("BENCH_service", test_scale);
+    let mut pairs: Vec<(String, Json)> = match std::fs::read_to_string(&path)
         .ok()
         .and_then(|text| cachemap_util::json::parse(&text).ok())
     {
@@ -143,7 +172,7 @@ fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Re
         None => pairs.push((section.to_string(), value)),
     }
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    std::fs::write(path, Json::Object(pairs).to_string_pretty())
+    write_bench("BENCH_service", &Json::Object(pairs), test_scale)
 }
 
 fn usage() -> String {
@@ -152,7 +181,7 @@ fn usage() -> String {
      paper experiments:\n\
      \x20 all table1 table2 example fig10 fig11 fig12 fig13 fig14 fig18\n\
      \x20 alphabeta prefetch refine linkage policies schedmetric deps\n\
-     \x20 multinest mapping-cost resilience\n\
+     \x20 multinest mapping-cost\n\
      diagnostics:\n\
      \x20 detail:<app> clients:<app> analyze:<app> trace:<app>\n\
      observability:\n\
@@ -185,7 +214,9 @@ fn usage() -> String {
      \x20                               sweep over the adversarial scenarios\n\
      \x20                               + hf/contour; writes the crossover\n\
      \x20                               table to BENCH_policies.json\n\
-     \x20                               (default seed 42; deterministic)\n\
+     \x20                               (reports/test-scale/ with\n\
+     \x20                               --test-scale; default seed 42;\n\
+     \x20                               deterministic)\n\
      \x20 advisor-check <file...>       validate advisor reports against\n\
      \x20                               the BENCH_policies.json schema\n\
      help:\n\
@@ -205,7 +236,7 @@ fn bad_arg(what: &str, value: &str) -> ! {
 }
 
 /// The paper experiments, in the order `all` runs them.
-const ALL: [&str; 19] = [
+const ALL: [&str; 18] = [
     "table1",
     "table2",
     "example",
@@ -224,7 +255,6 @@ const ALL: [&str; 19] = [
     "deps",
     "multinest",
     "mapping-cost",
-    "resilience",
 ];
 
 /// One subcommand with its arguments parsed. `main` parses the whole
@@ -534,18 +564,6 @@ fn main() {
             Cmd::Paper("mapping-cost") => {
                 emit(&[experiments::mapping_cost(scale, &platform)], test_scale)
             }
-            Cmd::Paper("resilience") => {
-                eprintln!("[resilience: mid-run I/O-node crash, failover ...]");
-                emit(&[experiments::resilience(scale, &platform)], test_scale);
-                let artifact = cachemap_bench::obs::resilience_observed(scale, &platform);
-                match write_obs(&artifact.meta.label, &artifact, test_scale) {
-                    Ok(path) => println!(
-                        "   [obs artifact: {} — inspect with `repro obs`]\n",
-                        path.display()
-                    ),
-                    Err(e) => eprintln!("   [warning: could not write obs artifact: {e}]\n"),
-                }
-            }
             Cmd::Paper(name) => unreachable!("{name} is not in ALL"),
             Cmd::ObsExport(app) => {
                 let name = app.name;
@@ -764,12 +782,12 @@ fn main() {
                     std::process::exit(1);
                 });
                 println!("{}", cachemap_bench::open_loop::render(&report));
-                match merge_bench_service("open", report.to_json()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_service.json, section \"open\"]"),
+                match merge_bench_service("open", report.to_json(), test_scale) {
+                    Ok(path) => println!("   [raw numbers: {}, section \"open\"]", path.display()),
                     Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
                 }
                 let scratch = format!("BENCH_service-open-{}", cfg.seed);
-                match write_report(&scratch, &report) {
+                match write_report(&report_name(&scratch, test_scale), &report) {
                     Ok(path) => println!("   [scratch copy: {}]", path.display()),
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
                 }
@@ -836,12 +854,12 @@ fn main() {
                 );
                 let report = cachemap_bench::advisor::run_advisor(scale, &platform, seed);
                 println!("{}", cachemap_bench::advisor::render(&report));
-                match std::fs::write("BENCH_policies.json", report.to_json().to_string_pretty()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_policies.json]"),
+                match write_bench("BENCH_policies", &report.to_json(), test_scale) {
+                    Ok(path) => println!("   [raw numbers: {}]", path.display()),
                     Err(e) => eprintln!("   [warning: could not write BENCH_policies.json: {e}]"),
                 }
                 let scratch = format!("BENCH_policies-{seed}");
-                match write_report(&scratch, &report) {
+                match write_report(&report_name(&scratch, test_scale), &report) {
                     Ok(path) => println!("   [scratch copy: {}]", path.display()),
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
                 }
@@ -873,12 +891,12 @@ fn main() {
                     std::process::exit(1);
                 });
                 println!("{}", cachemap_bench::storm::render(&report));
-                match merge_bench_service("storm", report.to_json()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_service.json, section \"storm\"]"),
+                match merge_bench_service("storm", report.to_json(), test_scale) {
+                    Ok(path) => println!("   [raw numbers: {}, section \"storm\"]", path.display()),
                     Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
                 }
                 let scratch = format!("BENCH_service-storm-{seed}");
-                match write_report(&scratch, &report) {
+                match write_report(&report_name(&scratch, test_scale), &report) {
                     Ok(path) => println!("   [scratch copy: {}]", path.display()),
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
                 }

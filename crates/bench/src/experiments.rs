@@ -9,9 +9,7 @@ use crate::report::{CellFormat, Matrix};
 use crate::{run_cell, run_suite, AppResults};
 use cachemap_core::deps::DepStrategy;
 use cachemap_core::{MapperConfig, Version};
-use cachemap_storage::{
-    FaultEvent, FaultPlan, HierarchyTree, MappedProgram, PlatformConfig, SimReport, Simulator,
-};
+use cachemap_storage::{PlatformConfig, SimReport};
 use cachemap_workloads::Scale;
 
 /// All four versions in figure order.
@@ -212,6 +210,18 @@ pub fn fig11(runs: &[AppResults]) -> Vec<Matrix> {
 /// Figure 12: inter-processor I/O latency and execution time, normalized
 /// to the original version, under different (w, x, y) topologies.
 pub fn fig12(scale: Scale, base: &PlatformConfig) -> Vec<Matrix> {
+    sweep(
+        "fig12",
+        "under topology (clients, I/O nodes, storage nodes)",
+        scale,
+        fig12_platforms(base),
+        "savings grow with clients per shared cache (paper: (128,32,16) best)",
+    )
+}
+
+/// The labelled platform variants of Figure 12: five `(W, X, Y)`
+/// topologies over `base`.
+pub fn fig12_platforms(base: &PlatformConfig) -> Vec<(String, PlatformConfig)> {
     let topologies: [(usize, usize, usize); 5] = [
         (32, 16, 8),
         (64, 32, 16),
@@ -219,26 +229,32 @@ pub fn fig12(scale: Scale, base: &PlatformConfig) -> Vec<Matrix> {
         (128, 32, 16),
         (128, 64, 32),
     ];
-    sweep(
-        "fig12",
-        "under topology (clients, I/O nodes, storage nodes)",
-        scale,
-        topologies
-            .iter()
-            .map(|&(w, x, y)| {
-                (
-                    format!("({w},{x},{y})"),
-                    base.clone().with_topology(w, x, y),
-                )
-            })
-            .collect(),
-        "savings grow with clients per shared cache (paper: (128,32,16) best)",
-    )
+    topologies
+        .iter()
+        .map(|&(w, x, y)| {
+            (
+                format!("({w},{x},{y})"),
+                base.clone().with_topology(w, x, y),
+            )
+        })
+        .collect()
 }
 
 /// Figure 13: sensitivity to per-node cache capacities (W, X, Y).
 /// Labels are in paper-GB; 2 GB corresponds to the scaled default.
 pub fn fig13(scale: Scale, base: &PlatformConfig) -> Vec<Matrix> {
+    sweep(
+        "fig13",
+        "under cache capacities",
+        scale,
+        fig13_platforms(base),
+        "bigger caches shrink the savings; halving them boosts ours (paper)",
+    )
+}
+
+/// The labelled platform variants of Figure 13: five per-level cache
+/// capacities over `base`.
+pub fn fig13_platforms(base: &PlatformConfig) -> Vec<(String, PlatformConfig)> {
     // "2 GB" at each level corresponds to the base platform's per-level
     // chunk capacity (the levels scale differently — see
     // `PlatformConfig::paper_default`), so the (2GB,2GB,2GB) row is
@@ -253,48 +269,48 @@ pub fn fig13(scale: Scale, base: &PlatformConfig) -> Vec<Matrix> {
         ("(4GB,4GB,4GB)", 4, 4, 4),
         ("(4GB,8GB,8GB)", 4, 8, 8),
     ];
-    sweep(
-        "fig13",
-        "under cache capacities",
-        scale,
-        configs
-            .iter()
-            .map(|&(label, w, x, y)| {
-                (
-                    label.to_string(),
-                    base.clone().with_cache_chunks(l1(w), l2(x), l3(y)),
-                )
-            })
-            .collect(),
-        "bigger caches shrink the savings; halving them boosts ours (paper)",
-    )
+    configs
+        .iter()
+        .map(|&(label, w, x, y)| {
+            (
+                label.to_string(),
+                base.clone().with_cache_chunks(l1(w), l2(x), l3(y)),
+            )
+        })
+        .collect()
 }
 
 /// Figure 14: sensitivity to the data chunk size (cache byte capacity
 /// held constant, as in the paper).
 pub fn fig14(scale: Scale, base: &PlatformConfig) -> Vec<Matrix> {
-    let sizes = [16u64, 32, 64, 128];
     sweep(
         "fig14",
         "under data chunk sizes",
         scale,
-        sizes
-            .iter()
-            .map(|&kb| {
-                let bytes = kb * 1024;
-                let factor = (base.chunk_bytes / bytes).max(1) as usize;
-                let shrink = (bytes / base.chunk_bytes).max(1) as usize;
-                let chunks = base.client_cache_chunks * factor / shrink;
-                (
-                    format!("{kb}KB"),
-                    base.clone()
-                        .with_chunk_bytes(bytes)
-                        .with_cache_chunks(chunks, chunks, chunks),
-                )
-            })
-            .collect(),
+        fig14_platforms(base),
         "smaller chunks → finer clustering → bigger savings (paper)",
     )
+}
+
+/// The labelled platform variants of Figure 14: four chunk sizes over
+/// `base`, each with the cache byte capacity held constant.
+pub fn fig14_platforms(base: &PlatformConfig) -> Vec<(String, PlatformConfig)> {
+    let sizes = [16u64, 32, 64, 128];
+    sizes
+        .iter()
+        .map(|&kb| {
+            let bytes = kb * 1024;
+            let factor = (base.chunk_bytes / bytes).max(1) as usize;
+            let shrink = (bytes / base.chunk_bytes).max(1) as usize;
+            let chunks = base.client_cache_chunks * factor / shrink;
+            (
+                format!("{kb}KB"),
+                base.clone()
+                    .with_chunk_bytes(bytes)
+                    .with_cache_chunks(chunks, chunks, chunks),
+            )
+        })
+        .collect()
 }
 
 /// Shared sweep driver for Figures 12-14: for each platform variant, run
@@ -798,79 +814,6 @@ pub fn mapping_cost(scale: Scale, platform: &PlatformConfig) -> Matrix {
     m
 }
 
-/// The fault plan of the resilience experiments: every I/O node of
-/// storage group 0 crashes a third of the way into `inter`'s fault-free
-/// run. It is a correlated failure (shared rack, PSU, or switch) that
-/// leaves the group's clients with no surviving sibling I/O node, so
-/// their accesses go direct-to-storage with no L2 at all. Returns a
-/// simulator that applies the plan.
-pub fn group0_crash_simulator(
-    platform: &PlatformConfig,
-    tree: &HierarchyTree,
-    inter: &MappedProgram,
-) -> Simulator {
-    let clean = Simulator::new(platform.clone())
-        .expect("valid platform config")
-        .run(inter)
-        .expect("well-formed mapped program");
-    let at_ns = (clean.exec_time_ns / 3).max(1);
-    let plan = (0..platform.num_io_nodes)
-        .filter(|&io| tree.storage_of_io(io) == 0)
-        .fold(FaultPlan::new(), |plan, io| {
-            plan.with_event(FaultEvent::IoNodeCrash { io, at_ns })
-        });
-    Simulator::new(platform.clone())
-        .expect("valid platform config")
-        .with_fault_plan(plan)
-        .expect("plan fits the platform")
-}
-
-/// Resilience experiment (beyond the paper): the original and the
-/// inter-processor mappings run unmodified under the crash of
-/// [`group0_crash_simulator`], and the crashed group's clients fail
-/// over to the direct path.
-pub fn resilience(scale: Scale, platform: &PlatformConfig) -> Matrix {
-    let mut m = Matrix::new(
-        "resilience",
-        "Mid-run crash of storage group 0's I/O nodes: exec time (ms) + degraded-mode counters",
-        vec![
-            "app".into(),
-            "orig+crash (ms)".into(),
-            "inter+crash (ms)".into(),
-            "failovers".into(),
-            "lost dirty".into(),
-        ],
-        CellFormat::Plain,
-    );
-    let tree = HierarchyTree::from_config(platform).expect("valid platform config");
-    let mapper = cachemap_core::Mapper::new(MapperConfig::default());
-    for app in cachemap_workloads::suite(scale) {
-        let data = cachemap_polyhedral::DataSpace::new(&app.program.arrays, platform.chunk_bytes);
-        let orig = mapper.map(&app.program, &data, platform, &tree, Version::Original);
-        let inter = mapper.map(
-            &app.program,
-            &data,
-            platform,
-            &tree,
-            Version::InterProcessor,
-        );
-        let sim = group0_crash_simulator(platform, &tree, &inter);
-        let r_orig = sim.run(&orig).expect("well-formed mapped program");
-        let r_inter = sim.run(&inter).expect("well-formed mapped program");
-        m.row(
-            app.name,
-            vec![
-                r_orig.exec_time_ns as f64 / 1e6,
-                r_inter.exec_time_ns as f64 / 1e6,
-                r_orig.faults.failovers as f64,
-                r_orig.faults.lost_dirty_chunks as f64,
-            ],
-        );
-    }
-    m.note("failovers / lost dirty are from the unremapped original run");
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,25 +857,5 @@ mod tests {
     fn multinest_covers_multi_nest_apps() {
         let m = multinest(Scale::Test, &test_platform());
         assert_eq!(m.rows.len(), 2);
-    }
-
-    #[test]
-    fn resilience_inter_beats_original_under_the_same_crash() {
-        let m = resilience(Scale::Test, &test_platform());
-        assert_eq!(m.rows.len(), 8);
-        let means = m.column_means();
-        // Columns: orig+crash, inter+crash, failovers, lost.
-        assert!(
-            means[1] < means[0],
-            "inter must beat original under the same crash on average: {means:?}"
-        );
-        // The crash must actually bite: the runs fail over.
-        assert!(means[2] > 0.0, "no failovers recorded: {means:?}");
-        for (app, cells) in &m.rows {
-            assert!(
-                cells.iter().take(2).all(|&c| c > 0.0),
-                "{app}: every condition must complete: {cells:?}"
-            );
-        }
     }
 }

@@ -10,7 +10,7 @@ use cachemap_obs::{
 use cachemap_polyhedral::DataSpace;
 use cachemap_storage::{HierarchyTree, PlatformConfig, SimReport, Simulator};
 use cachemap_util::table::TextTable;
-use cachemap_workloads::{Application, Scale};
+use cachemap_workloads::Application;
 
 /// How many simulated-time buckets the exporter aims for per run.
 const TARGET_BUCKETS: u64 = 48;
@@ -77,41 +77,6 @@ pub fn run_cell_observed(
     (rep, artifact)
 }
 
-/// The observed companion of the `resilience` experiment, for the first
-/// app of the suite: the inter-processor mapping is derived with a
-/// profile, then runs under the same crash plan with a recorder, so the
-/// `io_crash` and `failover` events and the post-crash steady state land
-/// on the timeline.
-pub fn resilience_observed(scale: Scale, platform: &PlatformConfig) -> ObsArtifact {
-    let app = cachemap_workloads::suite(scale)
-        .into_iter()
-        .next()
-        .expect("non-empty suite");
-    let tree = HierarchyTree::from_config(platform).expect("valid platform config");
-    let data = DataSpace::new(&app.program.arrays, platform.chunk_bytes);
-    let mut prof = Profile::enabled();
-    let inter = Mapper::new(MapperConfig::default()).map_profiled(
-        &app.program,
-        &data,
-        platform,
-        &tree,
-        Version::InterProcessor,
-        &mut prof,
-    );
-    let sim = crate::experiments::group0_crash_simulator(platform, &tree, &inter);
-    let degraded = sim.run(&inter).expect("well-formed mapped program");
-    let mut rec = Recorder::enabled(pick_bucket_ns(degraded.exec_time_ns));
-    let _ = sim
-        .run_observed(&inter, &mut rec)
-        .expect("well-formed mapped program");
-
-    ObsArtifact {
-        meta: artifact_meta(platform, &format!("resilience/{}", app.name)),
-        mapper: Some(prof),
-        engine: rec.finish(),
-    }
-}
-
 const SPARK_RAMP: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 /// A fixed-width activity sparkline: one glyph per bucket `0..=max_b`,
@@ -174,8 +139,7 @@ fn render_level_table(out: &mut String, obs: &EngineObs, level: Level, max_b: u6
 
 /// Renders one artifact as the `repro obs` text report: run metadata,
 /// the mapper phase profile, per-level per-node time-series tables,
-/// per-client timelines, the event log, the busiest links, and the
-/// hottest chunks.
+/// per-client timelines, the busiest links, and the hottest chunks.
 pub fn render_artifact(artifact: &ObsArtifact) -> String {
     let meta = &artifact.meta;
     let mut out = format!(
@@ -225,22 +189,6 @@ pub fn render_artifact(artifact: &ObsArtifact) -> String {
             ]);
         }
         out.push_str(&t.render());
-    }
-
-    if !obs.events.is_empty() {
-        out.push_str("-- events --\n");
-        const SHOWN: usize = 40;
-        for e in obs.events.iter().take(SHOWN) {
-            out.push_str(&format!(
-                "  t={:>10} ms  {:<14} subject {}\n",
-                fmt_ms(e.t_ns),
-                e.kind,
-                e.subject
-            ));
-        }
-        if obs.events.len() > SHOWN {
-            out.push_str(&format!("  (+{} more)\n", obs.events.len() - SHOWN));
-        }
     }
 
     if !obs.links.is_empty() {
@@ -296,7 +244,7 @@ mod tests {
 
     #[test]
     fn observed_cell_matches_plain_report_and_renders() {
-        let app = cachemap_workloads::by_name("contour", Scale::Test).unwrap();
+        let app = cachemap_workloads::by_name("contour", cachemap_workloads::Scale::Test).unwrap();
         let platform = PlatformConfig::paper_default().with_cache_chunks(8, 8, 8);
         let cfg = MapperConfig::default();
         let plain = crate::run_cell(&app, &platform, &cfg, Version::InterProcessorScheduled);
@@ -319,35 +267,17 @@ mod tests {
         assert!(text.contains("l3 nodes"));
         assert!(text.contains("client timelines"));
         assert!(text.contains("hottest chunks"));
-        // Round-trips through JSON.
-        let json = artifact.to_json().to_string_pretty();
-        let back = ObsArtifact::parse(&json).expect("round-trip");
-        assert_eq!(render_artifact(&back), text);
-        cachemap_obs::validate_artifact(&cachemap_util::json::parse(&json).unwrap())
-            .expect("schema-valid artifact");
-    }
-
-    #[test]
-    fn resilience_artifact_shows_failover_and_cluster_span() {
-        let platform = PlatformConfig::paper_default().with_cache_chunks(8, 8, 8);
-        let artifact = resilience_observed(Scale::Test, &platform);
-        let obs = artifact.engine.as_ref().expect("engine series captured");
-        assert!(
-            obs.events.iter().any(|e| e.kind == "io_crash"),
-            "crash events on the timeline"
-        );
-        assert!(
-            obs.events.iter().any(|e| e.kind == "failover"),
-            "failover events on the timeline"
-        );
         let prof = artifact.mapper.as_ref().expect("mapper profile captured");
         let map = prof.root_named("map").expect("map span");
         assert!(
             map.children.iter().any(|&i| prof.node(i).name == "cluster"),
             "cluster span in the profile"
         );
-        let text = render_artifact(&artifact);
-        assert!(text.contains("io_crash"));
-        assert!(text.contains("resilience/"));
+        // Round-trips through JSON.
+        let json = artifact.to_json().to_string_pretty();
+        let back = ObsArtifact::parse(&json).expect("round-trip");
+        assert_eq!(render_artifact(&back), text);
+        cachemap_obs::validate_artifact(&cachemap_util::json::parse(&json).unwrap())
+            .expect("schema-valid artifact");
     }
 }

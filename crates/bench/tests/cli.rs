@@ -59,24 +59,47 @@ fn malformed_arguments_exit_2_without_panicking_or_writing() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn test_scale_obs_export_writes_only_under_reports_test_scale() {
-    let dir = std::env::temp_dir().join(format!("cachemap-repro-obs-{}", std::process::id()));
+/// Runs `repro` with `args` in a fresh directory and returns every file
+/// it wrote there, relative to that directory.
+fn files_written(tag: &str, args: &[&str]) -> Vec<PathBuf> {
+    let dir = std::env::temp_dir().join(format!("cachemap-repro-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--test-scale", "obs-export:contour"])
+        .args(args)
         .current_dir(&dir)
         .output()
         .unwrap();
     assert!(
         out.status.success(),
-        "{}",
+        "{args:?}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_eq!(
-        files_under(&dir),
-        [dir.join("reports/test-scale/contour-inter-scheduled.obs.json")]
-    );
+    let files = files_under(&dir)
+        .into_iter()
+        .map(|f| f.strip_prefix(&dir).unwrap().to_path_buf())
+        .collect();
     std::fs::remove_dir_all(&dir).unwrap();
+    files
+}
+
+#[test]
+fn test_scale_obs_export_writes_only_under_reports_test_scale() {
+    assert_eq!(
+        files_written("obs", &["--test-scale", "obs-export:contour"]),
+        [Path::new(
+            "reports/test-scale/contour-inter-scheduled.obs.json"
+        )]
+    );
+}
+
+#[test]
+fn test_scale_advisor_writes_only_under_reports_test_scale() {
+    assert_eq!(
+        files_written("advisor", &["--test-scale", "advisor:42"]),
+        [
+            Path::new("reports/test-scale/BENCH_policies-42.json"),
+            Path::new("reports/test-scale/BENCH_policies.json"),
+        ]
+    );
 }

@@ -7,7 +7,7 @@ use crate::span::Profile;
 use cachemap_util::{Json, ToJson};
 
 /// Version stamp written into every artifact; bumped on schema changes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Platform shape recorded alongside the series so the renderer can lay
 /// out heatmap tables without re-reading the run configuration.
@@ -251,14 +251,6 @@ impl ObsArtifact {
                 *bytes,
             );
         }
-        for e in &engine.events {
-            reg.counter_add(
-                "cachemap_events_total",
-                "Engine timeline events by kind",
-                &[("kind", e.kind.as_str())],
-                1,
-            );
-        }
         for &(_, count) in &engine.hot_chunks {
             reg.histogram_observe(
                 "cachemap_chunk_accesses",
@@ -315,7 +307,6 @@ mod tests {
         rec.eviction(Level::L2, 1, 1300, true);
         rec.client_io(0, 10, 500);
         rec.link_transfer(LinkHop::ClientIo, 0, 1, 1024);
-        rec.event(1200, "failover", 0);
         rec.chunk_access(3);
         ObsArtifact {
             meta: ArtifactMeta {
@@ -340,7 +331,7 @@ mod tests {
         assert_eq!(text, b.to_json().to_string_pretty());
         assert_eq!(b.meta.label, "test/run");
         assert!(b.mapper.is_some());
-        assert_eq!(b.engine.as_ref().unwrap().events.len(), 1);
+        assert_eq!(b.engine.as_ref().unwrap().links.len(), 1);
     }
 
     #[test]
@@ -365,7 +356,6 @@ mod tests {
         assert!(
             text.contains("cachemap_net_bytes_total{dst=\"1\",hop=\"client-io\",src=\"0\"} 1024")
         );
-        assert!(text.contains("cachemap_events_total{kind=\"failover\"} 1"));
         assert!(text.contains("cachemap_chunk_accesses_bucket{le=\"1\"} 1"));
     }
 

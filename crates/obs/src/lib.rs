@@ -9,9 +9,8 @@
 //!   comparisons; the span *counters* are deterministic.
 //! * [`series`] — a [`Recorder`] the simulation engine feeds with
 //!   per-node per-level hit/miss/eviction/queue observations, folded
-//!   into fixed-width buckets of *simulated* time, plus fault/failover/
-//!   retry events and per-link byte tallies on the same timeline. Fully
-//!   reproducible for a fixed seed.
+//!   into fixed-width buckets of *simulated* time, plus per-link byte
+//!   tallies and a hot-chunk table. Fully reproducible for a fixed seed.
 //! * [`metrics`] — a typed counter/gauge/histogram [`Registry`] with
 //!   JSON and Prometheus text exposition (labels `level`, `node`,
 //!   `client`).
@@ -40,7 +39,7 @@ pub use artifact::{ArtifactMeta, ObsArtifact, SCHEMA_VERSION};
 pub use metrics::{MetricKind, Registry};
 pub use schema::validate_artifact;
 pub use series::{
-    BucketStats, ClientBucketStats, EngineObs, Level, LinkHop, ObsEvent, Recorder, HOT_CHUNKS_CAP,
+    BucketStats, ClientBucketStats, EngineObs, Level, LinkHop, Recorder, HOT_CHUNKS_CAP,
 };
 pub use span::{Profile, SpanNode};
 pub use trace::{

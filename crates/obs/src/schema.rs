@@ -128,15 +128,6 @@ fn validate_engine(json: &Json, errs: &mut Vec<String>) {
         require_u64(row, path, "client", errs);
         check_buckets(row, path, &["b", "io_ns", "compute_ns", "accesses"], errs);
     });
-    check_rows(json, "events", errs, |row, path, errs| {
-        require_u64(row, path, "t_ns", errs);
-        if row.get("kind").and_then(Json::as_str).is_none() {
-            errs.push(format!("{path}.kind: missing or not a string"));
-        }
-        if row.get("subject").and_then(Json::as_i64).is_none() {
-            errs.push(format!("{path}.subject: missing or not an i64"));
-        }
-    });
     check_rows(json, "links", errs, |row, path, errs| {
         match row.get("hop").and_then(Json::as_str) {
             Some("client-io" | "io-storage" | "storage-peer") => {}
@@ -201,7 +192,6 @@ mod tests {
         prof.scope("map", |p| p.count("chunks", 2));
         let mut rec = Recorder::enabled(100);
         rec.cache_access(Level::L1, 0, 5, true);
-        rec.event(5, "retry", 3);
         ObsArtifact {
             meta: ArtifactMeta {
                 schema_version: crate::SCHEMA_VERSION,

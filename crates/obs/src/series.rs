@@ -124,18 +124,6 @@ impl ClientBucketStats {
     }
 }
 
-/// A timestamped engine event (fault, failover, retry, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsEvent {
-    /// Simulated timestamp, ns.
-    pub t_ns: u64,
-    /// Event kind: `io_crash`, `storage_crash`, `disk_degrade`,
-    /// `cache_degrade`, `failover`, `retry`.
-    pub kind: String,
-    /// Affected entity (node or client id; -1 when not applicable).
-    pub subject: i64,
-}
-
 /// Hot-chunk table cap in [`Recorder::finish`].
 pub const HOT_CHUNKS_CAP: usize = 64;
 
@@ -144,7 +132,6 @@ struct RecorderInner {
     bucket_ns: u64,
     nodes: BTreeMap<(Level, usize), BTreeMap<u64, BucketStats>>,
     clients: BTreeMap<usize, BTreeMap<u64, ClientBucketStats>>,
-    events: Vec<ObsEvent>,
     links: BTreeMap<(LinkHop, usize, usize), u64>,
     chunks: BTreeMap<u64, u64>,
 }
@@ -290,19 +277,6 @@ impl Recorder {
         *inner.links.entry((hop, src, dst)).or_insert(0) += bytes;
     }
 
-    /// Stamps an engine event into the timeline.
-    #[inline]
-    pub fn event(&mut self, t_ns: u64, kind: &str, subject: i64) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        inner.events.push(ObsEvent {
-            t_ns,
-            kind: kind.to_string(),
-            subject,
-        });
-    }
-
     /// Consumes the recorder and produces the deterministic snapshot.
     /// Returns `None` for a disabled recorder.
     pub fn finish(self) -> Option<EngineObs> {
@@ -311,13 +285,10 @@ impl Recorder {
         // Most-accessed first; chunk id breaks ties so the order is total.
         hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hot.truncate(HOT_CHUNKS_CAP);
-        let mut events = inner.events;
-        events.sort_by(|a, b| (a.t_ns, &a.kind, a.subject).cmp(&(b.t_ns, &b.kind, b.subject)));
         Some(EngineObs {
             bucket_ns: inner.bucket_ns,
             nodes: inner.nodes,
             clients: inner.clients,
-            events,
             links: inner.links,
             hot_chunks: hot,
         })
@@ -333,8 +304,6 @@ pub struct EngineObs {
     pub nodes: BTreeMap<(Level, usize), BTreeMap<u64, BucketStats>>,
     /// Per-client sparse bucket series.
     pub clients: BTreeMap<usize, BTreeMap<u64, ClientBucketStats>>,
-    /// Timeline events, sorted by `(t_ns, kind, subject)`.
-    pub events: Vec<ObsEvent>,
     /// Total bytes per `(hop, src, dst)` link.
     pub links: BTreeMap<(LinkHop, usize, usize), u64>,
     /// Top accessed chunks `(chunk, count)`, count-descending, capped at
@@ -431,20 +400,6 @@ impl EngineObs {
             }
             obs.clients.insert(client, series);
         }
-        for row in req_array(json, "events")? {
-            obs.events.push(ObsEvent {
-                t_ns: req_u64(row, "t_ns")?,
-                kind: row
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("event: missing \"kind\"")?
-                    .to_string(),
-                subject: row
-                    .get("subject")
-                    .and_then(Json::as_i64)
-                    .ok_or("event: missing \"subject\"")?,
-            });
-        }
         for row in req_array(json, "links")? {
             let hop = row
                 .get("hop")
@@ -537,18 +492,6 @@ impl ToJson for EngineObs {
                 })
                 .collect(),
         );
-        let events = Json::Array(
-            self.events
-                .iter()
-                .map(|e| {
-                    Json::object(vec![
-                        ("t_ns", Json::UInt(e.t_ns)),
-                        ("kind", Json::Str(e.kind.clone())),
-                        ("subject", Json::Int(e.subject)),
-                    ])
-                })
-                .collect(),
-        );
         let links = Json::Array(
             self.links
                 .iter()
@@ -577,7 +520,6 @@ impl ToJson for EngineObs {
             ("bucket_ns", Json::UInt(self.bucket_ns)),
             ("nodes", nodes),
             ("clients", clients),
-            ("events", events),
             ("links", links),
             ("hot_chunks", hot),
         ])
@@ -593,7 +535,6 @@ mod tests {
         let mut r = Recorder::disabled();
         assert!(!r.is_enabled());
         r.cache_access(Level::L1, 0, 100, true);
-        r.event(5, "failover", 1);
         assert!(r.finish().is_none());
     }
 
@@ -629,17 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn events_sort_by_time_then_kind() {
-        let mut r = Recorder::enabled(10);
-        r.event(50, "retry", 2);
-        r.event(10, "io_crash", 0);
-        r.event(50, "failover", 2);
-        let obs = r.finish().unwrap();
-        let kinds: Vec<&str> = obs.events.iter().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, ["io_crash", "failover", "retry"]);
-    }
-
-    #[test]
     fn json_round_trip_is_lossless() {
         let mut r = Recorder::enabled(500);
         r.cache_access(Level::L1, 0, 10, true);
@@ -648,7 +578,6 @@ mod tests {
         r.client_io(4, 20, 300);
         r.client_compute(4, 400, 80);
         r.link_transfer(LinkHop::IoStorage, 1, 0, 65536);
-        r.event(600, "cache_degrade", 1);
         r.chunk_access(7);
         r.chunk_access(7);
         r.chunk_access(9);

@@ -12,20 +12,33 @@ use cachemap_util::ToJson;
 use cachemap_workloads::{suite, Scale};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cachemap-trace-{tag}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::SeqCst)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A fresh directory under the system temp dir, removed again when the
+/// guard drops: hold it for as long as a service may write into it.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!(
+            "cachemap-trace-{tag}-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, Ordering::SeqCst)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn request(app_idx: usize, version: Version, id: u64) -> MapRequest {
@@ -42,7 +55,7 @@ fn request(app_idx: usize, version: Version, id: u64) -> MapRequest {
     }
 }
 
-fn traced_config() -> ServiceConfig {
+fn traced_config(flight: &TempDir) -> ServiceConfig {
     ServiceConfig {
         workers: 2,
         tracing: true,
@@ -50,7 +63,7 @@ fn traced_config() -> ServiceConfig {
         // these tests measure attribution, not deadline policing.
         default_deadline_ms: 0,
         // Anomaly dumps (e.g. on drain) stay out of the source tree.
-        flight_dir: temp_dir("traced"),
+        flight_dir: flight.0.clone(),
         ..ServiceConfig::default()
     }
 }
@@ -64,8 +77,9 @@ fn submit_and_finalize(service: &MapService, req: MapRequest) -> Json {
 
 #[test]
 fn trace_ids_are_deterministic_across_fresh_services() {
-    let a = MapService::start(traced_config());
-    let b = MapService::start(traced_config());
+    let (dir_a, dir_b) = (TempDir::new("traced"), TempDir::new("traced"));
+    let a = MapService::start(traced_config(&dir_a));
+    let b = MapService::start(traced_config(&dir_b));
     // Same submission sequence on both services → identical ids: the id
     // is derived from (content fingerprint, admission seq), never from
     // clocks or randomness.
@@ -103,7 +117,8 @@ fn stage_sum_tracks_end_to_end_latency() {
     // paths, the stage durations tile the request — their sum explains
     // the trace's own total within 10% (plus a 200 µs floor for the
     // sub-stage gaps: mutex handoffs, channel wakeups).
-    let service = MapService::start(traced_config());
+    let flight = TempDir::new("traced");
+    let service = MapService::start(traced_config(&flight));
     let mut g = cachemap_util::check::Gen::from_seed(0x7ace);
     for case in 0..24 {
         let app = g.usize_in(0, 7);
@@ -139,7 +154,8 @@ fn stage_sum_tracks_end_to_end_latency() {
 
 #[test]
 fn compute_traces_link_the_mapper_profile() {
-    let service = MapService::start(traced_config());
+    let flight = TempDir::new("traced");
+    let service = MapService::start(traced_config(&flight));
     let trace = submit_and_finalize(&service, request(0, Version::InterProcessor, 1));
     let stages = trace.get("stages").and_then(Json::as_array).unwrap();
     let compute = stages
@@ -183,10 +199,11 @@ fn disabled_tracing_is_byte_identical_on_the_wire() {
         .to_string_compact();
     let mut replies = Vec::new();
     for tracing in [false, true] {
+        let flight = TempDir::new("byteid");
         let service = Arc::new(MapService::start(ServiceConfig {
             workers: 2,
             tracing,
-            flight_dir: temp_dir("byteid"),
+            flight_dir: flight.0.clone(),
             ..ServiceConfig::default()
         }));
         let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
@@ -222,10 +239,11 @@ fn disabled_tracing_is_byte_identical_on_the_wire() {
 
 #[test]
 fn trace_op_round_trips_over_tcp() {
+    let flight = TempDir::new("op");
     let service = Arc::new(MapService::start(ServiceConfig {
         workers: 2,
         tracing: true,
-        flight_dir: temp_dir("op"),
+        flight_dir: flight.0.clone(),
         ..ServiceConfig::default()
     }));
     let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service)).unwrap();
@@ -320,13 +338,12 @@ fn tracing_off_answers_trace_ops_not_found() {
 
 #[test]
 fn anomaly_triggers_dump_validating_flight_records() {
-    let dir = temp_dir("dumps");
+    let dir = TempDir::new("dumps");
     let service = MapService::start(ServiceConfig {
-        flight_dir: dir.clone(),
         // Every compute is "slow" at a 1 ms threshold, so the slow-
         // request trigger must fire on the first cold mapping.
         slow_trace_ms: 1,
-        ..traced_config()
+        ..traced_config(&dir)
     });
 
     // Slow request: one cold compute takes well over 1 ms.
@@ -346,7 +363,7 @@ fn anomaly_triggers_dump_validating_flight_records() {
     service.shutdown();
 
     let mut seen = std::collections::BTreeSet::new();
-    for entry in std::fs::read_dir(&dir).expect("flight dir was created") {
+    for entry in std::fs::read_dir(&dir.0).expect("flight dir was created") {
         let path = entry.unwrap().path();
         let name = path.file_name().unwrap().to_str().unwrap().to_string();
         assert!(
@@ -369,17 +386,15 @@ fn anomaly_triggers_dump_validating_flight_records() {
     for trigger in ["slow_request", "rejection_burst", "drain"] {
         assert!(seen.contains(trigger), "missing a {trigger} dump: {seen:?}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn torn_l2_tail_dumps_a_recovery_flight_record() {
-    let dir = temp_dir("l2");
-    let flight = temp_dir("recovery");
+    let dir = TempDir::new("l2");
+    let flight = TempDir::new("recovery");
     let cfg = ServiceConfig {
-        l2_dir: Some(dir.clone()),
-        flight_dir: flight.clone(),
-        ..traced_config()
+        l2_dir: Some(dir.0.clone()),
+        ..traced_config(&flight)
     };
     {
         let service = MapService::start(cfg.clone());
@@ -392,7 +407,7 @@ fn torn_l2_tail_dumps_a_recovery_flight_record() {
         service.shutdown();
     }
     // Tear the tail of the newest segment (a partial final write).
-    let mut segs: Vec<_> = std::fs::read_dir(&dir)
+    let mut segs: Vec<_> = std::fs::read_dir(&dir.0)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| {
@@ -419,7 +434,7 @@ fn torn_l2_tail_dumps_a_recovery_flight_record() {
 
     // Restart on the torn directory: recovery truncates and dumps.
     let service = MapService::start(cfg);
-    let dumps: Vec<_> = std::fs::read_dir(&flight)
+    let dumps: Vec<_> = std::fs::read_dir(&flight.0)
         .expect("recovery dump dir")
         .filter_map(|e| e.ok())
         .filter(|e| {
@@ -438,6 +453,4 @@ fn torn_l2_tail_dumps_a_recovery_flight_record() {
         parsed.to_string_compact()
     );
     service.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&flight);
 }

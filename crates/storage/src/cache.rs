@@ -13,8 +13,7 @@
 //! No policy scans its residents. LRU and SLRU keep recency lists on a
 //! slab and FIFO a queue, so every operation is O(1). LFU and LFUDA
 //! share [`FrequencyCache`]: a hit is O(1), and an eviction pops a lazy
-//! min-heap in O(log n) amortized for `n` residents. `drain` and
-//! `set_capacity` cost one eviction per line they remove.
+//! min-heap in O(log n) amortized for `n` residents.
 
 use crate::config::PolicyKind;
 use cachemap_util::stats::HitMiss;
@@ -67,18 +66,6 @@ pub trait ChunkCache {
 
     /// Drops all residents and statistics.
     fn reset(&mut self);
-
-    /// Removes every resident chunk (statistics are kept), returning the
-    /// former residents as `(chunk, dirty)` pairs in eviction order.
-    /// Used by fault injection to model a crashed node losing its cache.
-    fn drain(&mut self) -> Vec<(Chunk, bool)>;
-
-    /// Changes the capacity, evicting in policy order until the
-    /// residents fit; returns the evicted `(chunk, dirty)` pairs. A
-    /// capacity of zero is clamped to one (caches are never empty by
-    /// construction; see [`FaultPlan`](crate::faults::FaultPlan)
-    /// validation).
-    fn set_capacity(&mut self, capacity: usize) -> Vec<(Chunk, bool)>;
 }
 
 /// Builds a cache of the configured policy kind.
@@ -310,27 +297,6 @@ impl ChunkCache for LruCache {
         self.index.clear();
         self.stats = HitMiss::default();
     }
-
-    fn drain(&mut self) -> Vec<(Chunk, bool)> {
-        let mut out = Vec::with_capacity(self.index.len());
-        while let Some(entry) = self.evict_lru() {
-            out.push(entry);
-        }
-        out
-    }
-
-    fn set_capacity(&mut self, capacity: usize) -> Vec<(Chunk, bool)> {
-        self.capacity = capacity.max(1);
-        let mut out = Vec::new();
-        while self.index.len() > self.capacity {
-            if let Some(entry) = self.evict_lru() {
-                out.push(entry);
-            } else {
-                break;
-            }
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -413,30 +379,6 @@ impl ChunkCache for FifoCache {
         self.queue.clear();
         self.dirty.clear();
         self.stats = HitMiss::default();
-    }
-
-    fn drain(&mut self) -> Vec<(Chunk, bool)> {
-        let mut out = Vec::with_capacity(self.dirty.len());
-        while let Some(victim) = self.queue.pop_front() {
-            let was_dirty = self.dirty.remove(&victim).unwrap_or(false);
-            out.push((victim, was_dirty));
-        }
-        out
-    }
-
-    fn set_capacity(&mut self, capacity: usize) -> Vec<(Chunk, bool)> {
-        self.capacity = capacity.max(1);
-        let mut out = Vec::new();
-        while self.dirty.len() > self.capacity {
-            match self.queue.pop_front() {
-                Some(victim) => {
-                    let was_dirty = self.dirty.remove(&victim).unwrap_or(false);
-                    out.push((victim, was_dirty));
-                }
-                None => break,
-            }
-        }
-        out
     }
 }
 
@@ -603,26 +545,6 @@ impl<const AGING: bool> ChunkCache for FrequencyCache<AGING> {
         self.next_seq = 0;
         self.stats = HitMiss::default();
     }
-
-    fn drain(&mut self) -> Vec<(Chunk, bool)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        while let Some(entry) = self.evict_min() {
-            out.push(entry);
-        }
-        out
-    }
-
-    fn set_capacity(&mut self, capacity: usize) -> Vec<(Chunk, bool)> {
-        self.capacity = capacity.max(1);
-        let mut out = Vec::new();
-        while self.entries.len() > self.capacity {
-            match self.evict_min() {
-                Some(entry) => out.push(entry),
-                None => break,
-            }
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -657,13 +579,6 @@ pub struct SlruCache {
 }
 
 impl SlruCache {
-    /// Protected share of the capacity: ⌊4/5·cap⌋, at least one line
-    /// (the classic SLRU split of roughly 80% protected / 20%
-    /// probationary).
-    fn protected_share(capacity: usize) -> usize {
-        (capacity * 4 / 5).max(1)
-    }
-
     /// Creates an empty SLRU cache.
     ///
     /// # Panics
@@ -672,7 +587,9 @@ impl SlruCache {
         assert!(capacity > 0, "cache capacity must be positive");
         SlruCache {
             capacity,
-            protected_cap: Self::protected_share(capacity),
+            // ⌊4/5·cap⌋, at least one line: the classic SLRU split of
+            // roughly 80% protected / 20% probationary.
+            protected_cap: (capacity * 4 / 5).max(1),
             slab: Slab::default(),
             probationary: List::EMPTY,
             protected: List::EMPTY,
@@ -780,29 +697,6 @@ impl ChunkCache for SlruCache {
         self.protected = List::EMPTY;
         self.index.clear();
         self.stats = HitMiss::default();
-    }
-
-    fn drain(&mut self) -> Vec<(Chunk, bool)> {
-        let mut out = Vec::with_capacity(self.index.len());
-        while let Some(entry) = self.evict_one() {
-            out.push(entry);
-        }
-        out
-    }
-
-    fn set_capacity(&mut self, capacity: usize) -> Vec<(Chunk, bool)> {
-        self.capacity = capacity.max(1);
-        self.protected_cap = Self::protected_share(self.capacity);
-        let mut out = Vec::new();
-        while self.index.len() > self.capacity {
-            match self.evict_one() {
-                Some(entry) => out.push(entry),
-                None => break,
-            }
-        }
-        // A shrunk protected share demotes (not evicts) the overflow.
-        self.demote_overflow();
-        out
     }
 }
 
@@ -920,63 +814,6 @@ mod tests {
             c.insert(1, false);
             assert!(c.access(1, false));
             assert!(c.stats().hits >= 1);
-        }
-    }
-
-    #[test]
-    fn drain_surfaces_dirty_residents_and_empties() {
-        for kind in PolicyKind::ALL {
-            let mut c = build_cache(kind, 4);
-            c.insert(1, false);
-            c.insert(2, true);
-            c.insert(3, false);
-            let drained = c.drain();
-            assert_eq!(drained.len(), 3, "{kind:?}");
-            assert_eq!(
-                drained.iter().filter(|(_, d)| *d).count(),
-                1,
-                "{kind:?} must surface the dirty chunk"
-            );
-            assert!(c.is_empty());
-            // Statistics survive a drain (unlike reset).
-            assert_eq!(c.stats().misses, 0);
-            c.insert(9, false);
-            assert!(c.contains(9));
-        }
-    }
-
-    #[test]
-    fn set_capacity_shrinks_in_policy_order() {
-        let mut c = LruCache::new(4);
-        for i in 0..4 {
-            c.insert(i, i == 0); // chunk 0 dirty, and LRU
-        }
-        let evicted = c.set_capacity(2);
-        assert_eq!(evicted, vec![(0, true), (1, false)]);
-        assert_eq!(c.capacity(), 2);
-        assert_eq!(c.len(), 2);
-        assert!(c.contains(2) && c.contains(3));
-        // Growing evicts nothing; zero clamps to one.
-        assert!(c.set_capacity(8).is_empty());
-        let evicted = c.set_capacity(0);
-        assert_eq!(c.capacity(), 1);
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn set_capacity_all_policies_respect_new_limit() {
-        for kind in PolicyKind::ALL {
-            let mut c = build_cache(kind, 8);
-            for i in 0..8 {
-                c.insert(i, i % 2 == 0);
-            }
-            let evicted = c.set_capacity(3);
-            assert_eq!(evicted.len(), 5, "{kind:?}");
-            assert_eq!(c.len(), 3, "{kind:?}");
-            assert_eq!(c.capacity(), 3, "{kind:?}");
-            c.insert(100, false);
-            assert!(c.len() <= 3, "{kind:?}");
         }
     }
 

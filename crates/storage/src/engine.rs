@@ -12,14 +12,13 @@
 //! Work that touches only a client's own clock and private L1 needs no
 //! global order. The client at the top of the heap runs its next op,
 //! whatever it is, and then runs ahead while its next op is private: a
-//! `Compute`, or an `Access` that hits its L1, each starting before the
-//! next unapplied fault event. An L1 miss found this way stays pending,
-//! with the lookup and the miss already counted, and resumes from the
-//! L2 step when the client's unchanged `(start, client)` key next
-//! reaches the top. `Signal` and `Wait` run only at the top. So every
-//! shared op still runs in `(time, client)` order, and every statistic,
-//! trace and recorder series is the same as if each op took its own
-//! turn through the heap.
+//! `Compute`, or an `Access` that hits its L1. An L1 miss found this way
+//! stays pending, with the lookup and the miss already counted, and
+//! resumes from the L2 step when the client's unchanged `(start, client)`
+//! key next reaches the top. `Signal` and `Wait` run only at the top. So
+//! every shared op still runs in `(time, client)` order, and every
+//! statistic, trace and recorder series is the same as if each op took
+//! its own turn through the heap.
 //!
 //! The access path mirrors the platform of Section 5.1: an L1 miss is
 //! forwarded by the client to its I/O node (L2); an L2 miss is forwarded
@@ -30,35 +29,18 @@
 //! down with their costs charged to the access that triggered them. The
 //! platform's costs and each client's route are computed once, when the
 //! engine is built.
-//!
-//! Fault injection ([`crate::faults`]) threads through the same global
-//! clock: scheduled events are a time-sorted list, applied at heap visits
-//! before any op that starts at or after them (no op runs ahead past the
-//! next one); failover routing replaces crashed nodes on the access path,
-//! and transient errors draw from a seeded generator in the order of the
-//! L1 misses — so a faulty run is exactly as reproducible as a clean one,
-//! and a run with an empty [`FaultPlan`] is bit-identical to a fault-free
-//! run.
 
 use crate::cache::{build_cache, Chunk, ChunkCache, InsertOutcome};
 use crate::config::{ConfigError, PlatformConfig};
 use crate::disk::{disk_index, owner_of_chunk, striping_stride, total_disks, Disk};
-use crate::faults::{DegradeLevel, FaultEvent, FaultPlan, FaultPlanError, FaultStats};
 use crate::topology::HierarchyTree;
 use crate::trace::{ServedBy, Trace, TraceEvent};
 use cachemap_obs::{Level as ObsLevel, LinkHop, Recorder};
 use cachemap_util::stats::HitMiss;
-use cachemap_util::{Backoff, FxHashMap, XorShift64};
+use cachemap_util::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
-
-/// Retry attempts per access before a transient error is forced to
-/// succeed (a termination backstop; with validated rates the loop exits
-/// almost immediately).
-const MAX_TRANSIENT_RETRIES: u32 = 32;
-/// Cap on the exponential backoff, as a multiple of the base delay.
-const MAX_BACKOFF_FACTOR: u64 = 16;
 
 /// One operation in a client's instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,8 +142,6 @@ pub enum EngineError {
         /// The waiting clients, in ascending order.
         waiting: Vec<usize>,
     },
-    /// The fault plan does not fit the platform.
-    Fault(FaultPlanError),
 }
 
 impl fmt::Display for EngineError {
@@ -189,7 +169,6 @@ impl fmt::Display for EngineError {
                 f,
                 "deadlock: clients {waiting:?} waiting on tokens that were never signalled"
             ),
-            EngineError::Fault(e) => write!(f, "invalid fault plan: {e}"),
         }
     }
 }
@@ -198,7 +177,6 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Config(e) => Some(e),
-            EngineError::Fault(e) => Some(e),
             _ => None,
         }
     }
@@ -207,12 +185,6 @@ impl std::error::Error for EngineError {
 impl From<ConfigError> for EngineError {
     fn from(e: ConfigError) -> Self {
         EngineError::Config(e)
-    }
-}
-
-impl From<FaultPlanError> for EngineError {
-    fn from(e: FaultPlanError) -> Self {
-        EngineError::Fault(e)
     }
 }
 
@@ -265,8 +237,6 @@ pub struct RunStats {
     pub disk_writes: u64,
     /// Chunks prefetched into storage-node caches by server read-ahead.
     pub prefetched_chunks: u64,
-    /// Degraded-mode counters (all zero on a fault-free run).
-    pub faults: FaultStats,
 }
 
 struct Resources {
@@ -277,14 +247,12 @@ struct Resources {
     l3_free: Vec<u64>,
     disks: Vec<Disk>,
     disk_free: Vec<u64>,
-    /// Aggregate eviction/writeback tallies `[l1, l2, l3]`. Lives here
-    /// (not on the engine) so the degrade-time write-back free functions
-    /// can update it while `FaultState` is borrowed.
+    /// Aggregate eviction/writeback tallies `[l1, l2, l3]`.
     tally: [EvictionTally; 3],
 }
 
 /// Where each client's misses go, read off the hierarchy tree once, so
-/// the access path never walks the tree or builds a failover list.
+/// the access path never walks the tree.
 struct Routes {
     /// The I/O node of each client.
     client_io: Vec<usize>,
@@ -292,9 +260,6 @@ struct Routes {
     client_storage: Vec<usize>,
     /// The storage node above each I/O node.
     io_storage: Vec<usize>,
-    /// Each I/O node's failover candidates: the other I/O nodes under the
-    /// same storage node, in increasing order.
-    io_siblings: Vec<Vec<usize>>,
 }
 
 impl Routes {
@@ -307,58 +272,7 @@ impl Routes {
             client_storage: client_io.iter().map(|&io| io_storage[io]).collect(),
             client_io,
             io_storage,
-            io_siblings: (0..cfg.num_io_nodes)
-                .map(|io| tree.io_siblings(io))
-                .collect(),
         }
-    }
-}
-
-/// Mutable fault-injection state derived from a [`FaultPlan`].
-struct FaultState {
-    /// Events sorted by `(at_ns, plan order)`; applied lazily.
-    events: Vec<FaultEvent>,
-    next_event: usize,
-    io_alive: Vec<bool>,
-    storage_alive: Vec<bool>,
-    /// Per-storage-node disk service-time multiplier (starts at 1).
-    disk_factor: Vec<u64>,
-    transient_rng: Option<XorShift64>,
-    transient_rate_ppm: u64,
-    stats: FaultStats,
-    first_crash_ns: Option<u64>,
-    recovery_ns: Option<u64>,
-}
-
-impl FaultState {
-    fn from_plan(plan: &FaultPlan, cfg: &PlatformConfig) -> Option<FaultState> {
-        if plan.is_empty() {
-            // No state at all: the fault-free fast path stays untouched,
-            // which is what makes the empty plan bit-identical to a run
-            // without any plan.
-            return None;
-        }
-        let mut events = plan.events.clone();
-        events.sort_by_key(|e| e.at_ns()); // stable: plan order breaks ties
-        Some(FaultState {
-            events,
-            next_event: 0,
-            io_alive: vec![true; cfg.num_io_nodes],
-            storage_alive: vec![true; cfg.num_storage_nodes],
-            disk_factor: vec![1; cfg.num_storage_nodes],
-            transient_rng: plan.transient.map(|t| XorShift64::new(t.seed)),
-            transient_rate_ppm: plan.transient.map_or(0, |t| t.rate_ppm as u64),
-            stats: FaultStats::default(),
-            first_crash_ns: None,
-            recovery_ns: None,
-        })
-    }
-
-    /// Time of the next unapplied event; `u64::MAX` when none is left.
-    fn next_event_ns(&self) -> u64 {
-        self.events
-            .get(self.next_event)
-            .map_or(u64::MAX, FaultEvent::at_ns)
     }
 }
 
@@ -386,14 +300,9 @@ pub struct Engine<'a> {
     /// One chunk over one network link (latency plus serialization), ns.
     chunk_ns: u64,
     res: Resources,
-    faults: Option<FaultState>,
-    /// Time of the next unapplied fault event (`u64::MAX` when none):
-    /// no op runs ahead of the heap at or past it.
-    next_fault_ns: u64,
     /// Metric recorder; `Some` only when the caller attached an *enabled*
     /// recorder, so the disabled path stays structurally identical to a
-    /// run without observability (mirrors the empty-`FaultPlan` fast
-    /// path).
+    /// run without observability.
     obs: Option<&'a mut Recorder>,
     trace: Option<Vec<TraceEvent>>,
     /// Highest chunk id referenced by the program (read-ahead never
@@ -434,8 +343,6 @@ impl<'a> Engine<'a> {
             routes: Routes::new(tree, cfg),
             chunk_ns: cfg.net_chunk_ns(),
             res,
-            faults: None,
-            next_fault_ns: u64::MAX,
             obs: None,
             trace: None,
             max_chunk: 0,
@@ -450,18 +357,6 @@ impl<'a> Engine<'a> {
             self.obs = Some(rec);
         }
         self
-    }
-
-    /// Attaches a fault plan (validated against the platform). An empty
-    /// plan leaves the engine on the fault-free fast path.
-    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Result<Self, EngineError> {
-        plan.validate(self.cfg)?;
-        self.faults = FaultState::from_plan(plan, self.cfg);
-        self.next_fault_ns = self
-            .faults
-            .as_ref()
-            .map_or(u64::MAX, FaultState::next_event_ns);
-        Ok(self)
     }
 
     /// Like [`Engine::run`] but also records every access into a
@@ -518,9 +413,6 @@ impl<'a> Engine<'a> {
             };
             let Reverse((t, c)) = *top;
             debug_assert_eq!(t, runs[c].clock);
-            if t >= self.next_fault_ns {
-                self.apply_due_faults(t);
-            }
             let ops = &program.per_client[c];
             // The op at the top runs whatever it is.
             match ops[runs[c].pc] {
@@ -612,10 +504,6 @@ impl<'a> Engine<'a> {
         stats.l2_evictions = self.res.tally[1];
         stats.l3_evictions = self.res.tally[2];
         stats.prefetched_chunks = self.prefetched;
-        if let Some(f) = &self.faults {
-            stats.faults = f.stats;
-            stats.faults.recovery_ns = f.recovery_ns.unwrap_or(0);
-        }
         let trace = self.trace.take().map(|mut events| {
             events.sort_by_key(|e| (e.time_ns, e.client));
             Trace { events }
@@ -623,238 +511,12 @@ impl<'a> Engine<'a> {
         Ok((stats, trace))
     }
 
-    /// Applies every scheduled fault event whose time has been reached.
-    /// Runs at heap visits, so events fire in global-time order, each
-    /// before any op that starts at or after it.
-    fn apply_due_faults(&mut self, now: u64) {
-        let Some(f) = self.faults.as_mut() else {
-            return;
-        };
-        while f.next_event < f.events.len() {
-            let ev = f.events[f.next_event];
-            if ev.at_ns() > now {
-                break;
-            }
-            f.next_event += 1;
-            self.next_fault_ns = f.next_event_ns();
-            match ev {
-                FaultEvent::IoNodeCrash { io, at_ns } => {
-                    if f.io_alive[io] {
-                        f.io_alive[io] = false;
-                        f.stats.crashed_io_nodes += 1;
-                        f.first_crash_ns.get_or_insert(at_ns);
-                        let lost = self.res.l2[io]
-                            .drain()
-                            .iter()
-                            .filter(|(_, dirty)| *dirty)
-                            .count();
-                        f.stats.lost_dirty_chunks += lost as u64;
-                        if let Some(o) = self.obs.as_deref_mut() {
-                            o.event(at_ns, "io_crash", io as i64);
-                        }
-                    }
-                }
-                FaultEvent::StorageNodeCrash { storage, at_ns } => {
-                    if f.storage_alive[storage] {
-                        f.storage_alive[storage] = false;
-                        f.stats.crashed_storage_nodes += 1;
-                        f.first_crash_ns.get_or_insert(at_ns);
-                        let lost = self.res.l3[storage]
-                            .drain()
-                            .iter()
-                            .filter(|(_, dirty)| *dirty)
-                            .count();
-                        f.stats.lost_dirty_chunks += lost as u64;
-                        if let Some(o) = self.obs.as_deref_mut() {
-                            o.event(at_ns, "storage_crash", storage as i64);
-                        }
-                    }
-                }
-                FaultEvent::DiskDegrade {
-                    storage,
-                    latency_factor,
-                    at_ns,
-                } => {
-                    f.disk_factor[storage] = latency_factor as u64;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.event(at_ns, "disk_degrade", storage as i64);
-                    }
-                }
-                FaultEvent::CacheDegrade {
-                    level,
-                    node,
-                    at_ns,
-                    capacity_chunks,
-                } => {
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.event(at_ns, "cache_degrade", node as i64);
-                    }
-                    // Evicted dirty chunks are written back to the next
-                    // level asynchronously: the lower-level resource
-                    // clocks advance but no client waits.
-                    match level {
-                        DegradeLevel::Client => {
-                            let evicted = self.res.l1[node].set_capacity(capacity_chunks);
-                            // Dirty victims take the route an L1 miss
-                            // would: the home I/O node or its surviving
-                            // sibling, else the storage node, else disk.
-                            let home = self.routes.client_io[node];
-                            let io_route = if f.io_alive[home] {
-                                Some(home)
-                            } else {
-                                self.routes.io_siblings[home]
-                                    .iter()
-                                    .copied()
-                                    .find(|&x| f.io_alive[x])
-                            };
-                            for (victim, dirty) in evicted {
-                                self.res.tally[0].bump(dirty);
-                                if let Some(o) = self.obs.as_deref_mut() {
-                                    o.eviction(ObsLevel::L1, node, at_ns, dirty);
-                                }
-                                if !dirty {
-                                    continue;
-                                }
-                                if let Some(io) = io_route {
-                                    let t = at_ns.max(self.res.l2_free[io]);
-                                    write_back_l2(
-                                        &mut self.res,
-                                        f,
-                                        self.cfg,
-                                        self.obs.as_deref_mut(),
-                                        io,
-                                        self.routes.io_storage[io],
-                                        victim,
-                                        t,
-                                    );
-                                } else {
-                                    let s = self.routes.client_storage[node];
-                                    let t = at_ns.max(self.res.l3_free[s]);
-                                    write_back_l3(
-                                        &mut self.res,
-                                        f,
-                                        self.cfg,
-                                        self.obs.as_deref_mut(),
-                                        s,
-                                        victim,
-                                        t,
-                                    );
-                                }
-                            }
-                        }
-                        DegradeLevel::Io => {
-                            let evicted = self.res.l2[node].set_capacity(capacity_chunks);
-                            let s = self.routes.io_storage[node];
-                            for (victim, dirty) in evicted {
-                                self.res.tally[1].bump(dirty);
-                                if let Some(o) = self.obs.as_deref_mut() {
-                                    o.eviction(ObsLevel::L2, node, at_ns, dirty);
-                                }
-                                if dirty {
-                                    let t = at_ns.max(self.res.l3_free[s]);
-                                    write_back_l3(
-                                        &mut self.res,
-                                        f,
-                                        self.cfg,
-                                        self.obs.as_deref_mut(),
-                                        s,
-                                        victim,
-                                        t,
-                                    );
-                                }
-                            }
-                        }
-                        DegradeLevel::Storage => {
-                            let evicted = self.res.l3[node].set_capacity(capacity_chunks);
-                            for (victim, dirty) in evicted {
-                                self.res.tally[2].bump(dirty);
-                                if let Some(o) = self.obs.as_deref_mut() {
-                                    o.eviction(ObsLevel::L3, node, at_ns, dirty);
-                                }
-                                if dirty {
-                                    write_back_disk(&mut self.res, f, self.cfg, victim, at_ns);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// True unless fault injection has crashed storage node `s`.
-    fn storage_is_alive(&self, s: usize) -> bool {
-        match &self.faults {
-            Some(f) => f.storage_alive[s],
-            None => true,
-        }
-    }
-
-    /// Resolves the I/O node an access should use. Returns the node (or
-    /// `None` for direct-to-storage when every candidate is dead) and
-    /// whether a failover happened.
-    fn route_io(&self, io: usize) -> (Option<usize>, bool) {
-        match &self.faults {
-            None => (Some(io), false),
-            Some(f) if f.io_alive[io] => (Some(io), false),
-            Some(f) => {
-                // Fail over to the lowest-indexed surviving sibling
-                // under the same storage parent.
-                let sibling = self.routes.io_siblings[io]
-                    .iter()
-                    .copied()
-                    .find(|&x| f.io_alive[x]);
-                (sibling, true)
-            }
-        }
-    }
-
-    /// Draws transient errors for one remote access by client `c` and
-    /// charges the capped exponential backoff to simulated time.
-    fn transient_retries(&mut self, c: usize, mut t: u64) -> u64 {
-        let base = self.cfg.net_hop_ns.max(1);
-        let Some(f) = self.faults.as_mut() else {
-            return t;
-        };
-        let Some(rng) = f.transient_rng.as_mut() else {
-            return t;
-        };
-        let mut schedule = Backoff::exponential(base, base * MAX_BACKOFF_FACTOR);
-        for _ in 0..MAX_TRANSIENT_RETRIES {
-            if !rng.chance(f.transient_rate_ppm, 1_000_000) {
-                break;
-            }
-            let backoff = schedule.next().unwrap_or(base);
-            f.stats.transient_errors += 1;
-            f.stats.retries += 1;
-            f.stats.retry_backoff_ns += backoff;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.event(t, "retry", c as i64);
-            }
-            t += backoff;
-        }
-        t
-    }
-
-    /// Disk read service time including any degradation factor.
-    fn disk_read_service(&mut self, di: usize, chunk: Chunk) -> u64 {
-        let base = self.res.disks[di].read(chunk);
-        base * self.disk_factor(di)
-    }
-
-    fn disk_factor(&self, di: usize) -> u64 {
-        match &self.faults {
-            Some(f) => f.disk_factor[di / self.cfg.disks_per_node],
-            None => 1,
-        }
-    }
-
-    /// Writes a dirty chunk straight to its disk (used when the caches
-    /// below the victim's level are dead); returns the completion time.
+    /// Writes a dirty chunk back to its disk; returns the completion
+    /// time.
     fn disk_writeback(&mut self, victim: Chunk, t: u64) -> u64 {
         let di = disk_index(victim, self.cfg);
         let start = t.max(self.res.disk_free[di]);
-        let service = self.res.disks[di].write(victim) * self.disk_factor(di);
+        let service = self.res.disks[di].write(victim);
         self.res.disk_free[di] = start + service;
         start + service
     }
@@ -870,12 +532,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs client `c` on from the top of the heap through its private
-    /// ops — computes, and accesses that hit its L1 — while they start
-    /// before the next unapplied fault event. Stops at the first shared
-    /// op: a `Signal`, a `Wait`, or an access that missed its L1, which
-    /// stays pending with the miss counted.
+    /// ops — computes, and accesses that hit its L1. Stops at the first
+    /// shared op: a `Signal`, a `Wait`, or an access that missed its L1,
+    /// which stays pending with the miss counted.
     fn run_ahead(&mut self, c: usize, run: &mut ClientRun, ops: &[ClientOp]) {
-        while run.pc < ops.len() && run.clock < self.next_fault_ns {
+        while run.pc < ops.len() {
             match ops[run.pc] {
                 ClientOp::Compute { ns } => self.compute(c, run, ns),
                 ClientOp::Access { chunk, write } => {
@@ -940,48 +601,24 @@ impl<'a> Engine<'a> {
     /// that served the data.
     fn remote(&mut self, c: usize, chunk: Chunk, write: bool, mut t: u64) -> (u64, ServedBy) {
         let cfg = self.cfg;
-        // The access leaves the client: transient errors may hit the
-        // request and are retried with backoff before it proceeds.
-        t = self.transient_retries(c, t);
-
         let mut served_by = ServedBy::L2;
-        let io_home = self.routes.client_io[c];
+        let io = self.routes.client_io[c];
         t += cfg.net_hop_ns;
-        let (io_route, mut failed_over) = self.route_io(io_home);
-        // Transfers on the client⇄io and io⇄storage paths are attributed
-        // to the home I/O node even when failover bypassed it, so link
-        // tallies stay comparable across faulty and clean runs.
-        let io_link = io_route.unwrap_or(io_home);
-
-        let mut l2_hit = false;
-        if let Some(io) = io_route {
-            if io != io_home {
-                // Redirect hop to the failover sibling.
-                t += cfg.net_hop_ns;
-            }
-            t = self.serve_l2(io, t);
-            l2_hit = self.res.l2[io].access(chunk, false);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.cache_access(ObsLevel::L2, io, t, l2_hit);
-            }
+        t = self.serve_l2(io, t);
+        let l2_hit = self.res.l2[io].access(chunk, false);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.cache_access(ObsLevel::L2, io, t, l2_hit);
         }
         if !l2_hit {
-            // L2 miss (or no surviving L2) → storage node on the path.
+            // L2 miss → storage node on the path.
             let s = self.routes.client_storage[c];
             t += cfg.net_hop_ns;
-            let storage_alive = self.storage_is_alive(s);
-            let mut l3_hit = false;
-            if storage_alive {
-                t = self.serve_l3(s, t);
-                l3_hit = self.res.l3[s].access(chunk, false);
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.cache_access(ObsLevel::L3, s, t, l3_hit);
-                }
-                served_by = ServedBy::L3;
-            } else {
-                failed_over = true;
-                served_by = ServedBy::Disk;
+            t = self.serve_l3(s, t);
+            let l3_hit = self.res.l3[s].access(chunk, false);
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.cache_access(ObsLevel::L3, s, t, l3_hit);
             }
+            served_by = ServedBy::L3;
 
             if !l3_hit {
                 served_by = ServedBy::Disk;
@@ -992,8 +629,7 @@ impl<'a> Engine<'a> {
                 }
                 let di = disk_index(chunk, cfg);
                 let start = t.max(self.res.disk_free[di]);
-                let service = self.disk_read_service(di, chunk);
-                t = start + service;
+                t = start + self.res.disks[di].read(chunk);
                 self.res.disk_free[di] = t;
                 if owner != s {
                     t += self.chunk_ns;
@@ -1001,34 +637,29 @@ impl<'a> Engine<'a> {
                         o.link_transfer(LinkHop::StoragePeer, owner, s, cfg.chunk_bytes);
                     }
                 }
-                if storage_alive {
-                    // Fill L3 (write-back any dirty victim to its disk).
-                    t = self.fill_l3(s, chunk, false, t);
-                    // Server read-ahead: pull the next sequential chunks
-                    // of this spindle into L3 asynchronously — the disk
-                    // stays busy (streaming at transfer rate) but the
-                    // client does not wait.
-                    if cfg.readahead_chunks > 0 {
-                        self.readahead(s, chunk, t);
-                    }
+                // Fill L3 (write-back any dirty victim to its disk).
+                t = self.fill_l3(s, chunk, false, t);
+                // Server read-ahead: pull the next sequential chunks of
+                // this spindle into L3 asynchronously — the disk stays
+                // busy (streaming at transfer rate) but the client does
+                // not wait.
+                if cfg.readahead_chunks > 0 {
+                    self.readahead(s, chunk, t);
                 }
             }
             t += self.chunk_ns;
             if let Some(o) = self.obs.as_deref_mut() {
-                o.link_transfer(LinkHop::IoStorage, s, io_link, cfg.chunk_bytes);
+                o.link_transfer(LinkHop::IoStorage, s, io, cfg.chunk_bytes);
             }
-            if let Some(io) = io_route {
-                // Fill L2 (dirty victim cascades into L3).
-                t = self.fill_l2(io, chunk, false, t);
-            }
+            // Fill L2 (dirty victim cascades into L3).
+            t = self.fill_l2(io, chunk, false, t);
         }
         t += self.chunk_ns;
         if let Some(o) = self.obs.as_deref_mut() {
-            o.link_transfer(LinkHop::ClientIo, io_link, c, cfg.chunk_bytes);
+            o.link_transfer(LinkHop::ClientIo, io, c, cfg.chunk_bytes);
         }
 
-        // Fill L1; dirty victim is written back to L2 (or past it when
-        // the surviving route has no L2).
+        // Fill L1; a dirty victim is written back to L2.
         match self.res.l1[c].insert(chunk, write) {
             InsertOutcome::Inserted => {}
             InsertOutcome::EvictedClean(_) => {
@@ -1044,37 +675,10 @@ impl<'a> Engine<'a> {
                 }
                 t += self.chunk_ns;
                 if let Some(o) = self.obs.as_deref_mut() {
-                    o.link_transfer(LinkHop::ClientIo, c, io_link, cfg.chunk_bytes);
+                    o.link_transfer(LinkHop::ClientIo, c, io, cfg.chunk_bytes);
                 }
-                if let Some(io) = io_route {
-                    t = self.serve_l2(io, t);
-                    t = self.fill_l2(io, victim, true, t);
-                } else {
-                    let s = self.routes.client_storage[c];
-                    t += self.chunk_ns;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.link_transfer(LinkHop::IoStorage, io_link, s, cfg.chunk_bytes);
-                    }
-                    if self.storage_is_alive(s) {
-                        t = self.serve_l3(s, t);
-                        t = self.fill_l3(s, victim, true, t);
-                    } else {
-                        t = self.disk_writeback(victim, t);
-                    }
-                }
-            }
-        }
-        if failed_over {
-            if let Some(f) = self.faults.as_mut() {
-                f.stats.failovers += 1;
-                if f.recovery_ns.is_none() {
-                    if let Some(crash) = f.first_crash_ns {
-                        f.recovery_ns = Some(t.saturating_sub(crash));
-                    }
-                }
-            }
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.event(t, "failover", c as i64);
+                t = self.serve_l2(io, t);
+                t = self.fill_l2(io, victim, true, t);
             }
         }
         (t, served_by)
@@ -1093,7 +697,7 @@ impl<'a> Engine<'a> {
             // Sequential transfer keeps the spindle busy; the requesting
             // client does not wait for it.
             let start = t.max(self.res.disk_free[di]);
-            let service = self.disk_read_service(di, next);
+            let service = self.res.disks[di].read(next);
             self.res.disk_free[di] = start + service;
             self.fill_l3(s, next, false, start + service);
             self.prefetched += 1;
@@ -1122,8 +726,7 @@ impl<'a> Engine<'a> {
         end
     }
 
-    /// Inserts into L2, cascading a dirty victim into L3 (or straight to
-    /// disk when the parent storage node is dead).
+    /// Inserts into L2, cascading a dirty victim into L3.
     fn fill_l2(&mut self, io: usize, chunk: Chunk, dirty: bool, mut t: u64) -> u64 {
         match self.res.l2[io].insert(chunk, dirty) {
             InsertOutcome::Inserted => t,
@@ -1144,18 +747,14 @@ impl<'a> Engine<'a> {
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.link_transfer(LinkHop::IoStorage, io, s, self.cfg.chunk_bytes);
                 }
-                if self.storage_is_alive(s) {
-                    t = self.serve_l3(s, t);
-                    self.fill_l3(s, victim, true, t)
-                } else {
-                    self.disk_writeback(victim, t)
-                }
+                t = self.serve_l3(s, t);
+                self.fill_l3(s, victim, true, t)
             }
         }
     }
 
     /// Inserts into L3, writing a dirty victim back to its disk.
-    fn fill_l3(&mut self, s: usize, chunk: Chunk, dirty: bool, mut t: u64) -> u64 {
+    fn fill_l3(&mut self, s: usize, chunk: Chunk, dirty: bool, t: u64) -> u64 {
         match self.res.l3[s].insert(chunk, dirty) {
             InsertOutcome::Inserted => t,
             InsertOutcome::EvictedClean(_) => {
@@ -1170,95 +769,10 @@ impl<'a> Engine<'a> {
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L3, s, t, true);
                 }
-                t = self.disk_writeback(victim, t);
-                t
+                self.disk_writeback(victim, t)
             }
         }
     }
-}
-
-/// Asynchronous degrade-time write-back into the L2 cache of I/O node
-/// `io` (free function so [`Engine::apply_due_faults`] can borrow
-/// `FaultState` alongside the resources). Cascades a dirty victim toward
-/// `io`'s storage node `s` like [`Engine::fill_l2`], without charging any
-/// client.
-#[allow(clippy::too_many_arguments)]
-fn write_back_l2(
-    res: &mut Resources,
-    f: &FaultState,
-    cfg: &PlatformConfig,
-    mut obs: Option<&mut Recorder>,
-    io: usize,
-    s: usize,
-    chunk: Chunk,
-    t: u64,
-) {
-    res.l2_free[io] = res.l2_free[io].max(t) + cfg.cache_access_ns;
-    match res.l2[io].insert(chunk, true) {
-        InsertOutcome::Inserted => {}
-        InsertOutcome::EvictedClean(_) => {
-            res.tally[1].bump(false);
-            if let Some(o) = obs.as_deref_mut() {
-                o.eviction(ObsLevel::L2, io, t, false);
-            }
-        }
-        InsertOutcome::EvictedDirty(victim) => {
-            res.tally[1].bump(true);
-            if let Some(o) = obs.as_deref_mut() {
-                o.eviction(ObsLevel::L2, io, t, true);
-            }
-            let free = res.l2_free[io];
-            write_back_l3(res, f, cfg, obs, s, victim, free);
-        }
-    }
-}
-
-/// Asynchronous degrade-time write-back into an L3 cache.
-fn write_back_l3(
-    res: &mut Resources,
-    f: &FaultState,
-    cfg: &PlatformConfig,
-    mut obs: Option<&mut Recorder>,
-    s: usize,
-    chunk: Chunk,
-    t: u64,
-) {
-    if !f.storage_alive[s] {
-        write_back_disk(res, f, cfg, chunk, t);
-        return;
-    }
-    res.l3_free[s] = res.l3_free[s].max(t) + cfg.cache_access_ns;
-    match res.l3[s].insert(chunk, true) {
-        InsertOutcome::Inserted => {}
-        InsertOutcome::EvictedClean(_) => {
-            res.tally[2].bump(false);
-            if let Some(o) = obs.as_deref_mut() {
-                o.eviction(ObsLevel::L3, s, t, false);
-            }
-        }
-        InsertOutcome::EvictedDirty(victim) => {
-            res.tally[2].bump(true);
-            if let Some(o) = obs {
-                o.eviction(ObsLevel::L3, s, t, true);
-            }
-            let free = res.l3_free[s];
-            write_back_disk(res, f, cfg, victim, free);
-        }
-    }
-}
-
-/// Asynchronous degrade-time write-back straight to disk.
-fn write_back_disk(
-    res: &mut Resources,
-    f: &FaultState,
-    cfg: &PlatformConfig,
-    chunk: Chunk,
-    t: u64,
-) {
-    let di = disk_index(chunk, cfg);
-    let start = t.max(res.disk_free[di]);
-    let service = res.disks[di].write(chunk) * f.disk_factor[di / cfg.disks_per_node];
-    res.disk_free[di] = start + service;
 }
 
 #[cfg(test)]
@@ -1282,7 +796,6 @@ mod tests {
         let stats = run(&cfg, &tree, &prog);
         assert!(stats.per_client_finish_ns.iter().all(|&t| t == 0));
         assert_eq!(stats.l1.accesses(), 0);
-        assert_eq!(stats.faults, FaultStats::default());
     }
 
     #[test]
@@ -1559,407 +1072,6 @@ mod tests {
         }];
         assert_eq!(prog.total_accesses(), 2);
         assert_eq!(prog.accesses_per_client(), vec![1, 1]);
-    }
-}
-
-#[cfg(test)]
-mod fault_tests {
-    use super::*;
-    use crate::faults::TransientFaults;
-
-    fn tiny() -> (PlatformConfig, HierarchyTree) {
-        let cfg = PlatformConfig::tiny();
-        let tree = HierarchyTree::from_config(&cfg).unwrap();
-        (cfg, tree)
-    }
-
-    /// A 4-client workload with enough misses to exercise every level.
-    fn workload(cfg: &PlatformConfig) -> MappedProgram {
-        let mut prog = MappedProgram::new(cfg.num_clients);
-        for c in 0..cfg.num_clients {
-            prog.per_client[c] = (0..60)
-                .map(|i| ClientOp::Access {
-                    chunk: (c * 17 + i * 5) % 48,
-                    write: i % 3 == 0,
-                })
-                .collect();
-        }
-        prog
-    }
-
-    fn run_with(
-        cfg: &PlatformConfig,
-        tree: &HierarchyTree,
-        prog: &MappedProgram,
-        plan: &FaultPlan,
-    ) -> RunStats {
-        Engine::new(cfg, tree)
-            .unwrap()
-            .with_fault_plan(plan)
-            .unwrap()
-            .run(prog)
-            .unwrap()
-    }
-
-    #[test]
-    fn empty_plan_is_bit_identical_to_no_plan() {
-        let (cfg, tree) = tiny();
-        let prog = workload(&cfg);
-        let clean = Engine::new(&cfg, &tree).unwrap().run(&prog).unwrap();
-        let with_empty = run_with(&cfg, &tree, &prog, &FaultPlan::new());
-        assert_eq!(clean.per_client_finish_ns, with_empty.per_client_finish_ns);
-        assert_eq!(clean.per_client_io_ns, with_empty.per_client_io_ns);
-        assert_eq!(clean.l1, with_empty.l1);
-        assert_eq!(clean.l2, with_empty.l2);
-        assert_eq!(clean.l3, with_empty.l3);
-        assert_eq!(clean.disk_reads, with_empty.disk_reads);
-        assert_eq!(clean.faults, with_empty.faults);
-    }
-
-    #[test]
-    fn io_crash_mid_run_fails_over_and_completes() {
-        let (cfg, tree) = tiny();
-        let prog = workload(&cfg);
-        let clean = Engine::new(&cfg, &tree).unwrap().run(&prog).unwrap();
-        // Crash I/O node 0 halfway through the clean run.
-        let mid = clean.per_client_finish_ns.iter().max().copied().unwrap() / 2;
-        let plan = FaultPlan::new().with_event(FaultEvent::IoNodeCrash { io: 0, at_ns: mid });
-        let faulty = run_with(&cfg, &tree, &prog, &plan);
-        assert_eq!(faulty.faults.crashed_io_nodes, 1);
-        assert!(faulty.faults.failovers > 0, "clients 0/1 must fail over");
-        assert!(faulty.faults.recovery_ns > 0);
-        // Failover routing costs time: the run must not get faster.
-        let clean_end = clean.per_client_finish_ns.iter().max().unwrap();
-        let faulty_end = faulty.per_client_finish_ns.iter().max().unwrap();
-        assert!(faulty_end >= clean_end);
-        // All accesses still complete.
-        assert_eq!(faulty.l1.accesses(), clean.l1.accesses());
-    }
-
-    #[test]
-    fn io_crash_with_no_sibling_goes_direct_to_storage() {
-        // tiny() has 2 I/O nodes under 1 storage node: crash both and
-        // every post-crash miss must go direct-to-storage.
-        let (cfg, tree) = tiny();
-        let prog = workload(&cfg);
-        let plan = FaultPlan::new()
-            .with_event(FaultEvent::IoNodeCrash { io: 0, at_ns: 0 })
-            .with_event(FaultEvent::IoNodeCrash { io: 1, at_ns: 0 });
-        let faulty = run_with(&cfg, &tree, &prog, &plan);
-        assert_eq!(faulty.faults.crashed_io_nodes, 2);
-        assert_eq!(faulty.l2.accesses(), 0, "no surviving L2 to access");
-        assert!(faulty.faults.failovers > 0);
-        assert_eq!(
-            faulty.l1.accesses(),
-            prog.total_accesses(),
-            "the run must still complete every access"
-        );
-    }
-
-    #[test]
-    fn storage_crash_loses_dirty_chunks_and_streams_from_disk() {
-        let (cfg, tree) = tiny();
-        let mut prog = MappedProgram::new(cfg.num_clients);
-        // Fill L3 with dirty chunks (small L1/L2 push dirty data down),
-        // then crash the storage node and read more.
-        prog.per_client[0] = (0..32)
-            .map(|i| ClientOp::Access {
-                chunk: i,
-                write: true,
-            })
-            .collect();
-        prog.per_client[1] = vec![
-            ClientOp::Compute { ns: u64::MAX / 2 }, // after the crash below
-            ClientOp::Access {
-                chunk: 40,
-                write: false,
-            },
-        ];
-        let plan = FaultPlan::new().with_event(FaultEvent::StorageNodeCrash {
-            storage: 0,
-            at_ns: u64::MAX / 4,
-        });
-        let faulty = run_with(&cfg, &tree, &prog, &plan);
-        assert_eq!(faulty.faults.crashed_storage_nodes, 1);
-        assert!(
-            faulty.faults.lost_dirty_chunks > 0,
-            "dirty L3 residents must be counted as lost"
-        );
-        assert!(faulty.faults.failovers > 0, "post-crash reads bypass L3");
-    }
-
-    #[test]
-    fn property_lost_dirty_l2_lines_refetched_from_storage_exactly_once() {
-        // Randomized property: after an I/O-node crash and sibling
-        // failover, every dirty L2 line lost in the crash is re-fetched
-        // from the storage level exactly once (the refetch re-populates
-        // the survivors' caches, so later uses hit), and the counters
-        // reconcile — every dirty line the client pushed into L2 either
-        // left as an L2 writeback or was counted lost at the crash.
-        let mut rng = XorShift64::new(0xD117_CACE);
-        for round in 0..12 {
-            // L1 of one chunk forces every dirty write down into L2;
-            // large L2/L3 keep the lost set fully under our control.
-            let cfg = PlatformConfig::tiny().with_cache_chunks(1, 64, 64);
-            let tree = HierarchyTree::from_config(&cfg).unwrap();
-            let k = rng.usize_in(1, 9);
-            let client = rng.usize_in(0, cfg.num_clients);
-            let crashed_io = tree.io_of_client(client);
-            let mut ids = std::collections::BTreeSet::new();
-            while ids.len() < 2 * k {
-                ids.insert(rng.usize_in(0, 1000));
-            }
-            let ids: Vec<usize> = ids.into_iter().collect();
-            let (dirty, fillers) = ids.split_at(k);
-
-            let mut prog = MappedProgram::new(cfg.num_clients);
-            let ops = &mut prog.per_client[client];
-            for i in 0..k {
-                // Write the dirty chunk, then read a filler: the one-line
-                // L1 evicts the dirty chunk into L2 immediately.
-                ops.push(ClientOp::Access {
-                    chunk: dirty[i],
-                    write: true,
-                });
-                ops.push(ClientOp::Access {
-                    chunk: fillers[i],
-                    write: false,
-                });
-            }
-            // Idle past the crash, then read every lost chunk twice.
-            let crash_ns = 1u64 << 39; // far beyond the write phase
-            ops.push(ClientOp::Compute { ns: 1 << 40 });
-            for pass in 0..2 {
-                let _ = pass;
-                for &d in dirty {
-                    ops.push(ClientOp::Access {
-                        chunk: d,
-                        write: false,
-                    });
-                }
-            }
-
-            let plan = FaultPlan::new().with_event(FaultEvent::IoNodeCrash {
-                io: crashed_io,
-                at_ns: crash_ns,
-            });
-            let (stats, trace) = Engine::new(&cfg, &tree)
-                .unwrap()
-                .with_fault_plan(&plan)
-                .unwrap()
-                .run_traced(&prog)
-                .unwrap();
-
-            assert_eq!(stats.faults.crashed_io_nodes, 1, "round {round}");
-            assert!(
-                stats.faults.failovers > 0,
-                "round {round}: sibling took over"
-            );
-            assert_eq!(
-                stats.faults.lost_dirty_chunks, k as u64,
-                "round {round}: exactly the {k} dirty lines are lost"
-            );
-            // Reconciliation: dirty lines entering L2 (L1 writebacks) ==
-            // dirty lines leaving L2 (writebacks) + lines lost in the crash.
-            assert_eq!(
-                stats.l1_evictions.writebacks,
-                stats.l2_evictions.writebacks + stats.faults.lost_dirty_chunks,
-                "round {round}: dirty-line conservation at L2"
-            );
-            for &d in dirty {
-                let post: Vec<&TraceEvent> = trace
-                    .events
-                    .iter()
-                    .filter(|e| e.chunk == d && e.time_ns >= crash_ns)
-                    .collect();
-                assert_eq!(post.len(), 2, "round {round}: chunk {d} read twice");
-                assert!(
-                    matches!(post[0].served_by, ServedBy::L3 | ServedBy::Disk),
-                    "round {round}: first post-crash use of lost chunk {d} must \
-                     re-fetch from storage, got {:?}",
-                    post[0].served_by
-                );
-                assert!(
-                    matches!(post[1].served_by, ServedBy::L1 | ServedBy::L2),
-                    "round {round}: second use of chunk {d} must hit a survivor \
-                     cache (re-fetched once, not twice), got {:?}",
-                    post[1].served_by
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn disk_degrade_slows_the_run() {
-        let (cfg, tree) = tiny();
-        // Single client: the access order cannot re-interleave, so the
-        // degraded run differs from the clean one only in timing.
-        let mut prog = MappedProgram::new(cfg.num_clients);
-        prog.per_client[0] = (0..60)
-            .map(|i| ClientOp::Access {
-                chunk: (i * 5) % 48,
-                write: i % 3 == 0,
-            })
-            .collect();
-        let clean = Engine::new(&cfg, &tree).unwrap().run(&prog).unwrap();
-        let plan = FaultPlan::new().with_event(FaultEvent::DiskDegrade {
-            storage: 0,
-            at_ns: 0,
-            latency_factor: 8,
-        });
-        let slow = run_with(&cfg, &tree, &prog, &plan);
-        assert!(
-            slow.per_client_finish_ns.iter().max() > clean.per_client_finish_ns.iter().max(),
-            "8x slower disks must lengthen the run"
-        );
-        assert_eq!(slow.disk_reads, clean.disk_reads, "same access pattern");
-    }
-
-    #[test]
-    fn cache_degrade_shrinks_capacity_and_costs_hits() {
-        let (cfg, tree) = tiny();
-        let prog = workload(&cfg);
-        let clean = Engine::new(&cfg, &tree).unwrap().run(&prog).unwrap();
-        let plan = FaultPlan::new().with_event(FaultEvent::CacheDegrade {
-            level: DegradeLevel::Storage,
-            node: 0,
-            at_ns: 0,
-            capacity_chunks: 1,
-        });
-        let degraded = run_with(&cfg, &tree, &prog, &plan);
-        assert!(
-            degraded.l3.hits <= clean.l3.hits,
-            "a 1-chunk L3 cannot hit more than the full one"
-        );
-        assert!(degraded.disk_reads >= clean.disk_reads);
-    }
-
-    #[test]
-    fn client_degrade_after_home_io_crash_routes_dirty_victims_like_a_miss() {
-        // Client 0 dirties three chunks, idles while its cache shrinks to
-        // one chunk, then reads a fourth chunk. Crashing its I/O node
-        // before the shrink must move the dirty victims to the surviving
-        // sibling, not drop them: every level below L1 sees the same
-        // writebacks as with the home node alive.
-        let cfg = PlatformConfig::tiny().with_cache_chunks(4, 1, 1);
-        let tree = HierarchyTree::from_config(&cfg).unwrap();
-        let mut prog = MappedProgram::new(cfg.num_clients);
-        prog.per_client[0] = (0..3)
-            .map(|chunk| ClientOp::Access { chunk, write: true })
-            .chain([
-                ClientOp::Compute { ns: 1 << 40 },
-                ClientOp::Access {
-                    chunk: 3,
-                    write: false,
-                },
-            ])
-            .collect();
-        let degrade = FaultEvent::CacheDegrade {
-            level: DegradeLevel::Client,
-            node: 0,
-            at_ns: 1 << 39,
-            capacity_chunks: 1,
-        };
-        let crash = FaultEvent::IoNodeCrash {
-            io: 0,
-            at_ns: 1 << 38,
-        };
-        let alive = run_with(&cfg, &tree, &prog, &FaultPlan::new().with_event(degrade));
-        let crashed = run_with(
-            &cfg,
-            &tree,
-            &prog,
-            &FaultPlan::new().with_event(crash).with_event(degrade),
-        );
-        let writebacks = |s: &RunStats| {
-            (
-                s.l1_evictions.writebacks,
-                s.l2_evictions.writebacks,
-                s.l3_evictions.writebacks,
-                s.disk_writes,
-            )
-        };
-        assert_eq!(writebacks(&alive), (3, 2, 1, 1));
-        assert_eq!(
-            writebacks(&crashed),
-            writebacks(&alive),
-            "(L1, L2, L3 writebacks, disk writes)"
-        );
-        assert_eq!(crashed.faults.lost_dirty_chunks, 0);
-        // With no I/O node left, the victims go to the storage node's L3.
-        let both = FaultPlan::new()
-            .with_event(crash)
-            .with_event(FaultEvent::IoNodeCrash {
-                io: 1,
-                at_ns: 1 << 38,
-            })
-            .with_event(degrade);
-        assert_eq!(
-            writebacks(&run_with(&cfg, &tree, &prog, &both)),
-            (3, 0, 2, 2)
-        );
-    }
-
-    #[test]
-    fn transient_errors_retry_and_charge_time() {
-        let (cfg, tree) = tiny();
-        let prog = workload(&cfg);
-        let clean = Engine::new(&cfg, &tree).unwrap().run(&prog).unwrap();
-        let plan = FaultPlan::new().with_transient(TransientFaults {
-            rate_ppm: 200_000, // 20% per remote attempt: plenty of retries
-            seed: 7,
-        });
-        let faulty = run_with(&cfg, &tree, &prog, &plan);
-        assert!(faulty.faults.transient_errors > 0);
-        assert_eq!(faulty.faults.retries, faulty.faults.transient_errors);
-        assert!(faulty.faults.retry_backoff_ns > 0);
-        // Retries only ever add simulated time.
-        assert!(
-            faulty.per_client_finish_ns.iter().max() >= clean.per_client_finish_ns.iter().max()
-        );
-        // Hit/miss behaviour is unchanged: retries delay, they don't
-        // change what is fetched.
-        assert_eq!(faulty.l1, clean.l1);
-        assert_eq!(faulty.disk_reads, clean.disk_reads);
-    }
-
-    #[test]
-    fn faulty_runs_are_deterministic() {
-        let (cfg, tree) = tiny();
-        let prog = workload(&cfg);
-        let plan = FaultPlan::new()
-            .with_event(FaultEvent::IoNodeCrash {
-                io: 0,
-                at_ns: 100_000,
-            })
-            .with_event(FaultEvent::DiskDegrade {
-                storage: 0,
-                at_ns: 50_000,
-                latency_factor: 3,
-            })
-            .with_transient(TransientFaults {
-                rate_ppm: 50_000,
-                seed: 99,
-            });
-        let a = run_with(&cfg, &tree, &prog, &plan);
-        let b = run_with(&cfg, &tree, &prog, &plan);
-        assert_eq!(a.per_client_finish_ns, b.per_client_finish_ns);
-        assert_eq!(a.faults, b.faults);
-        assert_eq!(a.l1, b.l1);
-        assert_eq!(a.l2, b.l2);
-        assert_eq!(a.disk_reads, b.disk_reads);
-    }
-
-    #[test]
-    fn invalid_plan_is_rejected_at_attach() {
-        let (cfg, tree) = tiny();
-        let plan = FaultPlan::new().with_event(FaultEvent::IoNodeCrash { io: 99, at_ns: 0 });
-        let err = Engine::new(&cfg, &tree)
-            .unwrap()
-            .with_fault_plan(&plan)
-            .err()
-            .expect("out-of-range io must be rejected");
-        assert!(matches!(err, EngineError::Fault(_)));
     }
 }
 

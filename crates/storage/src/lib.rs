@@ -11,7 +11,7 @@
 //! * [`topology`] — the storage cache hierarchy tree of Figure 1/Section 4.3
 //!   (client L1 → I/O node L2 → storage node L3, dummy root when there are
 //!   multiple storage nodes), with the queries the mapper and the engine's
-//!   failover routes need;
+//!   routes need;
 //! * [`cache`] — chunk-granularity caches behind the [`cache::ChunkCache`]
 //!   trait, with five replacement policies (LRU as in the paper; FIFO,
 //!   LFU, SLRU and LFUDA for ablations and the policy advisor),
@@ -27,16 +27,13 @@
 //! * [`trace`] — optional access-trace capture and Mattson
 //!   reuse-distance analysis (drives the calibration discussion in
 //!   EXPERIMENTS.md);
-//! * [`faults`] — a serializable fault-injection plan (node crashes,
-//!   disk/cache degradation, seeded transient errors) applied inside the
-//!   engine's global clock so degraded runs stay reproducible;
 //! * [`l2store`] — a crash-durable, append-only fingerprint→bytes store
 //!   with per-record checksums, torn-tail-tolerant recovery, TTL, and
 //!   durable (tombstoned) invalidation — the mapping service's disk L2;
 //! * [`sim`] — the top-level [`sim::Simulator`] producing a
 //!   [`sim::SimReport`] with per-level hit/miss statistics, I/O latency,
 //!   execution time — exactly the three result types Section 5.1
-//!   reports — plus the degraded-mode counters.
+//!   reports.
 //!
 //! Simulated time is integer **nanoseconds** (`u64`) for reproducibility.
 
@@ -47,7 +44,6 @@ pub mod cache;
 pub mod config;
 pub mod disk;
 pub mod engine;
-pub mod faults;
 pub mod l2store;
 pub mod sim;
 pub mod topology;
@@ -56,9 +52,6 @@ pub mod wire;
 
 pub use config::{ConfigError, PlatformConfig, PolicyKind};
 pub use engine::{ClientOp, EngineError, EvictionTally, MappedProgram};
-pub use faults::{
-    DegradeLevel, FaultEvent, FaultPlan, FaultPlanError, FaultStats, TransientFaults,
-};
 pub use l2store::{L2Config, L2Store, RecoveryStats};
 pub use sim::{SimError, SimReport, Simulator};
 pub use topology::{CacheLevel, HierarchyTree, NodeId};

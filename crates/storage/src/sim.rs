@@ -4,12 +4,10 @@
 //! runs a [`MappedProgram`] through the event engine, and condenses the
 //! raw statistics into a [`SimReport`] carrying exactly the three result
 //! families Section 5.1 reports: per-level storage-cache miss rates, I/O
-//! latency, and overall execution time — plus the degraded-mode counters
-//! of the fault-injection subsystem when a [`FaultPlan`] is attached.
+//! latency, and overall execution time.
 
 use crate::config::{ConfigError, PlatformConfig};
 use crate::engine::{Engine, EngineError, EvictionTally, MappedProgram, RunStats};
-use crate::faults::{FaultPlan, FaultPlanError, FaultStats};
 use crate::topology::HierarchyTree;
 use cachemap_obs::Recorder;
 use cachemap_util::stats::HitMiss;
@@ -23,8 +21,6 @@ pub enum SimError {
     Config(ConfigError),
     /// The engine rejected the program or deadlocked.
     Engine(EngineError),
-    /// The fault plan does not fit the platform.
-    Fault(FaultPlanError),
 }
 
 impl fmt::Display for SimError {
@@ -32,7 +28,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::Config(e) => write!(f, "{e}"),
             SimError::Engine(e) => write!(f, "{e}"),
-            SimError::Fault(e) => write!(f, "{e}"),
         }
     }
 }
@@ -42,7 +37,6 @@ impl std::error::Error for SimError {
         match self {
             SimError::Config(e) => Some(e),
             SimError::Engine(e) => Some(e),
-            SimError::Fault(e) => Some(e),
         }
     }
 }
@@ -53,19 +47,12 @@ impl From<ConfigError> for SimError {
     }
 }
 
-impl From<FaultPlanError> for SimError {
-    fn from(e: FaultPlanError) -> Self {
-        SimError::Fault(e)
-    }
-}
-
 impl From<EngineError> for SimError {
     fn from(e: EngineError) -> Self {
-        // Collapse nested config/fault errors to the top-level variants
-        // so callers match one layer.
+        // Collapse a nested config error to the top-level variant so
+        // callers match one layer.
         match e {
             EngineError::Config(c) => SimError::Config(c),
-            EngineError::Fault(p) => SimError::Fault(p),
             other => SimError::Engine(other),
         }
     }
@@ -103,8 +90,6 @@ pub struct SimReport {
     pub disk_writes: u64,
     /// Chunks prefetched into storage caches by server read-ahead.
     pub prefetched_chunks: u64,
-    /// Degraded-mode counters (all zero without a fault plan).
-    pub faults: FaultStats,
 }
 
 impl SimReport {
@@ -136,7 +121,6 @@ impl SimReport {
             disk_sequential_fraction: seq_frac,
             disk_writes: stats.disk_writes,
             prefetched_chunks: stats.prefetched_chunks,
-            faults: stats.faults,
         }
     }
 
@@ -183,7 +167,7 @@ fn evictions_json(t: &EvictionTally) -> Json {
 impl ToJson for SimReport {
     /// Deterministic serialization: two byte-identical reports describe
     /// byte-identical runs, which is how the reproducibility property
-    /// tests compare faulty runs.
+    /// tests compare runs.
     fn to_json(&self) -> Json {
         Json::object(vec![
             ("l1", hitmiss_json(&self.l1)),
@@ -224,37 +208,22 @@ impl ToJson for SimReport {
                 ]),
             ),
             ("prefetched_chunks", Json::UInt(self.prefetched_chunks)),
-            ("faults", self.faults.to_json()),
         ])
     }
 }
 
-/// One-platform simulator: owns the config, its hierarchy tree, and an
-/// optional fault plan applied to every run.
+/// One-platform simulator: owns the config and its hierarchy tree.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     cfg: PlatformConfig,
     tree: HierarchyTree,
-    faults: Option<FaultPlan>,
 }
 
 impl Simulator {
     /// Builds a simulator for a platform configuration.
     pub fn new(cfg: PlatformConfig) -> Result<Self, SimError> {
         let tree = HierarchyTree::from_config(&cfg)?;
-        Ok(Simulator {
-            cfg,
-            tree,
-            faults: None,
-        })
-    }
-
-    /// Attaches a fault plan (validated against the platform) that every
-    /// subsequent [`Simulator::run`] will inject.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Result<Self, SimError> {
-        plan.validate(&self.cfg)?;
-        self.faults = Some(plan);
-        Ok(self)
+        Ok(Simulator { cfg, tree })
     }
 
     /// The platform configuration.
@@ -267,22 +236,10 @@ impl Simulator {
         &self.tree
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    fn engine(&self) -> Result<Engine<'_>, SimError> {
-        let engine = Engine::new(&self.cfg, &self.tree)?;
-        match &self.faults {
-            Some(plan) => Ok(engine.with_fault_plan(plan)?),
-            None => Ok(engine),
-        }
-    }
-
     /// Runs a mapped program on a fresh platform state (cold caches).
     pub fn run(&self, program: &MappedProgram) -> Result<SimReport, SimError> {
-        Ok(SimReport::from_run(self.engine()?.run(program)?))
+        let stats = Engine::new(&self.cfg, &self.tree)?.run(program)?;
+        Ok(SimReport::from_run(stats))
     }
 
     /// Like [`Simulator::run`] but feeds observations into `rec`. With a
@@ -294,7 +251,9 @@ impl Simulator {
         program: &MappedProgram,
         rec: &mut Recorder,
     ) -> Result<SimReport, SimError> {
-        let stats = self.engine()?.with_recorder(rec).run(program)?;
+        let stats = Engine::new(&self.cfg, &self.tree)?
+            .with_recorder(rec)
+            .run(program)?;
         Ok(SimReport::from_run(stats))
     }
 
@@ -304,7 +263,7 @@ impl Simulator {
         &self,
         program: &MappedProgram,
     ) -> Result<(SimReport, crate::trace::Trace), SimError> {
-        let (stats, trace) = self.engine()?.run_traced(program)?;
+        let (stats, trace) = Engine::new(&self.cfg, &self.tree)?.run_traced(program)?;
         Ok((SimReport::from_run(stats), trace))
     }
 }
@@ -313,7 +272,6 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::engine::ClientOp;
-    use crate::faults::FaultEvent;
 
     fn sim() -> Simulator {
         Simulator::new(PlatformConfig::tiny()).unwrap()
@@ -341,7 +299,6 @@ mod tests {
         assert!(rep.exec_time_ns >= rep.per_client_finish_ns[0]);
         assert_eq!(rep.disk_reads, 1);
         assert!(rep.exec_time_ms() > 0.0);
-        assert_eq!(rep.faults, FaultStats::default());
     }
 
     #[test]
@@ -378,34 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_threads_through_to_the_report() {
-        let sim = sim()
-            .with_fault_plan(
-                FaultPlan::new().with_event(FaultEvent::IoNodeCrash { io: 0, at_ns: 0 }),
-            )
-            .unwrap();
-        let mut prog = MappedProgram::new(4);
-        prog.per_client[0] = vec![ClientOp::Access {
-            chunk: 0,
-            write: false,
-        }];
-        let rep = sim.run(&prog).unwrap();
-        assert_eq!(rep.faults.crashed_io_nodes, 1);
-        assert!(rep.faults.failovers > 0);
-    }
-
-    #[test]
-    fn invalid_fault_plan_is_rejected() {
-        let err = sim()
-            .with_fault_plan(FaultPlan::new().with_event(FaultEvent::StorageNodeCrash {
-                storage: 9,
-                at_ns: 0,
-            }))
-            .unwrap_err();
-        assert!(matches!(err, SimError::Fault(_)));
-    }
-
-    #[test]
     fn report_json_is_deterministic() {
         let sim = sim();
         let mut prog = MappedProgram::new(4);
@@ -419,6 +348,5 @@ mod tests {
         let b = sim.run(&prog).unwrap().to_json().to_string_compact();
         assert_eq!(a, b);
         assert!(a.contains("\"exec_time_ns\""));
-        assert!(a.contains("\"faults\""));
     }
 }

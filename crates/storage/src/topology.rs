@@ -165,22 +165,6 @@ impl HierarchyTree {
         }
     }
 
-    /// Layer indices of the I/O nodes sharing a storage parent with `io`
-    /// (excluding `io` itself), in increasing order. These are the
-    /// failover candidates when I/O node `io` crashes.
-    pub fn io_siblings(&self, io: usize) -> Vec<usize> {
-        let io_id = self.io_nodes[io];
-        let Some(parent) = self.nodes[io_id].parent else {
-            return Vec::new();
-        };
-        self.nodes[parent]
-            .children
-            .iter()
-            .map(|&c| self.nodes[c].layer_index)
-            .filter(|&i| i != io)
-            .collect()
-    }
-
     /// Client indices under an arbitrary tree node (in increasing order).
     pub fn clients_under(&self, id: NodeId) -> Vec<usize> {
         let mut out = Vec::new();
@@ -307,17 +291,5 @@ mod tests {
         assert_eq!(t.storage_of_io(5), 2);
         let storage2 = t.node(t.root()).children[2];
         assert_eq!(t.clients_under(storage2), vec![8, 9, 10, 11]);
-    }
-
-    #[test]
-    fn io_siblings_share_the_storage_parent() {
-        let t = paper_tree();
-        // 32 I/O nodes over 16 storage nodes → pairs {0,1}, {2,3}, …
-        assert_eq!(t.io_siblings(0), vec![1]);
-        assert_eq!(t.io_siblings(1), vec![0]);
-        assert_eq!(t.io_siblings(5), vec![4]);
-        let t2 = figure7_tree(); // 2 I/O nodes under 1 storage node
-        assert_eq!(t2.io_siblings(0), vec![1]);
-        assert_eq!(t2.storage_of_io(1), 0);
     }
 }

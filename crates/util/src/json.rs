@@ -4,7 +4,8 @@
 //! unavailable, so this module provides the small subset of JSON the
 //! reproduction needs: a value tree ([`Json`]), a writer with stable field
 //! ordering (so serialized reports are byte-for-byte comparable), and a
-//! strict parser used to round-trip [`FaultPlan`]-style configuration.
+//! strict parser for the service's wire requests and the committed
+//! artifacts.
 //!
 //! Numbers are kept as `i64`/`u64`/`f64` variants; writers emit integers
 //! without a fractional part so equal inputs always produce equal bytes.

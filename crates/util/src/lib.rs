@@ -15,18 +15,17 @@
 //! * [`table`] — a fixed-width plain-text table printer shared by the
 //!   experiment harness so every figure/table prints in a uniform format.
 //! * [`json`] — a dependency-free JSON value tree, writer, and parser with
-//!   deterministic output bytes (used for reports and fault plans).
+//!   deterministic output bytes (used for reports and the service's
+//!   wire format).
 //! * [`fingerprint`] — stable 128-bit content fingerprints of canonical
 //!   JSON (the mapping service's memoization key).
 //! * [`lru`] — a sharded, thread-safe, exact-LRU cache (the mapping
 //!   service's memo store).
 //! * [`coalesce`] — request coalescing (stampede protection): concurrent
 //!   misses on one key rendezvous so exactly one caller computes.
-//! * [`rng`] — a seeded xorshift64* generator for deterministic fault
-//!   sampling and test-input generation.
+//! * [`rng`] — a seeded xorshift64* generator for deterministic
+//!   test-input generation and the socket fault shim.
 //! * [`check`] — a miniature property-test harness built on [`rng`].
-//! * [`backoff`] — the capped exponential backoff schedule of the
-//!   storage engine's transient-error retries.
 //! * [`clock`] — real or simulated time behind one `Arc<Clock>` handle,
 //!   shared by the async front end's event loop and the tests driving
 //!   its deadlines (simulated tests never sleep).
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backoff;
 pub mod bitset;
 pub mod bufpool;
 pub mod check;
@@ -54,7 +52,6 @@ pub mod stats;
 pub mod table;
 pub mod timer;
 
-pub use backoff::Backoff;
 pub use bitset::{BitSet, CountVec};
 pub use bufpool::BufferPool;
 pub use clock::Clock;

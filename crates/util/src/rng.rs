@@ -1,8 +1,8 @@
-//! A tiny deterministic PRNG (xorshift64*), shared by the fault-injection
-//! subsystem and the in-repo property-test harness.
+//! A tiny deterministic PRNG (xorshift64*), shared by the socket fault
+//! shim and the in-repo property-test harness.
 //!
-//! Determinism is load-bearing here: the simulator's byte-for-byte
-//! reproducibility guarantee extends to injected transient faults, so the
+//! Determinism is load-bearing here: a failing property case and a
+//! shim's per-connection faults replay from the seed alone, so the
 //! generator must be fully specified by its seed with no platform or
 //! scheduling dependence. `xorshift64*` (Vigna, "An experimental
 //! exploration of Marsaglia's xorshift generators") is small, fast, and

@@ -3,9 +3,7 @@
 //! in-repo deterministic harness (`cachemap_util::check`).
 
 use cachemap::prelude::*;
-use cachemap::storage::{FaultEvent, FaultPlan, TransientFaults};
 use cachemap::util::check::{cases, Gen};
-use cachemap::util::ToJson;
 
 /// A random 1- or 2-deep affine nest over one or two arrays, kept small
 /// enough that hundreds of cases run in seconds.
@@ -122,88 +120,6 @@ fn simulation_statistics_are_self_consistent() {
         for (f, io) in rep.per_client_finish_ns.iter().zip(&rep.per_client_io_ns) {
             assert!(f >= io);
         }
-    });
-}
-
-#[test]
-fn empty_fault_plan_is_bit_identical_to_no_plan() {
-    cases(0xE2E_0005, 32, |g| {
-        let program = arb_program(g);
-        let platform = tiny_platform(64);
-        let data = DataSpace::new(&program.arrays, platform.chunk_bytes);
-        let tree = HierarchyTree::from_config(&platform).unwrap();
-        let mapper = Mapper::paper_defaults();
-        let mapped = mapper.map(&program, &data, &platform, &tree, Version::InterProcessor);
-
-        let base = Simulator::new(platform.clone())
-            .unwrap()
-            .run(&mapped)
-            .unwrap();
-        let empty = Simulator::new(platform.clone())
-            .unwrap()
-            .with_fault_plan(FaultPlan::new())
-            .unwrap()
-            .run(&mapped)
-            .unwrap();
-        assert_eq!(
-            base.to_json().to_string_compact(),
-            empty.to_json().to_string_compact(),
-            "an empty fault plan must not perturb the simulation at all"
-        );
-    });
-}
-
-#[test]
-fn same_seed_and_fault_plan_reproduce_the_report_byte_for_byte() {
-    cases(0xE2E_0006, 32, |g| {
-        let program = arb_program(g);
-        let platform = tiny_platform(64);
-        let data = DataSpace::new(&program.arrays, platform.chunk_bytes);
-        let tree = HierarchyTree::from_config(&platform).unwrap();
-        let mapper = Mapper::paper_defaults();
-        let mapped = mapper.map(&program, &data, &platform, &tree, Version::InterProcessor);
-        let horizon = Simulator::new(platform.clone())
-            .unwrap()
-            .run(&mapped)
-            .unwrap()
-            .exec_time_ns
-            .max(2);
-
-        // A random plan: seeded transient errors, plus optionally an
-        // I/O-node crash and a disk degradation mid-run.
-        let mut plan = FaultPlan::new().with_transient(TransientFaults {
-            rate_ppm: g.u64_in(0, 200_000) as u32,
-            seed: g.u64_in(0, u64::MAX - 1),
-        });
-        if g.bool() {
-            plan = plan.with_event(FaultEvent::IoNodeCrash {
-                io: g.usize_in(0, 1),
-                at_ns: g.u64_in(1, horizon),
-            });
-        }
-        if g.bool() {
-            plan = plan.with_event(FaultEvent::DiskDegrade {
-                storage: 0,
-                at_ns: g.u64_in(1, horizon),
-                latency_factor: g.u64_in(2, 8) as u32,
-            });
-        }
-
-        let run = |plan: FaultPlan| {
-            Simulator::new(platform.clone())
-                .unwrap()
-                .with_fault_plan(plan)
-                .unwrap()
-                .run(&mapped)
-                .unwrap()
-                .to_json()
-                .to_string_compact()
-        };
-        assert_eq!(
-            run(plan.clone()),
-            run(plan),
-            "same seed + same fault plan must replay byte-for-byte"
-        );
     });
 }
 
