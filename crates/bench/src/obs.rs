@@ -15,7 +15,7 @@ use cachemap_workloads::Application;
 /// How many simulated-time buckets the exporter aims for per run.
 const TARGET_BUCKETS: u64 = 48;
 
-/// Picks a bucket width giving roughly [`TARGET_BUCKETS`] buckets over a
+/// Picks a bucket width giving roughly `TARGET_BUCKETS` buckets over a
 /// run of `exec_ns`, rounded up to a 1-2-5 × 10ᵏ value so bucket edges
 /// land on readable timestamps.
 pub fn pick_bucket_ns(exec_ns: u64) -> u64 {

@@ -5,7 +5,7 @@
 //! Prometheus schema check the harnesses run after their load windows.
 //!
 //! Every client request leaves as one `write` of `line + "\n"` on a
-//! `TCP_NODELAY` socket ([`frames`], [`connect`]). With the terminator
+//! `TCP_NODELAY` socket (`frames`, `connect`). With the terminator
 //! in a second write, Nagle's algorithm holds it until the server's
 //! delayed ACK, which costs tens of milliseconds per request.
 

@@ -89,7 +89,7 @@ pub struct Stage {
     /// Coalesce role tag: `leader` or `follower` (coalesce stage only).
     pub role: Option<String>,
     /// The mapper's profile span tree (compute stage only), as the
-    /// `{"spans":[…]}` JSON of [`crate::Profile::to_json`].
+    /// `{"spans":[…]}` JSON a [`crate::Profile`] serializes to.
     pub profile: Option<Json>,
 }
 

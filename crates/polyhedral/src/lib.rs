@@ -9,7 +9,7 @@
 //! * [`space`] — iteration spaces `G = {(i1,…,in) | L_k ≤ i_k ≤ U_k}` with
 //!   (possibly non-rectangular) affine bounds and lexicographic point
 //!   enumeration — the `codegen(.)` equivalent;
-//! * [`array`] — disk-resident array declarations and row-major
+//! * [`mod@array`] — disk-resident array declarations and row-major
 //!   linearization;
 //! * [`access`] — array references `R(i) = Q·i + q̄` with read/write kind;
 //! * [`nest`] — loop nests and whole programs (multiple nests over a

@@ -90,15 +90,14 @@ pub fn dispatch_line(service: &MapService, line: &str) -> Dispatched {
                 Ok(mut resp) => match resp.trace.take() {
                     // Tracing off: exactly the untraced wire bytes.
                     None => resp.to_json().to_string_compact(),
-                    // Tracing on: serialize the base response (that IS
-                    // the serialize stage), finalize the trace with the
-                    // measured duration, and splice it in as the last
+                    // Tracing on: serialize the base response (the
+                    // serialize stage ends when the trace is finalized,
+                    // right after), then splice the trace in as the last
                     // field — the only way the serialize stage can
                     // describe the serialization it rides in.
                     Some(pending) => {
-                        let ser_t0 = std::time::Instant::now();
                         let base = resp.to_json().to_string_compact();
-                        let trace = service.finalize_trace(pending, ser_t0.elapsed());
+                        let trace = service.finalize_trace(pending);
                         format!(
                             "{},\"trace\":{}}}",
                             &base[..base.len() - 1],

@@ -32,13 +32,6 @@ pub enum ServiceError {
         /// The deadline budget the request ran with, in milliseconds.
         budget_ms: u64,
     },
-    /// The tenant already has its full quota of requests queued.
-    QuotaExceeded {
-        /// The tenant that hit its quota (empty = the anonymous tenant).
-        tenant: String,
-        /// The configured per-tenant admission quota.
-        quota: usize,
-    },
     /// The TCP front end refused the connection at its concurrency cap.
     ConnLimit {
         /// Active connections observed at rejection.
@@ -73,7 +66,6 @@ impl ServiceError {
             ServiceError::BadRequest { .. } => "bad_request",
             ServiceError::QueueFull { .. } => "queue_full",
             ServiceError::DeadlineExceeded { .. } => "deadline_exceeded",
-            ServiceError::QuotaExceeded { .. } => "quota_exceeded",
             ServiceError::ConnLimit { .. } => "conn_limit",
             ServiceError::ReadTimeout { .. } => "read_timeout",
             ServiceError::NotFound { .. } => "not_found",
@@ -100,17 +92,6 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::DeadlineExceeded { budget_ms } => {
                 write!(f, "deadline exceeded ({budget_ms} ms budget)")
-            }
-            ServiceError::QuotaExceeded { tenant, quota } => {
-                let name = if tenant.is_empty() {
-                    "<anonymous>"
-                } else {
-                    tenant
-                };
-                write!(
-                    f,
-                    "tenant {name} is at its admission quota ({quota} queued)"
-                )
             }
             ServiceError::ConnLimit { active, limit } => {
                 write!(f, "connection limit reached ({active}/{limit})")
@@ -147,10 +128,6 @@ mod tests {
             },
             ServiceError::QueueFull { depth: 9, limit: 8 },
             ServiceError::DeadlineExceeded { budget_ms: 5 },
-            ServiceError::QuotaExceeded {
-                tenant: "acme".into(),
-                quota: 4,
-            },
             ServiceError::ConnLimit {
                 active: 8,
                 limit: 8,

@@ -2,17 +2,16 @@
 //!
 //! The HPDC'10 pipeline computes one mapping per loop nest; the
 //! production system this workspace grows toward must answer *repeated*
-//! mapping queries from many tenants in microseconds. This crate turns
+//! mapping queries from many clients in microseconds. This crate turns
 //! the mapper into a long-lived, concurrent, cache-fronted service:
 //!
 //! * [`MapService`] — the in-process engine: a fixed worker thread pool
-//!   behind a **fair admission queue** (per-tenant quotas and
-//!   round-robin lanes, reject-on-full backpressure, per-request
-//!   deadlines, typed [`ServiceError`] rejections), fronted by a
-//!   two-tier mapping cache keyed by the canonical content fingerprint
-//!   of `(program, platform, params, version)`: a sharded in-memory
-//!   LRU (L1) over an optional crash-durable disk store (L2, see
-//!   `cachemap_storage::L2Store`).
+//!   behind one **bounded FIFO admission queue** (reject-on-full
+//!   backpressure, per-request deadlines, typed [`ServiceError`]
+//!   rejections), fronted by a two-tier mapping cache keyed by the
+//!   canonical content fingerprint of `(program, platform, params,
+//!   version)`: a sharded in-memory LRU (L1) over an optional
+//!   crash-durable disk store (L2, see `cachemap_storage::L2Store`).
 //!   Concurrent misses on one fingerprint are **coalesced** (see
 //!   `cachemap_util::CoalesceMap`): exactly one pipeline run, everyone
 //!   inherits the result. Because the pipeline is deterministic, a
@@ -33,11 +32,9 @@
 //! mapper's `Profile` span tree linked under the compute stage — and a
 //! bounded flight recorder keeps the most recent traces in memory,
 //! dumping them to `flight-*.json` on anomalies (slow request,
-//! rejection burst, drain, crash recovery). Per-tenant SLO latency
-//! histograms and burn-rate gauges ride on the same registry whether or
-//! not tracing is enabled. Tracing is free when off: responses are
-//! byte-identical (`tests/trace.rs`) and the instrumented paths cost one
-//! branch each.
+//! rejection burst, drain, crash recovery). Tracing is free when off:
+//! responses are byte-identical (`tests/trace.rs`) and the instrumented
+//! paths cost one branch each.
 //!
 //! Shutdown is a **graceful drain**: new submissions are rejected with
 //! a typed `shutdown` error, queued work is finished (or
@@ -64,7 +61,6 @@ pub mod aserver;
 pub mod dispatch;
 pub mod error;
 pub mod proto;
-pub mod queue;
 
 pub use error::ServiceError;
 pub use proto::{MapRequest, MapResponse, Request};
@@ -74,8 +70,7 @@ use cachemap_polyhedral::DataSpace;
 use cachemap_storage::wire::mapped_program_from_json;
 use cachemap_storage::{HierarchyTree, L2Config, L2Store, MappedProgram};
 use cachemap_util::{fingerprint_json, CoalesceMap, Fingerprint, Json, ShardedLru, ToJson};
-use queue::{FairQueue, PushError};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -91,7 +86,9 @@ const LATENCY_BUCKETS: [f64; 14] = [
 /// `parse` only appears when the front end reports an ingress duration;
 /// `handoff` runs from the end of `compute` until the waiting submitter
 /// resumes (the worker's cache inserts and metrics, then the reply
-/// wake-up); `serialize` is appended at finalization by the front end.
+/// wake-up); `serialize` runs from the end of the last service stage
+/// until the front end finalizes the trace (outcome metrics, response
+/// assembly and serialization).
 pub const TRACE_STAGES: [&str; 10] = [
     "parse",
     "fingerprint",
@@ -117,18 +114,11 @@ pub const FLIGHT_TRIGGERS: [&str; 5] = [
     "accept_stall",
 ];
 
-/// Latency-path labels used on the per-tenant SLO histograms.
-const LATENCY_PATHS: [&str; 5] = ["hit", "l2_hit", "computed", "coalesced", "rejected"];
-
 /// L2 segment roll size in bytes.
 const L2_SEGMENT_BYTES: u64 = 8 << 20;
 /// Flight-recorder ring capacity (recent trace summaries held in memory
 /// for `trace` lookups and anomaly dumps).
 const FLIGHT_CAPACITY: usize = 256;
-/// Fraction of requests allowed to miss the SLO; the burn-rate gauge is
-/// `bad_fraction / SLO_ERROR_BUDGET` (1.0 = burning the budget exactly
-/// as fast as allowed).
-const SLO_ERROR_BUDGET: f64 = 0.01;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,10 +136,6 @@ pub struct ServiceConfig {
     /// Default per-request deadline in milliseconds when the request
     /// does not carry one; `0` disables deadlines by default.
     pub default_deadline_ms: u64,
-    /// Maximum queued requests per tenant; `0` disables the quota.
-    /// A tenant at quota is rejected with a typed `quota_exceeded`
-    /// even when the shared queue has room.
-    pub tenant_quota: usize,
     /// Directory for the crash-durable L2 mapping store; `None`
     /// disables the disk tier entirely.
     pub l2_dir: Option<PathBuf>,
@@ -167,8 +153,9 @@ pub struct ServiceConfig {
     pub slow_trace_ms: u64,
     /// Directory flight-recorder dumps are written into.
     pub flight_dir: PathBuf,
-    /// Per-tenant SLO latency objective in milliseconds: requests over
-    /// it (or rejected) count against the tenant's error budget.
+    /// Reply-latency objective in milliseconds. The service reads it
+    /// nowhere; perfbench's `serve-churn` counts only replies within it
+    /// towards throughput.
     pub slo_latency_ms: u64,
 }
 
@@ -180,7 +167,6 @@ impl Default for ServiceConfig {
             cache_shards: 8,
             cache_capacity_per_shard: 128,
             default_deadline_ms: 10_000,
-            tenant_quota: 0,
             l2_dir: None,
             l2_ttl_secs: 86_400,
             drain_limit_ms: 5_000,
@@ -208,7 +194,9 @@ pub struct ServiceStats {
     pub l2_promotions: u64,
     /// Requests rejected with [`ServiceError::QueueFull`].
     pub queue_full: u64,
-    /// Requests rejected with [`ServiceError::QuotaExceeded`].
+    /// Always `0`: the service has no per-tenant quota. Not part of the
+    /// `stats` reply; kept because perfbench's `serve-churn` sums it
+    /// into its rejection count.
     pub quota_exceeded: u64,
     /// Requests rejected with [`ServiceError::DeadlineExceeded`].
     pub deadline_exceeded: u64,
@@ -243,7 +231,6 @@ impl ServiceStats {
             ("l2_hits", Json::UInt(self.l2_hits)),
             ("l2_promotions", Json::UInt(self.l2_promotions)),
             ("queue_full", Json::UInt(self.queue_full)),
-            ("quota_exceeded", Json::UInt(self.quota_exceeded)),
             ("deadline_exceeded", Json::UInt(self.deadline_exceeded)),
             ("cache_entries", Json::UInt(self.cache_entries)),
             ("queue_depth", Json::UInt(self.queue_depth)),
@@ -264,28 +251,42 @@ struct CachedEntry {
 
 /// A request trace captured through `submit` but still missing its
 /// final stage: response serialization happens in the caller (the TCP
-/// front end), which times it and hands the duration to
-/// [`MapService::finalize_trace`] — closing the chicken-and-egg between
-/// "the trace rides in the response" and "serializing the response is
-/// itself a traced stage".
+/// front end), which calls [`MapService::finalize_trace`] once the
+/// response bytes are built, and the `serialize` stage runs up to that
+/// call — closing the chicken-and-egg between "the trace rides in the
+/// response" and "serializing the response is itself a traced stage".
+///
+/// The stages on the submitting thread tile the request: each starts
+/// where the previous one ended (`cursor`), so work between two stages
+/// (a metric update, a lock wait, a deschedule) always lands in one.
 #[derive(Debug, Clone)]
 pub struct PendingTrace {
     record: TraceRecord,
     started: Instant,
     ingress_us: u64,
+    /// When the last stage ended: the next stage starts here.
+    cursor: Instant,
 }
 
 impl PendingTrace {
-    /// Offset of `t0` from the (ingress-adjusted) request arrival.
-    fn offset(&self, t0: Instant) -> u64 {
-        self.ingress_us + t0.saturating_duration_since(self.started).as_micros() as u64
+    /// Offset of `t` from the (ingress-adjusted) request arrival.
+    fn offset(&self, t: Instant) -> u64 {
+        self.ingress_us + t.saturating_duration_since(self.started).as_micros() as u64
     }
 
-    /// Records a stage that began at `t0` and ends now.
-    fn stage(&mut self, name: &str, t0: Instant) {
-        let off = self.offset(t0);
-        self.record
-            .push_stage(name, off, t0.elapsed().as_micros() as u64);
+    /// Ends the current stage now: returns its `(offset, duration)` and
+    /// moves the cursor here.
+    fn close(&mut self) -> (u64, u64) {
+        let now = Instant::now();
+        let (from, to) = (self.offset(self.cursor), self.offset(now));
+        self.cursor = now;
+        (from, to.saturating_sub(from))
+    }
+
+    /// Records a stage that runs from the cursor to now.
+    fn stage(&mut self, name: &str) {
+        let (off, dur) = self.close();
+        self.record.push_stage(name, off, dur);
     }
 
     /// The deterministic trace id, in wire (hex) form.
@@ -311,15 +312,16 @@ struct Job {
     req: MapRequest,
     deadline: Option<Instant>,
     budget_ms: u64,
-    /// Push timestamp, set only for traced requests: the worker
-    /// measures queue wait from it.
+    /// Where the submitter's trace cursor stood at admission, set only
+    /// for traced requests: the worker measures queue wait from it.
     enqueued: Option<Instant>,
     reply: mpsc::SyncSender<JobReply>,
 }
 
 struct Inner {
     cfg: ServiceConfig,
-    queue: Mutex<FairQueue<Job>>,
+    /// Admitted jobs, bounded by `cfg.queue_limit`.
+    queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     /// Signalled by the last worker to see the queue empty while
     /// draining; [`MapService::shutdown`] waits on it.
@@ -339,8 +341,6 @@ struct Inner {
     trace_seq: AtomicU64,
     /// Ring of recent trace summaries; `Some` iff tracing is enabled.
     flight: Option<FlightRecorder>,
-    /// Per-tenant SLO accounting: tenant → (bad requests, total).
-    slo: Mutex<BTreeMap<String, (u64, u64)>>,
 }
 
 /// Seconds since the Unix epoch, for L2 TTL bookkeeping.
@@ -376,7 +376,7 @@ impl MapService {
             Mutex::new(L2Store::open(l2cfg, unix_now()).expect("open L2 mapping store"))
         });
         let inner = Arc::new(Inner {
-            queue: Mutex::new(FairQueue::new(cfg.queue_limit, cfg.tenant_quota)),
+            queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             drained: Condvar::new(),
             cache: ShardedLru::new(cfg.cache_shards.max(1), cfg.cache_capacity_per_shard.max(1)),
@@ -388,7 +388,6 @@ impl MapService {
             drain_seconds_bits: AtomicU64::new(0f64.to_bits()),
             trace_seq: AtomicU64::new(0),
             flight: cfg.tracing.then(|| FlightRecorder::new(FLIGHT_CAPACITY)),
-            slo: Mutex::new(BTreeMap::new()),
             cfg,
         });
         inner.preregister_metrics();
@@ -437,7 +436,7 @@ impl MapService {
     ///
     /// Lookup order: L1 (O(hash + shard lookup), no queueing) → L2
     /// (one disk read + promotion to L1) → coalesce with any in-flight
-    /// computation of the same fingerprint → admit to the fair
+    /// computation of the same fingerprint → admit to the bounded
     /// queue (or reject typed) and compute on the worker pool.
     pub fn submit(&self, req: MapRequest) -> Result<MapResponse, ServiceError> {
         self.inner.submit(req, 0)
@@ -455,15 +454,15 @@ impl MapService {
     }
 
     /// Closes a [`PendingTrace`] taken off a [`MapResponse`]: appends
-    /// the `serialize` stage (measured by the caller), observes the
-    /// per-stage latency metrics, records the trace into the flight
-    /// recorder, fires any anomaly triggers, and returns the trace
-    /// JSON for the wire.
+    /// the `serialize` stage, which ends now, observes the per-stage
+    /// latency metrics, records the trace into the flight recorder,
+    /// fires any anomaly triggers, and returns the trace JSON for the
+    /// wire. Call it once the response bytes are built.
     // Takes the box because that is what callers hold: the trace rides
     // `MapResponse` boxed so untraced responses stay pointer-sized.
     #[allow(clippy::boxed_local)]
-    pub fn finalize_trace(&self, pending: Box<PendingTrace>, serialize: Duration) -> Json {
-        self.inner.finalize_trace(*pending, serialize)
+    pub fn finalize_trace(&self, pending: Box<PendingTrace>) -> Json {
+        self.inner.finalize_trace(*pending)
     }
 
     /// Looks a recent trace up in the flight recorder by hex id
@@ -597,10 +596,7 @@ impl MapService {
 
         // Hard stop: reject whatever the budget did not cover.
         self.inner.stopping.store(true, Ordering::SeqCst);
-        let leftovers = {
-            let mut q = self.inner.queue.lock().expect("queue poisoned");
-            q.drain_all()
-        };
+        let leftovers = std::mem::take(&mut *self.inner.queue.lock().expect("queue poisoned"));
         self.inner.available.notify_all();
         let now = Instant::now();
         for job in leftovers {
@@ -641,10 +637,7 @@ impl MapService {
             return;
         }
         self.inner.stopping.store(true, Ordering::SeqCst);
-        let leftovers = {
-            let mut q = self.inner.queue.lock().expect("queue poisoned");
-            q.drain_all()
-        };
+        let leftovers = std::mem::take(&mut *self.inner.queue.lock().expect("queue poisoned"));
         self.inner.available.notify_all();
         for job in leftovers {
             self.inner.count_outcome("shutdown");
@@ -672,8 +665,8 @@ impl Drop for MapService {
     }
 }
 
-/// The tenant label for metrics: the request's tenant, or `anonymous`
-/// for unlabelled (or empty-labelled) requests.
+/// The tenant label for the request's trace: the request's tenant, or
+/// `anonymous` for unlabelled (or empty-labelled) requests.
 fn tenant_label(req: &MapRequest) -> &str {
     match req.tenant.as_deref() {
         Some(t) if !t.is_empty() => t,
@@ -696,7 +689,7 @@ impl Inner {
 
         // Trace context: allocated only when tracing is on — the
         // disabled path costs this one branch. Validation and
-        // fingerprinting ran since `start`, so they tile the timeline
+        // fingerprinting ran since `start`, so they open the timeline
         // as the `fingerprint` stage.
         let mut tctx: Option<PendingTrace> = if self.flight.is_some() {
             let seq = self.trace_seq.fetch_add(1, Ordering::SeqCst);
@@ -709,35 +702,31 @@ impl Inner {
             if ingress_us > 0 {
                 record.push_stage("parse", 0, ingress_us);
             }
-            record.push_stage(
-                "fingerprint",
-                ingress_us,
-                start.elapsed().as_micros() as u64,
-            );
-            Some(PendingTrace {
+            let mut t = PendingTrace {
                 record,
                 started: start,
                 ingress_us,
-            })
+                cursor: start,
+            };
+            t.stage("fingerprint");
+            Some(t)
         } else {
             None
         };
-        let tenant = tenant_label(&req).to_string();
 
         // L1: O(lookup) on the sharded cache, no queueing.
-        let l1_t0 = tctx.as_ref().map(|_| Instant::now());
         let l1 = self.cache.get(&fp);
-        if let (Some(t0), Some(t)) = (l1_t0, tctx.as_mut()) {
-            t.stage("l1", t0);
+        if let Some(t) = tctx.as_mut() {
+            t.stage("l1");
         }
         if let Some(entry) = l1 {
-            self.record_hit(&tenant, start);
+            self.record_hit(start);
             return Ok(self.respond(&req, fp, entry.mapping, true, start, tctx, "ok_cached"));
         }
 
         // L2: one disk read; a hit is promoted so the next lookup is L1.
         if let Some(mapping) = self.l2_lookup(&fp, scope, &mut tctx) {
-            self.record_l2_hit(&tenant, start);
+            self.record_l2_hit(start);
             return Ok(self.respond(&req, fp, mapping, true, start, tctx, "ok_l2"));
         }
 
@@ -745,7 +734,7 @@ impl Inner {
         let deadline = if budget_ms == 0 && req.deadline_ms.is_some() {
             // An explicit zero budget is an already-expired deadline.
             self.count_outcome("deadline_exceeded");
-            self.observe_latency("rejected", &tenant, start, true);
+            self.observe_latency("rejected", start);
             self.finalize_rejected(tctx, "deadline_exceeded");
             return Err(ServiceError::DeadlineExceeded { budget_ms });
         } else if budget_ms == 0 {
@@ -761,16 +750,15 @@ impl Inner {
         // trace stage tagged with this caller's role: the leader never
         // blocks here (its time goes to queue_wait/compute), followers
         // attribute their whole wait to the coalescing.
-        let join_t0 = tctx.as_ref().map(|_| Instant::now());
-        let (join, wait_ns) = self.coalesce.join_timed(fp, deadline);
-        if let (Some(t0), Some(t)) = (join_t0, tctx.as_mut()) {
-            let off = t.offset(t0);
+        let join = self.coalesce.join(fp, deadline);
+        if let Some(t) = tctx.as_mut() {
             let role = if matches!(join, cachemap_util::coalesce::Join::Leader(_)) {
                 "leader"
             } else {
                 "follower"
             };
-            t.record.push_tagged("coalesce", off, wait_ns / 1_000, role);
+            let (off, dur) = t.close();
+            t.record.push_tagged("coalesce", off, dur, role);
         }
         let (outcome, inherited) = match join {
             cachemap_util::coalesce::Join::Leader(leader) => {
@@ -801,18 +789,18 @@ impl Inner {
             Ok(mapping) => {
                 let outcome_name = if inherited {
                     self.count_outcome("ok_coalesced");
-                    self.observe_latency("coalesced", &tenant, start, false);
+                    self.observe_latency("coalesced", start);
                     "ok_coalesced"
                 } else {
                     self.count_outcome("ok_computed");
-                    self.observe_latency("computed", &tenant, start, false);
+                    self.observe_latency("computed", start);
                     "ok_computed"
                 };
                 Ok(self.respond(&req, fp, mapping, inherited, start, tctx, outcome_name))
             }
             Err(e) => {
                 self.count_outcome(e.code());
-                self.observe_latency("rejected", &tenant, start, true);
+                self.observe_latency("rejected", start);
                 self.finalize_rejected(tctx, e.code());
                 Err(e)
             }
@@ -837,27 +825,28 @@ impl Inner {
         budget_ms: u64,
         tctx: &mut Option<PendingTrace>,
     ) -> Result<Arc<MappedProgram>, ServiceError> {
-        let tenant = req.tenant.clone().unwrap_or_default();
         let (tx, rx) = mpsc::sync_channel(1);
-        let t_push = tctx.as_ref().map(|_| Instant::now());
         {
             let mut q = self.queue.lock().expect("queue poisoned");
             if self.draining.load(Ordering::SeqCst) || self.stopping.load(Ordering::SeqCst) {
                 return Err(ServiceError::Shutdown);
             }
-            let job = Job {
+            let limit = self.cfg.queue_limit;
+            if q.len() >= limit {
+                return Err(ServiceError::QueueFull {
+                    depth: q.len(),
+                    limit,
+                });
+            }
+            q.push_back(Job {
                 fp,
                 scope,
                 req: req.clone(),
                 deadline,
                 budget_ms,
-                enqueued: t_push,
+                enqueued: tctx.as_ref().map(|t| t.cursor),
                 reply: tx,
-            };
-            q.push(&tenant, job).map_err(|e| match e {
-                PushError::Full { depth, limit } => ServiceError::QueueFull { depth, limit },
-                PushError::Quota { tenant, quota } => ServiceError::QuotaExceeded { tenant, quota },
-            })?;
+            });
         }
         self.available.notify_one();
 
@@ -876,18 +865,19 @@ impl Inner {
             }
         }?;
         // Splice the worker-side measurements into this request's
-        // timeline: queue wait from the push timestamp, then compute
-        // (carrying the mapper's profile span tree as a child), then the
-        // handoff from compute end until this thread resumed.
-        if let (Some(t0), Some(t), Some(w)) = (t_push, tctx.as_mut(), wtrace) {
-            let resumed = t.offset(Instant::now());
-            let off = t.offset(t0);
-            let computed = off + w.queue_wait_us + w.compute_us;
+        // timeline: queue wait from the cursor the job was admitted at,
+        // then compute (carrying the mapper's profile span tree as a
+        // child), then the handoff from compute end until this thread
+        // resumed, which closes the span.
+        if let (Some(t), Some(w)) = (tctx.as_mut(), wtrace) {
+            let (off, dur) = t.close();
+            let compute_at = off + w.queue_wait_us;
+            let computed = compute_at + w.compute_us;
             t.record.push_stage("queue_wait", off, w.queue_wait_us);
             t.record
-                .push_profiled("compute", off + w.queue_wait_us, w.compute_us, w.profile);
+                .push_profiled("compute", compute_at, w.compute_us, w.profile);
             t.record
-                .push_stage("handoff", computed, resumed.saturating_sub(computed));
+                .push_stage("handoff", computed, (off + dur).saturating_sub(computed));
         }
         Ok(mapping)
     }
@@ -902,19 +892,13 @@ impl Inner {
         tctx: &mut Option<PendingTrace>,
     ) -> Option<Arc<MappedProgram>> {
         let l2 = self.l2.as_ref()?;
-        // Traced path: `get_timed` reports the pure lookup cost (index
-        // probe + disk read + checksum), recorded at the offset the leg
-        // began — the mutex wait, if any, shows up as the gap.
-        let bytes = if let Some(t) = tctx.as_mut() {
-            let t0 = Instant::now();
-            let (bytes, lookup_ns) = l2.lock().expect("l2 poisoned").get_timed(fp, unix_now());
-            let off = t.offset(t0);
-            t.record.push_stage("l2", off, lookup_ns / 1_000);
-            bytes?
-        } else {
-            l2.lock().expect("l2 poisoned").get(fp, unix_now())?
-        };
-        let parse_t0 = tctx.as_ref().map(|_| Instant::now());
+        // The `l2` stage covers the mutex wait, index probe, disk read
+        // and checksum.
+        let bytes = l2.lock().expect("l2 poisoned").get(fp, unix_now());
+        if let Some(t) = tctx.as_mut() {
+            t.stage("l2");
+        }
+        let bytes = bytes?;
         let parsed = (|| {
             let text = std::str::from_utf8(&bytes).ok()?;
             let json = cachemap_util::json::parse(text).ok()?;
@@ -923,8 +907,8 @@ impl Inner {
         let mapping = match parsed {
             Some(m) => m,
             None => {
-                if let (Some(t0), Some(t)) = (parse_t0, tctx.as_mut()) {
-                    t.stage("l2_parse", t0);
+                if let Some(t) = tctx.as_mut() {
+                    t.stage("l2_parse");
                 }
                 return None;
             }
@@ -936,9 +920,9 @@ impl Inner {
                 mapping: Arc::clone(&mapping),
             },
         );
-        if let (Some(t0), Some(t)) = (parse_t0, tctx.as_mut()) {
+        if let Some(t) = tctx.as_mut() {
             // Parse + promotion into L1, as one stage.
-            t.stage("l2_parse", t0);
+            t.stage("l2_parse");
         }
         self.bump_counter(
             "cachemap_service_l2_promotions_total",
@@ -978,7 +962,7 @@ impl Inner {
             let job = {
                 let mut q = self.queue.lock().expect("queue poisoned");
                 loop {
-                    if let Some(job) = q.pop() {
+                    if let Some(job) = q.pop_front() {
                         break job;
                     }
                     if self.stopping.load(Ordering::SeqCst) {
@@ -1118,19 +1102,19 @@ impl Inner {
         ServiceError::BadRequest { message }
     }
 
-    fn record_hit(&self, tenant: &str, start: Instant) {
+    fn record_hit(&self, start: Instant) {
         self.bump_counter("cachemap_service_cache_hits_total", "Mapping cache hits");
         self.count_outcome("ok_cached");
-        self.observe_latency("hit", tenant, start, false);
+        self.observe_latency("hit", start);
     }
 
-    fn record_l2_hit(&self, tenant: &str, start: Instant) {
+    fn record_l2_hit(&self, start: Instant) {
         self.bump_counter(
             "cachemap_service_l2_hits_total",
             "Disk-tier (L2) mapping cache hits",
         );
         self.count_outcome("ok_l2");
-        self.observe_latency("l2_hit", tenant, start, false);
+        self.observe_latency("l2_hit", start);
     }
 
     fn record_drain(&self, seconds: f64) {
@@ -1145,26 +1129,10 @@ impl Inner {
         );
     }
 
-    /// Registers the robustness, tracing, and SLO metric families at
-    /// zero so the first scrape already carries the full schema.
+    /// Registers the robustness and tracing metric families at zero so
+    /// the first scrape already carries the full schema.
     fn preregister_metrics(&self) {
         let mut m = self.metrics.lock().expect("metrics poisoned");
-        // Per-tenant SLO families for the anonymous lane, across every
-        // outcome path; named tenants appear with their first request.
-        for path in LATENCY_PATHS {
-            m.histogram_declare(
-                "cachemap_service_tenant_latency_seconds",
-                "Per-tenant end-to-end service latency by outcome path",
-                &LATENCY_BUCKETS,
-                &[("outcome", path), ("tenant", "anonymous")],
-            );
-        }
-        m.gauge_set(
-            "cachemap_service_slo_burn_rate",
-            "Per-tenant SLO burn rate (bad-request fraction over error budget)",
-            &[("tenant", "anonymous")],
-            0.0,
-        );
         // Tracing families, present whether or not tracing is enabled
         // so a scrape schema does not depend on the tracing knob.
         for stage in TRACE_STAGES {
@@ -1230,57 +1198,28 @@ impl Inner {
         );
     }
 
-    /// Observes one finished request's latency on the shared per-path
-    /// histogram, the per-tenant SLO histogram, and the tenant's
-    /// burn-rate gauge. A request is "bad" for SLO purposes when it was
-    /// rejected or ran past `slo_latency_ms`.
-    fn observe_latency(&self, path: &str, tenant: &str, start: Instant, rejected: bool) {
-        let secs = start.elapsed().as_secs_f64();
-        let bad = rejected || secs > self.cfg.slo_latency_ms as f64 / 1_000.0;
-        let burn = {
-            let mut slo = self.slo.lock().expect("slo poisoned");
-            let entry = slo.entry(tenant.to_string()).or_insert((0, 0));
-            entry.1 += 1;
-            if bad {
-                entry.0 += 1;
-            }
-            (entry.0 as f64 / entry.1 as f64) / SLO_ERROR_BUDGET
-        };
+    /// Observes one finished request's latency on the per-path
+    /// histogram.
+    fn observe_latency(&self, path: &str, start: Instant) {
         let mut m = self.metrics.lock().expect("metrics poisoned");
         m.histogram_observe(
             "cachemap_service_request_latency_seconds",
             "End-to-end service latency by path",
             &LATENCY_BUCKETS,
             &[("path", path)],
-            secs,
-        );
-        m.histogram_observe(
-            "cachemap_service_tenant_latency_seconds",
-            "Per-tenant end-to-end service latency by outcome path",
-            &LATENCY_BUCKETS,
-            &[("outcome", path), ("tenant", tenant)],
-            secs,
-        );
-        m.gauge_set(
-            "cachemap_service_slo_burn_rate",
-            "Per-tenant SLO burn rate (bad-request fraction over error budget)",
-            &[("tenant", tenant)],
-            burn,
+            start.elapsed().as_secs_f64(),
         );
     }
 
-    /// Closes a trace: appends the `serialize` stage (its duration is
-    /// measured by the caller, ending now), stamps the total, observes
-    /// the per-stage metrics, records the trace into the flight ring,
-    /// and fires the slow-request / rejection-burst triggers.
-    fn finalize_trace(&self, mut p: PendingTrace, serialize: Duration) -> Json {
-        let ser_us = serialize.as_micros() as u64;
-        let now_off = p.offset(Instant::now());
-        if ser_us > 0 {
-            p.record
-                .push_stage("serialize", now_off.saturating_sub(ser_us), ser_us);
-        }
-        p.record.total_us = now_off;
+    /// Closes a trace: appends the `serialize` stage, from the end of
+    /// the last stage to now, stamps the total at the same clock read,
+    /// observes the per-stage metrics, records the trace into the
+    /// flight ring, and fires the slow-request / rejection-burst
+    /// triggers.
+    fn finalize_trace(&self, mut p: PendingTrace) -> Json {
+        let (off, dur) = p.close();
+        p.record.push_stage("serialize", off, dur);
+        p.record.total_us = off + dur;
         self.commit_trace(p.record)
     }
 
@@ -1339,21 +1278,8 @@ impl Inner {
     /// take a request down with it.
     fn flight_dump(&self, trigger: &str, mut extra: Vec<(&str, Json)>) {
         let Some(fl) = &self.flight else { return };
-        let depths = {
-            let q = self.queue.lock().expect("queue poisoned");
-            (q.len(), q.depths())
-        };
-        extra.push(("queue_depth", Json::UInt(depths.0 as u64)));
-        extra.push((
-            "tenant_depths",
-            Json::object(
-                depths
-                    .1
-                    .iter()
-                    .map(|(t, d)| (t.as_str(), Json::UInt(*d as u64)))
-                    .collect(),
-            ),
-        ));
+        let depth = self.queue.lock().expect("queue poisoned").len();
+        extra.push(("queue_depth", Json::UInt(depth as u64)));
         let cooldown = FLIGHT_CAPACITY as u64 / 2;
         match fl.dump(&self.cfg.flight_dir, trigger, cooldown, extra) {
             Ok(Some(_)) => {
@@ -1413,7 +1339,7 @@ impl Inner {
             l2_hits: plain("cachemap_service_l2_hits_total"),
             l2_promotions: plain("cachemap_service_l2_promotions_total"),
             queue_full: outcome("queue_full"),
-            quota_exceeded: outcome("quota_exceeded"),
+            quota_exceeded: 0,
             deadline_exceeded: outcome("deadline_exceeded"),
             cache_entries: self.cache.len() as u64,
             queue_depth: self.queue.lock().expect("queue poisoned").len() as u64,

@@ -54,10 +54,11 @@ pub struct MapRequest {
     /// default, `Some(0)` is an already-expired deadline (rejected at
     /// admission — useful for probes and tests).
     pub deadline_ms: Option<u64>,
-    /// Tenant for quota accounting and fair admission; `None`
-    /// is the shared anonymous tenant. Deliberately **not** part of the
-    /// content fingerprint: identical problems coalesce and share cache
-    /// entries across tenants.
+    /// Free-form caller label, copied into the request's trace
+    /// (`anonymous` when absent or empty). The service keeps no state
+    /// per label, and it is not part of the content fingerprint:
+    /// identical problems coalesce and share cache entries whatever
+    /// their label.
     pub tenant: Option<String>,
 }
 

@@ -294,42 +294,31 @@ fn concurrent_misses_coalesce_to_one_compute() {
 }
 
 #[test]
-fn tenant_quota_rejects_typed_and_is_counted() {
-    let service = Arc::new(MapService::start(ServiceConfig {
-        workers: 0, // nothing dequeues: the first request stays queued
-        queue_limit: 8,
-        tenant_quota: 1,
+fn tenant_labels_leave_no_trace_in_the_metrics() {
+    // A tenant label is free-form client input: the service must not
+    // grow a series per label. One miss plus L1 hits, each with a label
+    // of its own, all render without any of those labels.
+    let service = MapService::start(ServiceConfig {
+        workers: 1,
         ..ServiceConfig::default()
-    }));
-    let svc = Arc::clone(&service);
-    let occupant = std::thread::spawn(move || {
-        let mut r = request(0, Version::InterProcessor, 1);
-        r.tenant = Some("acme".into());
-        r.deadline_ms = Some(2_000);
-        svc.submit(r)
     });
-    // Wait until the occupant is actually queued.
-    for _ in 0..400 {
-        if service.stats().queue_depth >= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
+    let labels: Vec<String> = (0..24).map(|i| format!("client-label-{i:02}")).collect();
+    for (i, label) in labels.iter().enumerate() {
+        let mut r = request(0, Version::InterProcessor, i as u64);
+        r.tenant = Some(label.clone());
+        let resp = service.submit(r).expect("request maps");
+        assert_eq!(resp.cached, i > 0, "request {i}: one miss, then hits");
     }
-    assert_eq!(service.stats().queue_depth, 1, "occupant never queued");
-
-    // Same tenant, different fingerprint: rejected at its quota.
-    let mut r = request(1, Version::InterProcessor, 2);
-    r.tenant = Some("acme".into());
-    match service.submit(r) {
-        Err(ServiceError::QuotaExceeded { tenant, quota: 1 }) => assert_eq!(tenant, "acme"),
-        other => panic!("expected QuotaExceeded, got {other:?}"),
+    let stats = service.stats();
+    assert_eq!((stats.misses, stats.hits), (1, labels.len() as u64 - 1));
+    let text = service.metrics_text();
+    for line in text.lines() {
+        assert!(
+            !line.contains("client-label-"),
+            "metrics name a tenant label: {line}"
+        );
     }
-    assert_eq!(service.stats().quota_exceeded, 1);
-
-    match occupant.join().unwrap() {
-        Err(ServiceError::DeadlineExceeded { .. }) | Err(ServiceError::Shutdown) => {}
-        other => panic!("occupant should time out or be drained, got {other:?}"),
-    }
+    service.shutdown();
 }
 
 #[test]

@@ -15,7 +15,6 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -72,7 +71,7 @@ fn traced_config(flight: &TempDir) -> ServiceConfig {
 fn submit_and_finalize(service: &MapService, req: MapRequest) -> Json {
     let mut resp = service.submit_traced(req, 0).expect("request maps");
     let pending = resp.trace.take().expect("tracing on attaches a trace");
-    service.finalize_trace(pending, Duration::ZERO)
+    service.finalize_trace(pending)
 }
 
 #[test]

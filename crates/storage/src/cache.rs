@@ -58,14 +58,8 @@ pub trait ChunkCache {
         self.len() == 0
     }
 
-    /// Capacity in chunks.
-    fn capacity(&self) -> usize;
-
     /// Hit/miss statistics accumulated by `access`.
     fn stats(&self) -> HitMiss;
-
-    /// Drops all residents and statistics.
-    fn reset(&mut self);
 }
 
 /// Builds a cache of the configured policy kind.
@@ -179,11 +173,6 @@ impl Slab {
         self.unlink(list, slot);
         Some(slot)
     }
-
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-    }
 }
 
 /// The outcome of filling a full cache by evicting `victim`.
@@ -199,7 +188,7 @@ fn evicted((victim, dirty): (Chunk, bool)) -> InsertOutcome {
 // LRU
 // ---------------------------------------------------------------------------
 
-/// Least-recently-used cache: one recency list on a [`Slab`] (tail = LRU
+/// Least-recently-used cache: one recency list on a `Slab` (tail = LRU
 /// victim), with an `FxHashMap` chunk → slot index. All operations are
 /// O(1).
 #[derive(Debug, Clone)]
@@ -283,19 +272,8 @@ impl ChunkCache for LruCache {
         self.index.len()
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn stats(&self) -> HitMiss {
         self.stats
-    }
-
-    fn reset(&mut self) {
-        self.slab.clear();
-        self.list = List::EMPTY;
-        self.index.clear();
-        self.stats = HitMiss::default();
     }
 }
 
@@ -367,18 +345,8 @@ impl ChunkCache for FifoCache {
         self.dirty.len()
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn stats(&self) -> HitMiss {
         self.stats
-    }
-
-    fn reset(&mut self) {
-        self.queue.clear();
-        self.dirty.clear();
-        self.stats = HitMiss::default();
     }
 }
 
@@ -530,20 +498,8 @@ impl<const AGING: bool> ChunkCache for FrequencyCache<AGING> {
         self.entries.len()
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn stats(&self) -> HitMiss {
         self.stats
-    }
-
-    fn reset(&mut self) {
-        self.entries.clear();
-        self.heap.clear();
-        self.age = 0;
-        self.next_seq = 0;
-        self.stats = HitMiss::default();
     }
 }
 
@@ -565,7 +521,7 @@ enum Segment {
 /// Eviction takes the probationary LRU line first, falling back to the
 /// protected LRU line only when probation is empty.
 ///
-/// The segments are two recency lists on one [`Slab`], as in
+/// The segments are two recency lists on one `Slab`, as in
 /// [`LruCache`]; all operations are O(1).
 #[derive(Debug, Clone)]
 pub struct SlruCache {
@@ -683,20 +639,8 @@ impl ChunkCache for SlruCache {
         self.index.len()
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn stats(&self) -> HitMiss {
         self.stats
-    }
-
-    fn reset(&mut self) {
-        self.slab.clear();
-        self.probationary = List::EMPTY;
-        self.protected = List::EMPTY;
-        self.index.clear();
-        self.stats = HitMiss::default();
     }
 }
 
@@ -760,20 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_reset_clears_everything() {
-        let mut c = LruCache::new(2);
-        c.insert(1, true);
-        c.access(1, false);
-        c.reset();
-        assert_eq!(c.len(), 0);
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(!c.contains(1));
-        // Reusable after reset.
-        c.insert(5, false);
-        assert!(c.contains(5));
-    }
-
-    #[test]
     fn fifo_evicts_insertion_order_despite_access() {
         let mut c = FifoCache::new(2);
         c.insert(1, false);
@@ -810,10 +740,13 @@ mod tests {
         for kind in PolicyKind::ALL {
             let cap = 3;
             let mut c = build_cache(kind, cap);
-            assert_eq!(c.capacity(), cap);
             c.insert(1, false);
             assert!(c.access(1, false));
             assert!(c.stats().hits >= 1);
+            for chunk in 10..10 + cap {
+                c.insert(chunk, false);
+            }
+            assert_eq!(c.len(), cap, "{kind:?} holds exactly its capacity");
         }
     }
 
@@ -923,23 +856,6 @@ mod tests {
         c.insert(12, false);
         // All priorities equal → oldest sequence (10) goes first.
         assert_eq!(c.insert(13, false), InsertOutcome::EvictedClean(10));
-    }
-
-    #[test]
-    fn new_policies_reset_clears_aging_state() {
-        for kind in [PolicyKind::Slru, PolicyKind::Lfuda] {
-            let mut c = build_cache(kind, 4);
-            for i in 0..20 {
-                if !c.access(i, i % 2 == 0) {
-                    c.insert(i, i % 2 == 0);
-                }
-            }
-            c.reset();
-            assert_eq!(c.len(), 0, "{kind:?}");
-            assert_eq!(c.stats().accesses(), 0, "{kind:?}");
-            c.insert(5, false);
-            assert!(c.contains(5), "{kind:?}");
-        }
     }
 
     #[test]

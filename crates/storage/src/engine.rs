@@ -239,18 +239,6 @@ pub struct RunStats {
     pub prefetched_chunks: u64,
 }
 
-struct Resources {
-    l1: Vec<Box<dyn ChunkCache + Send>>,
-    l2: Vec<Box<dyn ChunkCache + Send>>,
-    l3: Vec<Box<dyn ChunkCache + Send>>,
-    l2_free: Vec<u64>,
-    l3_free: Vec<u64>,
-    disks: Vec<Disk>,
-    disk_free: Vec<u64>,
-    /// Aggregate eviction/writeback tallies `[l1, l2, l3]`.
-    tally: [EvictionTally; 3],
-}
-
 /// Where each client's misses go, read off the hierarchy tree once, so
 /// the access path never walks the tree.
 struct Routes {
@@ -299,7 +287,18 @@ pub struct Engine<'a> {
     routes: Routes,
     /// One chunk over one network link (latency plus serialization), ns.
     chunk_ns: u64,
-    res: Resources,
+    /// Client (L1), I/O-node (L2) and storage-node (L3) caches.
+    l1: Vec<Box<dyn ChunkCache + Send>>,
+    l2: Vec<Box<dyn ChunkCache + Send>>,
+    l3: Vec<Box<dyn ChunkCache + Send>>,
+    /// When each I/O-node and storage-node cache is next free, ns.
+    l2_free: Vec<u64>,
+    l3_free: Vec<u64>,
+    disks: Vec<Disk>,
+    /// When each disk is next free, ns.
+    disk_free: Vec<u64>,
+    /// Aggregate eviction/writeback tallies `[l1, l2, l3]`.
+    tally: [EvictionTally; 3],
     /// Metric recorder; `Some` only when the caller attached an *enabled*
     /// recorder, so the disabled path stays structurally identical to a
     /// run without observability.
@@ -322,7 +321,10 @@ impl<'a> Engine<'a> {
                 config_clients: cfg.num_clients,
             });
         }
-        let res = Resources {
+        Ok(Engine {
+            cfg,
+            routes: Routes::new(tree, cfg),
+            chunk_ns: cfg.net_chunk_ns(),
             l1: (0..cfg.num_clients)
                 .map(|_| build_cache(cfg.policies[0], cfg.client_cache_chunks))
                 .collect(),
@@ -337,12 +339,6 @@ impl<'a> Engine<'a> {
             disks: vec![Disk::new(cfg); total_disks(cfg)],
             disk_free: vec![0; total_disks(cfg)],
             tally: [EvictionTally::default(); 3],
-        };
-        Ok(Engine {
-            cfg,
-            routes: Routes::new(tree, cfg),
-            chunk_ns: cfg.net_chunk_ns(),
-            res,
             obs: None,
             trace: None,
             max_chunk: 0,
@@ -486,23 +482,23 @@ impl<'a> Engine<'a> {
             per_client_finish_ns: runs.iter().map(|r| r.clock).collect(),
             ..RunStats::default()
         };
-        for c in &self.res.l1 {
+        for c in &self.l1 {
             stats.l1.merge(&c.stats());
         }
-        for c in &self.res.l2 {
+        for c in &self.l2 {
             stats.l2.merge(&c.stats());
         }
-        for c in &self.res.l3 {
+        for c in &self.l3 {
             stats.l3.merge(&c.stats());
         }
-        for d in &self.res.disks {
+        for d in &self.disks {
             stats.disk_reads += d.reads;
             stats.disk_writes += d.writes;
             stats.disk_sequential_reads += d.sequential_reads;
         }
-        stats.l1_evictions = self.res.tally[0];
-        stats.l2_evictions = self.res.tally[1];
-        stats.l3_evictions = self.res.tally[2];
+        stats.l1_evictions = self.tally[0];
+        stats.l2_evictions = self.tally[1];
+        stats.l3_evictions = self.tally[2];
         stats.prefetched_chunks = self.prefetched;
         let trace = self.trace.take().map(|mut events| {
             events.sort_by_key(|e| (e.time_ns, e.client));
@@ -515,9 +511,9 @@ impl<'a> Engine<'a> {
     /// time.
     fn disk_writeback(&mut self, victim: Chunk, t: u64) -> u64 {
         let di = disk_index(victim, self.cfg);
-        let start = t.max(self.res.disk_free[di]);
-        let service = self.res.disks[di].write(victim);
-        self.res.disk_free[di] = start + service;
+        let start = t.max(self.disk_free[di]);
+        let service = self.disks[di].write(victim);
+        self.disk_free[di] = start + service;
         start + service
     }
 
@@ -554,7 +550,7 @@ impl<'a> Engine<'a> {
     /// Looks `chunk` up in client `c`'s L1 for an access starting at
     /// `start`; counts the hit or miss.
     fn l1_lookup(&mut self, c: usize, chunk: Chunk, write: bool, start: u64) -> bool {
-        let hit = self.res.l1[c].access(chunk, write);
+        let hit = self.l1[c].access(chunk, write);
         if let Some(o) = self.obs.as_deref_mut() {
             o.cache_access(ObsLevel::L1, c, start + self.cfg.cache_access_ns, hit);
         }
@@ -605,7 +601,7 @@ impl<'a> Engine<'a> {
         let io = self.routes.client_io[c];
         t += cfg.net_hop_ns;
         t = self.serve_l2(io, t);
-        let l2_hit = self.res.l2[io].access(chunk, false);
+        let l2_hit = self.l2[io].access(chunk, false);
         if let Some(o) = self.obs.as_deref_mut() {
             o.cache_access(ObsLevel::L2, io, t, l2_hit);
         }
@@ -614,7 +610,7 @@ impl<'a> Engine<'a> {
             let s = self.routes.client_storage[c];
             t += cfg.net_hop_ns;
             t = self.serve_l3(s, t);
-            let l3_hit = self.res.l3[s].access(chunk, false);
+            let l3_hit = self.l3[s].access(chunk, false);
             if let Some(o) = self.obs.as_deref_mut() {
                 o.cache_access(ObsLevel::L3, s, t, l3_hit);
             }
@@ -628,9 +624,9 @@ impl<'a> Engine<'a> {
                     t += cfg.net_hop_ns;
                 }
                 let di = disk_index(chunk, cfg);
-                let start = t.max(self.res.disk_free[di]);
-                t = start + self.res.disks[di].read(chunk);
-                self.res.disk_free[di] = t;
+                let start = t.max(self.disk_free[di]);
+                t = start + self.disks[di].read(chunk);
+                self.disk_free[di] = t;
                 if owner != s {
                     t += self.chunk_ns;
                     if let Some(o) = self.obs.as_deref_mut() {
@@ -660,16 +656,16 @@ impl<'a> Engine<'a> {
         }
 
         // Fill L1; a dirty victim is written back to L2.
-        match self.res.l1[c].insert(chunk, write) {
+        match self.l1[c].insert(chunk, write) {
             InsertOutcome::Inserted => {}
             InsertOutcome::EvictedClean(_) => {
-                self.res.tally[0].bump(false);
+                self.tally[0].bump(false);
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L1, c, t, false);
                 }
             }
             InsertOutcome::EvictedDirty(victim) => {
-                self.res.tally[0].bump(true);
+                self.tally[0].bump(true);
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L1, c, t, true);
                 }
@@ -691,14 +687,14 @@ impl<'a> Engine<'a> {
         let di = disk_index(chunk, cfg);
         for k in 1..=cfg.readahead_chunks {
             let next = chunk + k * stride;
-            if next > self.max_chunk || self.res.l3[s].contains(next) {
+            if next > self.max_chunk || self.l3[s].contains(next) {
                 break;
             }
             // Sequential transfer keeps the spindle busy; the requesting
             // client does not wait for it.
-            let start = t.max(self.res.disk_free[di]);
-            let service = self.res.disks[di].read(next);
-            self.res.disk_free[di] = start + service;
+            let start = t.max(self.disk_free[di]);
+            let service = self.disks[di].read(next);
+            self.disk_free[di] = start + service;
             self.fill_l3(s, next, false, start + service);
             self.prefetched += 1;
         }
@@ -706,39 +702,39 @@ impl<'a> Engine<'a> {
 
     /// Waits for and occupies the L2 cache controller of I/O node `io`.
     fn serve_l2(&mut self, io: usize, t: u64) -> u64 {
-        let start = t.max(self.res.l2_free[io]);
+        let start = t.max(self.l2_free[io]);
         if let Some(o) = self.obs.as_deref_mut() {
             o.queue_wait(ObsLevel::L2, io, t, start - t);
         }
         let end = start + self.cfg.cache_access_ns;
-        self.res.l2_free[io] = end;
+        self.l2_free[io] = end;
         end
     }
 
     /// Waits for and occupies the L3 cache controller of storage node `s`.
     fn serve_l3(&mut self, s: usize, t: u64) -> u64 {
-        let start = t.max(self.res.l3_free[s]);
+        let start = t.max(self.l3_free[s]);
         if let Some(o) = self.obs.as_deref_mut() {
             o.queue_wait(ObsLevel::L3, s, t, start - t);
         }
         let end = start + self.cfg.cache_access_ns;
-        self.res.l3_free[s] = end;
+        self.l3_free[s] = end;
         end
     }
 
     /// Inserts into L2, cascading a dirty victim into L3.
     fn fill_l2(&mut self, io: usize, chunk: Chunk, dirty: bool, mut t: u64) -> u64 {
-        match self.res.l2[io].insert(chunk, dirty) {
+        match self.l2[io].insert(chunk, dirty) {
             InsertOutcome::Inserted => t,
             InsertOutcome::EvictedClean(_) => {
-                self.res.tally[1].bump(false);
+                self.tally[1].bump(false);
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L2, io, t, false);
                 }
                 t
             }
             InsertOutcome::EvictedDirty(victim) => {
-                self.res.tally[1].bump(true);
+                self.tally[1].bump(true);
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L2, io, t, true);
                 }
@@ -755,17 +751,17 @@ impl<'a> Engine<'a> {
 
     /// Inserts into L3, writing a dirty victim back to its disk.
     fn fill_l3(&mut self, s: usize, chunk: Chunk, dirty: bool, t: u64) -> u64 {
-        match self.res.l3[s].insert(chunk, dirty) {
+        match self.l3[s].insert(chunk, dirty) {
             InsertOutcome::Inserted => t,
             InsertOutcome::EvictedClean(_) => {
-                self.res.tally[2].bump(false);
+                self.tally[2].bump(false);
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L3, s, t, false);
                 }
                 t
             }
             InsertOutcome::EvictedDirty(victim) => {
-                self.res.tally[2].bump(true);
+                self.tally[2].bump(true);
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.eviction(ObsLevel::L3, s, t, true);
                 }

@@ -364,15 +364,6 @@ impl L2Store {
         Some(buf[HEADER_LEN..HEADER_LEN + len as usize].to_vec())
     }
 
-    /// [`L2Store::get`] plus the lookup's wall-clock duration in
-    /// nanoseconds (index probe + disk read + checksum verify), for
-    /// per-request latency attribution.
-    pub fn get_timed(&mut self, key: &Fingerprint, now_secs: u64) -> (Option<Vec<u8>>, u64) {
-        let t0 = std::time::Instant::now();
-        let hit = self.get(key, now_secs);
-        (hit, t0.elapsed().as_nanos() as u64)
-    }
-
     /// Durably removes `key`: drops it from the index and appends a
     /// tombstone so recovery cannot resurrect it.
     pub fn invalidate(&mut self, key: Fingerprint, now_secs: u64) -> std::io::Result<()> {

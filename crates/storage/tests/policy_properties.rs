@@ -1,6 +1,6 @@
 //! Property tests for the eviction-policy zoo: every production cache is
 //! cross-checked against an executable reference model under seeded
-//! random streams of access / insert / reset operations.
+//! random streams of access and insert operations.
 //!
 //! The models are deliberately naive — ordered `Vec`s and linear scans —
 //! so their behaviour is easy to audit; the production caches must match
@@ -211,15 +211,6 @@ impl Model {
         self.fifo.push(chunk);
         outcome
     }
-
-    fn reset(&mut self) {
-        self.lines.clear();
-        self.fifo.clear();
-        self.age = 0;
-        self.next_seq = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -303,17 +294,10 @@ impl Lockstep {
         }
     }
 
-    fn reset(&mut self, ctx: &str) {
-        self.cache.reset();
-        self.model.reset();
-        self.ledger = DirtyLedger::new();
-        assert_eq!(self.cache.stats().accesses(), 0, "{ctx}");
-    }
-
     /// The invariants checked after every step.
     fn check(&self, ctx: &str) {
         assert!(
-            self.cache.len() <= self.cache.capacity(),
+            self.cache.len() <= self.model.capacity,
             "{ctx}: residency above capacity"
         );
         assert_eq!(
@@ -345,13 +329,11 @@ fn run_stream(policy: PolicyKind, seed: u64, steps: usize) {
                 ls.access(chunk, write, &ctx);
             }
             // Blind inserts (readahead-style).
-            85..=97 => {
+            _ => {
                 let chunk = rng.below(universe) as usize;
                 let dirty = rng.below(8) == 0;
                 ls.insert(chunk, dirty, &ctx);
             }
-            // Full reset.
-            _ => ls.reset(&ctx),
         }
         ls.check(&ctx);
     }

@@ -111,7 +111,7 @@ pub fn by_name(name: &str, scale: Scale) -> Option<Application> {
     }
 }
 
-/// Builds the adversarial policy-zoo scenarios (see [`scenarios`]).
+/// Builds the adversarial policy-zoo scenarios (see [`mod@scenarios`]).
 pub fn scenarios(scale: Scale) -> Vec<Application> {
     vec![
         scenarios::scan_storm(scale),
@@ -130,7 +130,7 @@ pub fn scenario_by_name(name: &str, scale: Scale) -> Option<Application> {
     }
 }
 
-/// The adversarial scenario names, in [`scenarios`] order.
+/// The adversarial scenario names, in [`scenarios()`] order.
 pub const SCENARIO_NAMES: [&str; 3] = ["scan_storm", "graph_bfs", "graph_dfs"];
 
 /// The suite names in Table 2 order.
