@@ -12,12 +12,8 @@
 //!
 //! Writes go through a buffer with an explicit offset so a short
 //! `write(2)` resumes mid-response; the event loop keeps `EPOLLOUT`
-//! interest exactly while [`Conn::pending_write`] is non-zero. Fault
-//! injection ([`crate::shim::ConnFaults`]) hooks both paths: swallowed
-//! reads (slow-loris), truncated writes (torn responses), and dripped
-//! writes (1 byte per readiness cycle).
+//! interest exactly while [`Conn::pending_write`] is non-zero.
 
-use crate::shim::ConnFaults;
 use cachemap_util::TimerId;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -51,8 +47,8 @@ pub enum FlushOutcome {
     Idle,
     /// Bytes remain; keep `EPOLLOUT` interest.
     Pending,
-    /// The connection is done (close-after-write completed, peer gone,
-    /// or a truncate fault fired) and should be torn down.
+    /// The connection is done (close-after-write completed or peer
+    /// gone) and should be torn down.
     Closed,
     /// Transport error; tear the connection down.
     Error(io::Error),
@@ -70,8 +66,6 @@ pub struct Conn {
     /// Slot generation; completions carrying a stale generation are
     /// dropped instead of writing into a recycled slot.
     pub gen: u64,
-    /// Monotonic accept sequence (fault-stream derivation key).
-    pub seq: u64,
     read_buf: Vec<u8>,
     /// Resume point for the newline scan (no terminator before it).
     scan_from: usize,
@@ -80,15 +74,12 @@ pub struct Conn {
     http_request_line: Option<String>,
     write_buf: Vec<u8>,
     write_off: usize,
-    written_total: usize,
     /// Close the connection once the write buffer drains.
     pub close_after_write: bool,
     /// Clock reading at the last inbound byte (idle-deadline anchor).
     pub last_activity_ns: u64,
     /// The armed idle-deadline timer, if any.
     pub idle_timer: Option<TimerId>,
-    /// Decided-at-accept fault behaviors.
-    pub faults: ConnFaults,
     /// Reading paused by write-buffer backpressure.
     pub paused: bool,
     /// Current epoll write-interest (loop-managed, mirrors the kernel).
@@ -120,26 +111,21 @@ impl Conn {
     pub fn new(
         stream: TcpStream,
         gen: u64,
-        seq: u64,
         now_ns: u64,
-        faults: ConnFaults,
         read_buf: Vec<u8>,
         write_buf: Vec<u8>,
     ) -> Conn {
         Conn {
             stream,
             gen,
-            seq,
             read_buf,
             scan_from: 0,
             http_request_line: None,
             write_buf,
             write_off: 0,
-            written_total: 0,
             close_after_write: false,
             last_activity_ns: now_ns,
             idle_timer: None,
-            faults,
             paused: false,
             want_write: false,
             frames_in: 0,
@@ -170,12 +156,6 @@ impl Conn {
                 Ok(n) => {
                     bytes_read += n as u64;
                     self.last_activity_ns = now_ns;
-                    if self.faults.swallow_reads {
-                        // Slow-loris shim: the bytes vanish before
-                        // framing, so only the idle deadline can save
-                        // this connection's slot.
-                        continue;
-                    }
                     self.read_buf.extend_from_slice(&scratch[..n]);
                     self.extract_frames(frames);
                     // Whatever remains after extraction is one partial
@@ -244,8 +224,8 @@ impl Conn {
         self.write_buf.len() - self.write_off
     }
 
-    /// Pushes buffered bytes to the socket, honoring truncate/drip
-    /// faults. Call whenever bytes were queued or `EPOLLOUT` fired.
+    /// Pushes buffered bytes to the socket. Call whenever bytes were
+    /// queued or `EPOLLOUT` fired.
     pub fn flush(&mut self) -> (u64, FlushOutcome) {
         let mut bytes_written = 0u64;
         loop {
@@ -259,33 +239,11 @@ impl Conn {
                 };
                 return (bytes_written, done);
             }
-            let mut end = self.write_buf.len();
-            if let Some(cut) = self.faults.truncate_write_at {
-                if self.written_total >= cut {
-                    return (bytes_written, FlushOutcome::Closed);
-                }
-                end = end.min(self.write_off + (cut - self.written_total));
-            }
-            if self.faults.drip_write {
-                end = end.min(self.write_off + 1);
-            }
-            match self.stream.write(&self.write_buf[self.write_off..end]) {
+            match self.stream.write(&self.write_buf[self.write_off..]) {
                 Ok(0) => return (bytes_written, FlushOutcome::Closed),
                 Ok(n) => {
                     self.write_off += n;
-                    self.written_total += n;
                     bytes_written += n as u64;
-                    if let Some(cut) = self.faults.truncate_write_at {
-                        if self.written_total >= cut {
-                            return (bytes_written, FlushOutcome::Closed);
-                        }
-                    }
-                    if self.faults.drip_write {
-                        // One byte per readiness cycle: report Pending
-                        // so EPOLLOUT interest persists and the next
-                        // cycle sends the next byte.
-                        return (bytes_written, FlushOutcome::Pending);
-                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     return (bytes_written, FlushOutcome::Pending)
@@ -324,15 +282,7 @@ mod tests {
     #[test]
     fn partial_frames_resume_across_reads() {
         let (mut client, server) = pair();
-        let mut conn = Conn::new(
-            server,
-            0,
-            0,
-            0,
-            ConnFaults::default(),
-            Vec::new(),
-            Vec::new(),
-        );
+        let mut conn = Conn::new(server, 0, 0, Vec::new(), Vec::new());
         client.write_all(b"{\"op\":\"pi").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert!(read_all_frames(&mut conn).is_empty(), "half a frame");
@@ -354,15 +304,7 @@ mod tests {
     #[test]
     fn http_mode_drains_headers_then_emits_one_frame() {
         let (mut client, server) = pair();
-        let mut conn = Conn::new(
-            server,
-            0,
-            0,
-            0,
-            ConnFaults::default(),
-            Vec::new(),
-            Vec::new(),
-        );
+        let mut conn = Conn::new(server, 0, 0, Vec::new(), Vec::new());
         client
             .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n")
             .unwrap();
@@ -376,15 +318,7 @@ mod tests {
     #[test]
     fn oversized_frame_is_rejected() {
         let (mut client, server) = pair();
-        let mut conn = Conn::new(
-            server,
-            0,
-            0,
-            0,
-            ConnFaults::default(),
-            Vec::new(),
-            Vec::new(),
-        );
+        let mut conn = Conn::new(server, 0, 0, Vec::new(), Vec::new());
         client.write_all(&[b'x'; 4096]).unwrap(); // no newline
         std::thread::sleep(std::time::Duration::from_millis(10));
         let mut scratch = [0u8; 4096];
@@ -397,15 +331,7 @@ mod tests {
     #[test]
     fn short_writes_resume_and_close_after_write_closes() {
         let (mut client, server) = pair();
-        let mut conn = Conn::new(
-            server,
-            0,
-            0,
-            0,
-            ConnFaults::default(),
-            Vec::new(),
-            Vec::new(),
-        );
+        let mut conn = Conn::new(server, 0, 0, Vec::new(), Vec::new());
         conn.queue_write(b"hello ");
         conn.queue_write(b"world\n");
         conn.close_after_write = true;
@@ -421,51 +347,5 @@ mod tests {
         let mut got = String::new();
         client.read_to_string(&mut got).unwrap();
         assert_eq!(got, "hello world\n");
-    }
-
-    #[test]
-    fn truncate_fault_cuts_the_stream() {
-        let (mut client, server) = pair();
-        let faults = ConnFaults {
-            truncate_write_at: Some(4),
-            ..ConnFaults::default()
-        };
-        let mut conn = Conn::new(server, 0, 0, 0, faults, Vec::new(), Vec::new());
-        conn.queue_write(b"0123456789\n");
-        let (n, out) = conn.flush();
-        assert!(matches!(out, FlushOutcome::Closed), "{out:?}");
-        assert_eq!(n, 4);
-        drop(conn); // close delivers EOF after the 4 bytes
-        let mut got = String::new();
-        client.read_to_string(&mut got).unwrap();
-        assert_eq!(got, "0123", "stream cut mid-frame");
-    }
-
-    #[test]
-    fn drip_fault_sends_one_byte_per_cycle() {
-        let (mut client, server) = pair();
-        let faults = ConnFaults {
-            drip_write: true,
-            ..ConnFaults::default()
-        };
-        let mut conn = Conn::new(server, 0, 0, 0, faults, Vec::new(), Vec::new());
-        conn.queue_write(b"abc\n");
-        conn.close_after_write = true;
-        let mut cycles = 0;
-        loop {
-            let (n, out) = conn.flush();
-            cycles += 1;
-            match out {
-                FlushOutcome::Pending => assert!(n <= 1, "dripped {n} bytes in one cycle"),
-                FlushOutcome::Closed => break,
-                other => panic!("unexpected {other:?}"),
-            }
-            assert!(cycles < 100);
-        }
-        assert!(cycles >= 4, "took {cycles} cycles for 4 bytes");
-        drop(conn);
-        let mut got = String::new();
-        client.read_to_string(&mut got).unwrap();
-        assert_eq!(got, "abc\n");
     }
 }

@@ -26,7 +26,6 @@
 
 use crate::conn::{Conn, FlushOutcome, Frame, ReadOutcome};
 use crate::poll::{Event, Poller, Waker, WAKE_TOKEN};
-use crate::shim::FaultPlan;
 use crate::sys;
 use cachemap_util::{BufferPool, Clock, TimerQueue};
 use std::io::{self, Write as _};
@@ -65,8 +64,6 @@ pub struct EventLoopConfig {
     pub max_frame_bytes: usize,
     /// Time source for deadlines (share one simulated clock in tests).
     pub clock: Arc<Clock>,
-    /// Connection-level fault injection (off by default).
-    pub faults: FaultPlan,
     /// Reply line (no trailing newline) for over-capacity rejects.
     pub over_capacity_reply: String,
     /// Reply line for idle-deadline closes.
@@ -83,7 +80,6 @@ impl Default for EventLoopConfig {
             idle_timeout_ms: 30_000,
             max_frame_bytes: 1 << 20,
             clock: Arc::new(Clock::real()),
-            faults: FaultPlan::none(),
             over_capacity_reply: r#"{"ok":false,"error":{"kind":"conn_limit"}}"#.into(),
             idle_timeout_reply: r#"{"ok":false,"error":{"kind":"read_timeout"}}"#.into(),
             frame_too_large_reply: r#"{"ok":false,"error":{"kind":"bad_request"}}"#.into(),
@@ -208,7 +204,6 @@ pub struct LoopStats {
 pub struct Handle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    kill: Arc<AtomicBool>,
     waker: Waker,
     clock: Arc<Clock>,
     stats: Arc<LoopStats>,
@@ -234,14 +229,6 @@ impl Handle {
     /// Graceful stop: no new connections, in-flight requests answered,
     /// write buffers drained, then the loop exits. Idempotent.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
-    }
-
-    /// Immediate stop: the loop exits at the next cycle without
-    /// draining; connections are torn down mid-write.
-    pub fn kill(&self) {
-        self.kill.store(true, Ordering::SeqCst);
         self.stop.store(true, Ordering::SeqCst);
         self.waker.wake();
     }
@@ -282,7 +269,6 @@ pub fn spawn(cfg: EventLoopConfig, dispatch: Arc<dyn Dispatch>) -> io::Result<Ha
     let waker = Waker::register(&poller)?;
     let completions = Arc::new(CompletionQueue::new(waker.clone()));
     let stop = Arc::new(AtomicBool::new(false));
-    let kill = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(LoopStats::default());
     let clock = Arc::clone(&cfg.clock);
     let mut state = LoopState {
@@ -291,7 +277,6 @@ pub fn spawn(cfg: EventLoopConfig, dispatch: Arc<dyn Dispatch>) -> io::Result<Ha
         timers: TimerQueue::new(),
         batch: Vec::new(),
         in_flight: 0,
-        seq: 0,
         gen: 0,
         pool: BufferPool::new(256, 1 << 20),
         scratch: vec![0u8; 64 << 10],
@@ -306,7 +291,6 @@ pub fn spawn(cfg: EventLoopConfig, dispatch: Arc<dyn Dispatch>) -> io::Result<Ha
         dispatch,
         stats: Arc::clone(&stats),
         stop: Arc::clone(&stop),
-        kill: Arc::clone(&kill),
         clock: Arc::clone(&clock),
         cfg,
     };
@@ -316,7 +300,6 @@ pub fn spawn(cfg: EventLoopConfig, dispatch: Arc<dyn Dispatch>) -> io::Result<Ha
     Ok(Handle {
         addr,
         stop,
-        kill,
         waker,
         clock,
         stats,
@@ -336,7 +319,6 @@ struct LoopState {
     batch: Vec<Inbound>,
     /// Frames dispatched whose completions have not yet drained.
     in_flight: usize,
-    seq: u64,
     gen: u64,
     pool: BufferPool,
     scratch: Vec<u8>,
@@ -348,7 +330,6 @@ struct LoopState {
     dispatch: Arc<dyn Dispatch>,
     stats: Arc<LoopStats>,
     stop: Arc<AtomicBool>,
-    kill: Arc<AtomicBool>,
     clock: Arc<Clock>,
 }
 
@@ -356,9 +337,6 @@ impl LoopState {
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            if self.kill.load(Ordering::SeqCst) {
-                break;
-            }
             if self.stop.load(Ordering::SeqCst) && !self.draining {
                 self.begin_drain();
             }
@@ -464,7 +442,6 @@ impl LoopState {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    self.seq += 1;
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -493,16 +470,7 @@ impl LoopState {
     fn register(&mut self, stream: TcpStream, now: u64) {
         self.gen += 1;
         let gen = self.gen;
-        let faults = self.cfg.faults.decide(self.seq);
-        let conn = Conn::new(
-            stream,
-            gen,
-            self.seq,
-            now,
-            faults,
-            self.pool.get(),
-            self.pool.get(),
-        );
+        let conn = Conn::new(stream, gen, now, self.pool.get(), self.pool.get());
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {

@@ -25,8 +25,7 @@
 //!
 //! The crate knows nothing about the mapping protocol: request
 //! semantics live in `cachemap-service`'s `aserver`, which implements
-//! [`Dispatch`] over the shared protocol module. Fault injection for
-//! robustness tests ([`shim`]) is seeded, per-connection and ppm-rated.
+//! [`Dispatch`] over the shared protocol module.
 //!
 //! Linux-only (epoll, eventfd), which matches the workspace's CI and
 //! the paper's storage-cluster setting.
@@ -37,7 +36,6 @@
 pub mod conn;
 pub mod event_loop;
 pub mod poll;
-pub mod shim;
 pub mod sys;
 
 pub use conn::{Conn, Frame};
@@ -45,7 +43,6 @@ pub use event_loop::{
     spawn, Completion, CompletionQueue, Dispatch, EventLoopConfig, Handle, Inbound, LoopStats,
 };
 pub use poll::{Event, Poller, Waker};
-pub use shim::{ConnFaults, FaultPlan};
 
 #[cfg(test)]
 mod tests {

@@ -14,8 +14,8 @@
 //!    exercised.
 //! 2. **Pre-kill zipf campaign** — closed-loop clients replay a seeded
 //!    zipf mix; mid-campaign the service is **killed** (crash
-//!    simulation: workers stop, nothing is flushed) and every
-//!    still-queued request must come back with a typed error.
+//!    simulation: admission stops, nothing is sealed) and every request
+//!    sent after the kill must come back with a typed error.
 //! 3. **Torn-tail restart** — the tail of the active L2 segment is
 //!    truncated (a partial final write), the service is restarted on
 //!    the same directory, and the zipf campaign re-runs. Recovery must
@@ -26,9 +26,9 @@
 //!    of the service-observed p50 — a standing check that the trace
 //!    timeline tiles the latency it claims to explain.
 //! 4. **Drain under load** — with clients still hammering, a graceful
-//!    shutdown runs; every in-flight and queued request is answered
-//!    (mapping or typed error — zero untyped drops), and the drain
-//!    duration lands in the stats.
+//!    shutdown runs; every request is answered (a mapping, or a typed
+//!    error once admission has stopped — zero untyped drops), and the
+//!    drain duration lands in the stats.
 
 use crate::serve::{
     build_templates, connect, frames, scrape_metrics, validate_prometheus, Template, Zipf,
@@ -215,7 +215,6 @@ impl ToJson for StormReport {
 
 fn service_config(dir: &Path) -> ServiceConfig {
     ServiceConfig {
-        workers: 4,
         l2_dir: Some(dir.to_path_buf()),
         drain_limit_ms: 10_000,
         // Tracing on with a 1 ms slow-request threshold: the storm is

@@ -79,8 +79,8 @@ impl TraceId {
 /// One stage of a request's service-path timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
-    /// Stage name (`fingerprint`, `l1`, `l2`, `l2_parse`, `coalesce`,
-    /// `queue_wait`, `compute`, `serialize`, `parse`).
+    /// Stage name (`parse`, `fingerprint`, `l1`, `l2`, `l2_parse`,
+    /// `coalesce`, `compute`, `serialize`).
     pub name: String,
     /// Offset from request arrival, in microseconds.
     pub start_us: u64,

@@ -6,8 +6,10 @@
 //! hands over the frames that cycle decoded; they join one FIFO, and a
 //! small dispatcher pool takes them one at a time, each running the
 //! [`crate::dispatch`] protocol module (which owns every reply byte)
-//! and completing its own reply. Identical requests are not merged
-//! here: concurrent misses on one fingerprint meet in the service's
+//! and completing its own reply. A dispatcher that leads a cache miss
+//! runs the mapping itself, so the pool's size bounds how many
+//! mappings run at once. Identical requests are not merged here:
+//! concurrent misses on one fingerprint meet in the service's
 //! coalescer. Replies flow back through the loop's completion queue,
 //! which writes each connection's replies in request order; a stale
 //! connection generation drops the reply instead of writing into a
@@ -23,7 +25,7 @@
 use crate::dispatch;
 use crate::MapService;
 use cachemap_aio as aio;
-use cachemap_aio::{Completion, CompletionQueue, Dispatch, FaultPlan, Frame, Inbound, LoopStats};
+use cachemap_aio::{Completion, CompletionQueue, Dispatch, Frame, Inbound, LoopStats};
 use cachemap_util::{Clock, Json};
 use std::collections::VecDeque;
 use std::io;
@@ -43,15 +45,14 @@ pub struct AsyncServerConfig {
     pub max_connections: usize,
     /// Idle read budget per connection, ms (`0` disables).
     pub idle_timeout_ms: u64,
-    /// Dispatcher threads running protocol work (each may block on the
-    /// service's admission queue, so more than one overlaps waits).
+    /// Dispatcher threads running protocol work. Each one computes the
+    /// misses it leads and waits out the ones it follows, so this bounds
+    /// how many mappings run at once.
     pub dispatchers: usize,
     /// Maximum bytes of a single request frame.
     pub max_frame_bytes: usize,
     /// Time source for deadlines (simulated in tests).
     pub clock: Arc<Clock>,
-    /// Connection-level fault injection (tests only; off by default).
-    pub faults: FaultPlan,
 }
 
 impl Default for AsyncServerConfig {
@@ -62,7 +63,6 @@ impl Default for AsyncServerConfig {
             dispatchers: 4,
             max_frame_bytes: 1 << 20,
             clock: Arc::new(Clock::real()),
-            faults: FaultPlan::none(),
         }
     }
 }
@@ -103,7 +103,7 @@ impl Batcher {
             return;
         };
         let mut cur = self.cursor.lock().expect("stat cursor poisoned");
-        let mut m = self.service.inner.metrics.lock().expect("metrics poisoned");
+        let mut m = self.service.metrics.lock().expect("metrics poisoned");
         m.gauge_set(
             "cachemap_aio_connections",
             "Open connections on the async front end",
@@ -176,7 +176,7 @@ impl Batcher {
     /// Declares every `cachemap_aio_*` family at zero so the first
     /// scrape already carries the schema.
     fn preregister(&self) {
-        let mut m = self.service.inner.metrics.lock().expect("metrics poisoned");
+        let mut m = self.service.metrics.lock().expect("metrics poisoned");
         m.gauge_set(
             "cachemap_aio_connections",
             "Open connections on the async front end",
@@ -269,7 +269,6 @@ impl Dispatch for Batcher {
     fn dispatch(&self, batch: Vec<Inbound>, done: &Arc<CompletionQueue>) {
         let frames = batch.len();
         self.service
-            .inner
             .metrics
             .lock()
             .expect("metrics poisoned")
@@ -291,7 +290,7 @@ impl Dispatch for Batcher {
     fn on_stall(&self, gap_ns: u64) {
         // The loop thread missed its own deadline: capture the service
         // state while the cause is still in the flight ring.
-        self.service.inner.flight_dump(
+        self.service.flight_dump(
             "accept_stall",
             vec![("gap_ms", Json::UInt(gap_ns / 1_000_000))],
         );
@@ -343,7 +342,6 @@ impl AsyncServer {
             idle_timeout_ms: cfg.idle_timeout_ms,
             max_frame_bytes: cfg.max_frame_bytes,
             clock: Arc::clone(&cfg.clock),
-            faults: cfg.faults,
             over_capacity_reply: dispatch::conn_limit_reply(
                 cfg.max_connections,
                 cfg.max_connections,
@@ -404,14 +402,8 @@ impl AsyncServer {
         self.handle.shutdown();
     }
 
-    /// Immediate stop: sockets torn down mid-write. For crash tests.
-    pub fn kill(&self) {
-        self.handle.kill();
-    }
-
     /// Blocks until the loop and dispatcher pool have exited (after a
-    /// [`AsyncServer::shutdown`], [`AsyncServer::kill`], or an
-    /// in-protocol `shutdown` request).
+    /// [`AsyncServer::shutdown`] or an in-protocol `shutdown` request).
     pub fn join(&self) {
         self.handle.join();
         self.batcher.stop.store(true, Ordering::SeqCst);

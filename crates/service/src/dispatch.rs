@@ -11,11 +11,12 @@
 //! would write.
 //!
 //! Nothing here blocks on sockets — callers own all I/O. The only
-//! blocking call is `MapService::submit_traced` inside a `map` op,
-//! which parks the calling thread until the service's worker pool
-//! answers; callers must therefore invoke [`dispatch_line`] from a
-//! thread that is allowed to wait (the async server's dispatcher pool
-//! — never the event loop itself).
+//! long call is `MapService::submit_traced` inside a `map` op, which
+//! runs the mapping pipeline on the calling thread when the request
+//! leads a miss, or waits for the leader when it follows one; callers
+//! must therefore invoke [`dispatch_line`] from a thread that is
+//! allowed to compute and wait (the async server's dispatcher pool —
+//! never the event loop itself).
 
 use crate::proto::{self, Request};
 use crate::{MapService, ServiceError};

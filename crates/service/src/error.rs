@@ -2,10 +2,12 @@
 //!
 //! Every request that the service does not answer with a mapping is
 //! answered with a [`ServiceError`] — there is no silent drop path.
-//! The variants mirror the admission state machine (see DESIGN.md
-//! "Service layer"): malformed input is rejected at parse time, overload
-//! at admission time, lateness at dispatch or wait time, and teardown
-//! drains the queue with [`ServiceError::Shutdown`].
+//! The variants mirror the request state machine (see DESIGN.md
+//! "Service layer"): malformed input is rejected at parse time,
+//! lateness when a follower's wait or a leader's compute outlives the
+//! deadline, submissions after teardown began with
+//! [`ServiceError::Shutdown`], and transport policy (connection cap,
+//! idle read budget) at the front end.
 
 use cachemap_polyhedral::wire::WireError;
 use cachemap_util::Json;
@@ -20,14 +22,7 @@ pub enum ServiceError {
         /// Human-readable description, with a field path when known.
         message: String,
     },
-    /// The admission queue was full — backpressure, try again later.
-    QueueFull {
-        /// Queue depth observed at rejection.
-        depth: usize,
-        /// The configured admission limit.
-        limit: usize,
-    },
-    /// The request's deadline expired before a worker produced a result.
+    /// The request's deadline expired before its mapping was ready.
     DeadlineExceeded {
         /// The deadline budget the request ran with, in milliseconds.
         budget_ms: u64,
@@ -50,7 +45,7 @@ pub enum ServiceError {
         /// What was looked up, for the error message.
         what: String,
     },
-    /// The service is shutting down; queued work is drained with this.
+    /// The service is shutting down and admits no new work.
     Shutdown,
     /// An unexpected internal failure (never the caller's fault).
     Internal {
@@ -64,7 +59,6 @@ impl ServiceError {
     pub fn code(&self) -> &'static str {
         match self {
             ServiceError::BadRequest { .. } => "bad_request",
-            ServiceError::QueueFull { .. } => "queue_full",
             ServiceError::DeadlineExceeded { .. } => "deadline_exceeded",
             ServiceError::ConnLimit { .. } => "conn_limit",
             ServiceError::ReadTimeout { .. } => "read_timeout",
@@ -87,9 +81,6 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::BadRequest { message } => write!(f, "bad request: {message}"),
-            ServiceError::QueueFull { depth, limit } => {
-                write!(f, "admission queue full ({depth}/{limit})")
-            }
             ServiceError::DeadlineExceeded { budget_ms } => {
                 write!(f, "deadline exceeded ({budget_ms} ms budget)")
             }
@@ -126,7 +117,6 @@ mod tests {
             ServiceError::BadRequest {
                 message: "x".into(),
             },
-            ServiceError::QueueFull { depth: 9, limit: 8 },
             ServiceError::DeadlineExceeded { budget_ms: 5 },
             ServiceError::ConnLimit {
                 active: 8,

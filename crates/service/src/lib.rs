@@ -5,17 +5,17 @@
 //! mapping queries from many clients in microseconds. This crate turns
 //! the mapper into a long-lived, concurrent, cache-fronted service:
 //!
-//! * [`MapService`] — the in-process engine: a fixed worker thread pool
-//!   behind one **bounded FIFO admission queue** (reject-on-full
-//!   backpressure, per-request deadlines, typed [`ServiceError`]
-//!   rejections), fronted by a two-tier mapping cache keyed by the
-//!   canonical content fingerprint of `(program, platform, params,
-//!   version)`: a sharded in-memory LRU (L1) over an optional
-//!   crash-durable disk store (L2, see `cachemap_storage::L2Store`).
+//! * [`MapService`] — the in-process engine: a two-tier mapping cache
+//!   keyed by the canonical content fingerprint of `(program, platform,
+//!   params, version)` — a sharded in-memory LRU (L1) over an optional
+//!   crash-durable disk store (L2, see `cachemap_storage::L2Store`) —
+//!   with per-request deadlines and typed [`ServiceError`] rejections.
 //!   Concurrent misses on one fingerprint are **coalesced** (see
-//!   `cachemap_util::CoalesceMap`): exactly one pipeline run, everyone
-//!   inherits the result. Because the pipeline is deterministic, a
-//!   cache hit at either tier returns a mapping byte-identical to a
+//!   `cachemap_util::CoalesceMap`): the first caller leads and runs the
+//!   pipeline on its own thread, everyone else inherits its result. The
+//!   service starts no threads of its own, so its callers bound how
+//!   many mappings run at once. Because the pipeline is deterministic,
+//!   a cache hit at either tier returns a mapping byte-identical to a
 //!   cold run — memoization is semantically invisible (property-tested
 //!   in `tests/service.rs`).
 //! * [`aserver::AsyncServer`] — the TCP front end: JSON-lines
@@ -24,7 +24,8 @@
 //!   `obs::Registry`. One `cachemap-aio` event-loop thread owns every
 //!   socket and hands each poll cycle's decoded frames to a small
 //!   dispatcher pool, which takes them one at a time; [`dispatch`]
-//!   turns each line into its reply bytes.
+//!   turns each line into its reply bytes. A dispatcher that leads a
+//!   miss computes it, so the pool's size is the service's concurrency.
 //!
 //! When [`ServiceConfig::tracing`] is on, every request additionally
 //! carries a deterministic per-request trace — stage-by-stage latency
@@ -37,10 +38,10 @@
 //! paths cost one branch each.
 //!
 //! Shutdown is a **graceful drain**: new submissions are rejected with
-//! a typed `shutdown` error, queued work is finished (or
-//! deadline-rejected) within `drain_limit_ms`, dirty L2 segments are
-//! flushed and sealed, then workers are joined. [`MapService::kill`]
-//! simulates a crash (no flush) for recovery testing.
+//! a typed `shutdown` error, in-flight computations get up to
+//! `drain_limit_ms` to finish, then the L2 store is sealed.
+//! [`MapService::kill`] simulates a crash (admission stops, nothing is
+//! sealed) for recovery testing.
 //!
 //! ```no_run
 //! use cachemap_service::{aserver::AsyncServer, MapService, ServiceConfig};
@@ -69,12 +70,11 @@ use cachemap_obs::{FlightRecorder, Profile, Registry, TraceId, TraceRecord};
 use cachemap_polyhedral::DataSpace;
 use cachemap_storage::wire::mapped_program_from_json;
 use cachemap_storage::{HierarchyTree, L2Config, L2Store, MappedProgram};
+use cachemap_util::coalesce::Join;
 use cachemap_util::{fingerprint_json, CoalesceMap, Fingerprint, Json, ShardedLru, ToJson};
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Latency histogram bucket bounds, in seconds.
@@ -84,21 +84,18 @@ const LATENCY_BUCKETS: [f64; 14] = [
 
 /// Stage names of the request-trace taxonomy, in service-path order.
 /// `parse` only appears when the front end reports an ingress duration;
-/// `handoff` runs from the end of `compute` until the waiting submitter
-/// resumes (the worker's cache inserts and metrics, then the reply
-/// wake-up); `serialize` runs from the end of the last service stage
-/// until the front end finalizes the trace (outcome metrics, response
-/// assembly and serialization).
-pub const TRACE_STAGES: [&str; 10] = [
+/// `compute` is a coalescing leader's miss (the mapping, the L1 and L2
+/// fills, and waking the followers); `serialize` runs from the end of
+/// the last service stage until the trace is closed (outcome metrics,
+/// and for a served request the response assembly and serialization).
+pub const TRACE_STAGES: [&str; 8] = [
     "parse",
     "fingerprint",
     "l1",
     "l2",
     "l2_parse",
     "coalesce",
-    "queue_wait",
     "compute",
-    "handoff",
     "serialize",
 ];
 
@@ -123,12 +120,6 @@ const FLIGHT_CAPACITY: usize = 256;
 /// Service tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
-    /// Worker threads draining the admission queue. `0` is permitted
-    /// (admit but never serve) and exists for backpressure tests.
-    pub workers: usize,
-    /// Maximum queued (admitted, not yet dispatched) requests; beyond
-    /// this, submissions are rejected with [`ServiceError::QueueFull`].
-    pub queue_limit: usize,
     /// Number of independently locked cache shards.
     pub cache_shards: usize,
     /// Entries per cache shard (total capacity = shards × this).
@@ -141,8 +132,8 @@ pub struct ServiceConfig {
     pub l2_dir: Option<PathBuf>,
     /// L2 entry time-to-live in seconds; `0` disables expiry.
     pub l2_ttl_secs: u64,
-    /// How long a graceful [`MapService::shutdown`] waits for queued
-    /// work to finish before deadline-rejecting the remainder.
+    /// How long a graceful [`MapService::shutdown`] waits for in-flight
+    /// computations to finish before it seals the L2 store.
     pub drain_limit_ms: u64,
     /// Per-request tracing. When `false` (the default) no trace context
     /// is allocated, responses are byte-identical to an untraced build,
@@ -162,8 +153,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 4,
-            queue_limit: 64,
             cache_shards: 8,
             cache_capacity_per_shard: 128,
             default_deadline_ms: 10_000,
@@ -181,18 +170,21 @@ impl Default for ServiceConfig {
 /// A point-in-time snapshot of the service counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
-    /// L1 mapping-cache hits (submit fast path + worker in-flight hits).
+    /// L1 mapping-cache hits (the lookup, or a coalescing leader's
+    /// re-check after it joined).
     pub hits: u64,
     /// Mapping-cache misses (requests that ran the pipeline).
     pub misses: u64,
     /// Requests that attached to an already in-flight computation of
-    /// the same fingerprint instead of queueing their own.
+    /// the same fingerprint instead of running their own.
     pub coalesced: u64,
     /// Disk-tier (L2) hits served without running the pipeline.
     pub l2_hits: u64,
     /// L2 entries promoted into the in-memory L1 on a hit.
     pub l2_promotions: u64,
-    /// Requests rejected with [`ServiceError::QueueFull`].
+    /// Always `0`: the service has no admission queue to fill. Not part
+    /// of the `stats` reply; kept because perfbench's `serve-churn` sums
+    /// it into its rejection count.
     pub queue_full: u64,
     /// Always `0`: the service has no per-tenant quota. Not part of the
     /// `stats` reply; kept because perfbench's `serve-churn` sums it
@@ -202,8 +194,6 @@ pub struct ServiceStats {
     pub deadline_exceeded: u64,
     /// Current mapping-cache entry count.
     pub cache_entries: u64,
-    /// Current admission-queue depth.
-    pub queue_depth: u64,
     /// Duration of the last graceful drain in seconds (`0` before one).
     pub drain_seconds: f64,
 }
@@ -230,10 +220,8 @@ impl ServiceStats {
             ("coalesced", Json::UInt(self.coalesced)),
             ("l2_hits", Json::UInt(self.l2_hits)),
             ("l2_promotions", Json::UInt(self.l2_promotions)),
-            ("queue_full", Json::UInt(self.queue_full)),
             ("deadline_exceeded", Json::UInt(self.deadline_exceeded)),
             ("cache_entries", Json::UInt(self.cache_entries)),
-            ("queue_depth", Json::UInt(self.queue_depth)),
             ("drain_seconds", Json::Float(self.drain_seconds)),
             ("hit_rate", Json::Float(self.hit_rate())),
         ])
@@ -256,9 +244,9 @@ struct CachedEntry {
 /// call — closing the chicken-and-egg between "the trace rides in the
 /// response" and "serializing the response is itself a traced stage".
 ///
-/// The stages on the submitting thread tile the request: each starts
-/// where the previous one ended (`cursor`), so work between two stages
-/// (a metric update, a lock wait, a deschedule) always lands in one.
+/// The stages tile the request: each starts where the previous one
+/// ended (`cursor`), so work between two stages (a metric update, a
+/// lock wait, a deschedule) always lands in one.
 #[derive(Debug, Clone)]
 pub struct PendingTrace {
     record: TraceRecord,
@@ -289,58 +277,19 @@ impl PendingTrace {
         self.record.push_stage(name, off, dur);
     }
 
+    /// Appends the closing `serialize` stage, from the cursor to now,
+    /// and stamps the total at the same clock read.
+    fn finish(mut self) -> TraceRecord {
+        let (off, dur) = self.close();
+        self.record.push_stage("serialize", off, dur);
+        self.record.total_us = off + dur;
+        self.record
+    }
+
     /// The deterministic trace id, in wire (hex) form.
     pub fn trace_id(&self) -> String {
         self.record.trace_id.to_hex()
     }
-}
-
-/// Worker-side timing for one queued job, returned over the reply
-/// channel so the submitting thread can attribute queue wait and
-/// compute time in its trace.
-struct WorkerTrace {
-    queue_wait_us: u64,
-    compute_us: u64,
-    profile: Option<Json>,
-}
-
-type JobReply = Result<(Arc<MappedProgram>, bool, Option<WorkerTrace>), ServiceError>;
-
-struct Job {
-    fp: Fingerprint,
-    scope: Fingerprint,
-    req: MapRequest,
-    deadline: Option<Instant>,
-    budget_ms: u64,
-    /// Where the submitter's trace cursor stood at admission, set only
-    /// for traced requests: the worker measures queue wait from it.
-    enqueued: Option<Instant>,
-    reply: mpsc::SyncSender<JobReply>,
-}
-
-struct Inner {
-    cfg: ServiceConfig,
-    /// Admitted jobs, bounded by `cfg.queue_limit`.
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    /// Signalled by the last worker to see the queue empty while
-    /// draining; [`MapService::shutdown`] waits on it.
-    drained: Condvar,
-    cache: ShardedLru<Fingerprint, CachedEntry>,
-    coalesce: CoalesceMap<Fingerprint, Arc<MappedProgram>, ServiceError>,
-    l2: Option<Mutex<L2Store>>,
-    metrics: Mutex<Registry>,
-    /// Hard stop: workers exit even with queued work (kill / post-drain).
-    stopping: AtomicBool,
-    /// Soft stop: submissions rejected, workers finish the queue.
-    draining: AtomicBool,
-    /// Bit pattern of the last drain duration (f64), since the metric
-    /// registry has no gauge read-back.
-    drain_seconds_bits: AtomicU64,
-    /// Admission sequence for deterministic trace ids.
-    trace_seq: AtomicU64,
-    /// Ring of recent trace summaries; `Some` iff tracing is enabled.
-    flight: Option<FlightRecorder>,
 }
 
 /// Seconds since the Unix epoch, for L2 TTL bookkeeping.
@@ -349,320 +298,6 @@ fn unix_now() -> u64 {
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
-}
-
-/// The in-process mapping service: worker pool, fair admission queue
-/// and two-tier fingerprint-keyed mapping cache. Cheap to share behind
-/// an [`Arc`]; dropped services shut their workers down.
-pub struct MapService {
-    inner: Arc<Inner>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl MapService {
-    /// Starts the worker pool (and, when configured, opens or recovers
-    /// the L2 store) and returns the running service.
-    ///
-    /// An L2 directory that fails to open is a startup panic: a service
-    /// silently running without its durable tier would violate the
-    /// warm-restart contract.
-    pub fn start(cfg: ServiceConfig) -> Self {
-        let l2 = cfg.l2_dir.clone().map(|dir| {
-            let l2cfg = L2Config {
-                dir,
-                ttl_secs: cfg.l2_ttl_secs,
-                segment_bytes: L2_SEGMENT_BYTES,
-            };
-            Mutex::new(L2Store::open(l2cfg, unix_now()).expect("open L2 mapping store"))
-        });
-        let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            drained: Condvar::new(),
-            cache: ShardedLru::new(cfg.cache_shards.max(1), cfg.cache_capacity_per_shard.max(1)),
-            coalesce: CoalesceMap::new(),
-            l2,
-            metrics: Mutex::new(Registry::new()),
-            stopping: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            drain_seconds_bits: AtomicU64::new(0f64.to_bits()),
-            trace_seq: AtomicU64::new(0),
-            flight: cfg.tracing.then(|| FlightRecorder::new(FLIGHT_CAPACITY)),
-            cfg,
-        });
-        inner.preregister_metrics();
-        // Crash-recovery anomaly: a restart that had to truncate a torn
-        // L2 tail (or replay segments) is itself a flight-worthy event —
-        // dump the (empty) ring with the recovery stats attached so the
-        // incident is on disk before the first request lands.
-        if inner.flight.is_some() {
-            if let Some(l2) = &inner.l2 {
-                let rs = l2.lock().expect("l2 poisoned").recovery_stats();
-                if rs.segments_truncated > 0 || rs.bytes_truncated > 0 {
-                    inner.flight_dump(
-                        "recovery",
-                        vec![
-                            ("records_replayed", Json::UInt(rs.records_replayed)),
-                            ("segments_truncated", Json::UInt(rs.segments_truncated)),
-                            ("bytes_truncated", Json::UInt(rs.bytes_truncated)),
-                            ("entries_expired", Json::UInt(rs.entries_expired)),
-                        ],
-                    );
-                }
-            }
-        }
-        let workers = (0..inner.cfg.workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("map-worker-{i}"))
-                    .spawn(move || inner.worker_loop())
-                    .expect("spawn mapping worker")
-            })
-            .collect();
-        MapService {
-            inner,
-            workers: Mutex::new(workers),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.inner.cfg
-    }
-
-    /// Submits one mapping request and blocks until it is served,
-    /// rejected, or its deadline expires.
-    ///
-    /// Lookup order: L1 (O(hash + shard lookup), no queueing) → L2
-    /// (one disk read + promotion to L1) → coalesce with any in-flight
-    /// computation of the same fingerprint → admit to the bounded
-    /// queue (or reject typed) and compute on the worker pool.
-    pub fn submit(&self, req: MapRequest) -> Result<MapResponse, ServiceError> {
-        self.inner.submit(req, 0)
-    }
-
-    /// [`MapService::submit`] with the front end's ingress (read +
-    /// parse) duration, so the trace timeline starts at the wire rather
-    /// than at admission. With tracing disabled this is `submit`.
-    pub fn submit_traced(
-        &self,
-        req: MapRequest,
-        ingress_us: u64,
-    ) -> Result<MapResponse, ServiceError> {
-        self.inner.submit(req, ingress_us)
-    }
-
-    /// Closes a [`PendingTrace`] taken off a [`MapResponse`]: appends
-    /// the `serialize` stage, which ends now, observes the per-stage
-    /// latency metrics, records the trace into the flight recorder,
-    /// fires any anomaly triggers, and returns the trace JSON for the
-    /// wire. Call it once the response bytes are built.
-    // Takes the box because that is what callers hold: the trace rides
-    // `MapResponse` boxed so untraced responses stay pointer-sized.
-    #[allow(clippy::boxed_local)]
-    pub fn finalize_trace(&self, pending: Box<PendingTrace>) -> Json {
-        self.inner.finalize_trace(*pending)
-    }
-
-    /// Looks a recent trace up in the flight recorder by hex id
-    /// (`"last"` returns the most recent). `None` when tracing is off
-    /// or the id fell out of the ring.
-    pub fn trace_lookup(&self, trace_id: &str) -> Option<Json> {
-        let fl = self.inner.flight.as_ref()?;
-        if trace_id == "last" {
-            fl.last()
-        } else {
-            fl.find(trace_id)
-        }
-    }
-
-    /// Renders the metric registry in Prometheus text format, with the
-    /// queue-depth and cache-entries gauges refreshed first.
-    pub fn metrics_text(&self) -> String {
-        self.inner.refresh_gauges();
-        self.inner
-            .metrics
-            .lock()
-            .expect("metrics poisoned")
-            .to_prometheus()
-    }
-
-    /// A snapshot of the service counters.
-    pub fn stats(&self) -> ServiceStats {
-        self.inner.stats()
-    }
-
-    /// Drops one fingerprint from both cache tiers (durably in L2: a
-    /// tombstone record survives restart).
-    pub fn invalidate_fingerprint(&self, fp: Fingerprint) -> std::io::Result<()> {
-        self.inner.cache.remove(&fp);
-        if let Some(l2) = &self.inner.l2 {
-            l2.lock().expect("l2 poisoned").invalidate(fp, unix_now())?;
-        }
-        Ok(())
-    }
-
-    /// Drops every cached mapping computed under `(platform, version)`
-    /// — e.g. after a platform is reconfigured — from both tiers, with
-    /// one durable scope tombstone in L2.
-    pub fn invalidate_scope(&self, scope: Fingerprint) -> std::io::Result<()> {
-        self.inner.cache.retain(|_, e| e.scope != scope);
-        if let Some(l2) = &self.inner.l2 {
-            l2.lock()
-                .expect("l2 poisoned")
-                .invalidate_scope(scope, unix_now())?;
-        }
-        Ok(())
-    }
-
-    /// The scope fingerprint for [`MapService::invalidate_scope`]: the
-    /// canonical content fingerprint of `(platform, version)`.
-    pub fn scope_fingerprint(
-        platform: &cachemap_storage::PlatformConfig,
-        version: cachemap_core::Version,
-    ) -> Fingerprint {
-        fingerprint_json(&Json::object(vec![
-            ("platform", platform.to_json()),
-            ("version", version.to_json()),
-        ]))
-    }
-
-    /// Number of live entries in the durable L2 index (`None` when the
-    /// disk tier is disabled) — recovery visibility for harnesses.
-    pub fn l2_entries(&self) -> Option<usize> {
-        self.inner
-            .l2
-            .as_ref()
-            .map(|l2| l2.lock().expect("l2 poisoned").len())
-    }
-
-    /// Records a transport-level rejection by the TCP front end — a
-    /// connection refused at the cap (`"conn_limit"`) or one that sat
-    /// idle past the read timeout (`"read_timeout"`) — so `/metrics`
-    /// shows drops that never became requests next to request outcomes.
-    pub fn count_front_end_rejection(&self, reason: &str) {
-        let mut m = self.inner.metrics.lock().expect("metrics poisoned");
-        m.counter_add(
-            "cachemap_service_front_end_rejections_total",
-            "Connections rejected by the TCP front end",
-            &[("reason", reason)],
-            1,
-        );
-    }
-
-    /// The current value of the front-end rejection counter for `reason`
-    /// (`0` before any rejection).
-    pub fn front_end_rejections(&self, reason: &str) -> u64 {
-        let m = self.inner.metrics.lock().expect("metrics poisoned");
-        m.counter(
-            "cachemap_service_front_end_rejections_total",
-            &[("reason", reason)],
-        )
-        .unwrap_or(0)
-    }
-
-    /// Gracefully drains and stops the service. Idempotent. In order:
-    ///
-    /// 1. new submissions are rejected with a typed `shutdown` error;
-    /// 2. workers finish the queued backlog, up to `drain_limit_ms`;
-    /// 3. anything still queued is answered typed (`deadline_exceeded`
-    ///    if its deadline passed while queued, `shutdown` otherwise) —
-    ///    never silently dropped;
-    /// 4. workers are joined, dirty L2 segments are flushed and sealed;
-    /// 5. the drain duration lands in `cachemap_service_drain_seconds`.
-    pub fn shutdown(&self) {
-        if self.inner.draining.swap(true, Ordering::SeqCst) {
-            return; // already drained (or killed)
-        }
-        let start = Instant::now();
-        self.inner.available.notify_all();
-
-        // Let the workers finish the backlog, bounded by the drain
-        // budget. With no workers there is nobody to wait for.
-        if self.inner.cfg.workers > 0 {
-            let limit = Duration::from_millis(self.inner.cfg.drain_limit_ms);
-            let mut q = self.inner.queue.lock().expect("queue poisoned");
-            while !q.is_empty() && start.elapsed() < limit {
-                let left = limit.saturating_sub(start.elapsed());
-                let (guard, _) = self
-                    .inner
-                    .drained
-                    .wait_timeout(q, left)
-                    .expect("queue poisoned");
-                q = guard;
-            }
-        }
-
-        // Hard stop: reject whatever the budget did not cover.
-        self.inner.stopping.store(true, Ordering::SeqCst);
-        let leftovers = std::mem::take(&mut *self.inner.queue.lock().expect("queue poisoned"));
-        self.inner.available.notify_all();
-        let now = Instant::now();
-        for job in leftovers {
-            let err = match job.deadline {
-                Some(d) if now > d => ServiceError::DeadlineExceeded {
-                    budget_ms: job.budget_ms,
-                },
-                _ => ServiceError::Shutdown,
-            };
-            self.inner.count_outcome(err.code());
-            let _ = job.reply.try_send(Err(err));
-        }
-        self.join_workers();
-        if let Some(l2) = &self.inner.l2 {
-            let mut l2 = l2.lock().expect("l2 poisoned");
-            let _ = l2.seal();
-        }
-        self.inner.record_drain(start.elapsed().as_secs_f64());
-        // A drain is always flight-worthy: preserve the ring (what the
-        // service was doing on its way out) next to the drain numbers.
-        self.inner.flight_dump(
-            "drain",
-            vec![(
-                "drain_seconds",
-                Json::Float(f64::from_bits(
-                    self.inner.drain_seconds_bits.load(Ordering::SeqCst),
-                )),
-            )],
-        );
-    }
-
-    /// Simulates a crash for recovery testing: workers stop and queued
-    /// work is rejected as on [`MapService::shutdown`], but the L2
-    /// store is **not** flushed or sealed — exactly what a power cut
-    /// after the last kernel write-back would leave on disk.
-    pub fn kill(&self) {
-        if self.inner.draining.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.inner.stopping.store(true, Ordering::SeqCst);
-        let leftovers = std::mem::take(&mut *self.inner.queue.lock().expect("queue poisoned"));
-        self.inner.available.notify_all();
-        for job in leftovers {
-            self.inner.count_outcome("shutdown");
-            let _ = job.reply.try_send(Err(ServiceError::Shutdown));
-        }
-        self.join_workers();
-    }
-
-    fn join_workers(&self) {
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("workers poisoned")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MapService {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 /// The tenant label for the request's trace: the request's tenant, or
@@ -674,10 +309,106 @@ fn tenant_label(req: &MapRequest) -> &str {
     }
 }
 
-impl Inner {
-    fn submit(&self, req: MapRequest, ingress_us: u64) -> Result<MapResponse, ServiceError> {
+/// The in-process mapping service: the two-tier fingerprint-keyed
+/// mapping cache with the coalescer in front of the pipeline. It starts
+/// no threads: the caller that leads a miss computes it. Cheap to share
+/// behind an [`Arc`]; a dropped service drains.
+pub struct MapService {
+    cfg: ServiceConfig,
+    cache: ShardedLru<Fingerprint, CachedEntry>,
+    coalesce: CoalesceMap<Fingerprint, Arc<MappedProgram>, ServiceError>,
+    /// The durable tier, `None` when disabled. [`MapService::shutdown`]
+    /// seals the store and takes it out, so a leader that outlives the
+    /// drain appends nothing.
+    l2: Option<Mutex<Option<L2Store>>>,
+    metrics: Mutex<Registry>,
+    /// Set by `shutdown` or `kill`: submissions are rejected.
+    draining: AtomicBool,
+    /// Bit pattern of the last drain duration (f64), since the metric
+    /// registry has no gauge read-back.
+    drain_seconds_bits: AtomicU64,
+    /// Admission sequence for deterministic trace ids.
+    trace_seq: AtomicU64,
+    /// Ring of recent trace summaries; `Some` iff tracing is enabled.
+    flight: Option<FlightRecorder>,
+}
+
+impl MapService {
+    /// Opens or recovers the L2 store when one is configured and
+    /// returns the running service.
+    ///
+    /// An L2 directory that fails to open is a startup panic: a service
+    /// silently running without its durable tier would violate the
+    /// warm-restart contract.
+    pub fn start(cfg: ServiceConfig) -> Self {
+        let l2 = cfg.l2_dir.clone().map(|dir| {
+            let l2cfg = L2Config {
+                dir,
+                ttl_secs: cfg.l2_ttl_secs,
+                segment_bytes: L2_SEGMENT_BYTES,
+            };
+            L2Store::open(l2cfg, unix_now()).expect("open L2 mapping store")
+        });
+        let recovery = l2.as_ref().map(L2Store::recovery_stats);
+        let service = MapService {
+            cache: ShardedLru::new(cfg.cache_shards.max(1), cfg.cache_capacity_per_shard.max(1)),
+            coalesce: CoalesceMap::new(),
+            l2: l2.map(|store| Mutex::new(Some(store))),
+            metrics: Mutex::new(Registry::new()),
+            draining: AtomicBool::new(false),
+            drain_seconds_bits: AtomicU64::new(0f64.to_bits()),
+            trace_seq: AtomicU64::new(0),
+            flight: cfg.tracing.then(|| FlightRecorder::new(FLIGHT_CAPACITY)),
+            cfg,
+        };
+        service.preregister_metrics();
+        // Crash-recovery anomaly: a restart that had to truncate a torn
+        // L2 tail is itself a flight-worthy event — dump the (empty)
+        // ring with the recovery stats attached so the incident is on
+        // disk before the first request lands.
+        if let Some(rs) = recovery.filter(|rs| rs.segments_truncated > 0 || rs.bytes_truncated > 0)
+        {
+            service.flight_dump(
+                "recovery",
+                vec![
+                    ("records_replayed", Json::UInt(rs.records_replayed)),
+                    ("segments_truncated", Json::UInt(rs.segments_truncated)),
+                    ("bytes_truncated", Json::UInt(rs.bytes_truncated)),
+                    ("entries_expired", Json::UInt(rs.entries_expired)),
+                ],
+            );
+        }
+        service
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &ServiceConfig {
+        &self.cfg
+    }
+
+    /// Submits one mapping request and returns once it is served or
+    /// rejected.
+    ///
+    /// Lookup order: L1 (O(hash + shard lookup)) → L2 (one disk read +
+    /// promotion to L1) → coalesce with any in-flight computation of
+    /// the same fingerprint, or lead a new one and run the pipeline on
+    /// this thread. A follower stops waiting at its deadline; a leader
+    /// finishes its computation for its followers and the cache, then
+    /// answers `deadline_exceeded` if it ran past its own.
+    pub fn submit(&self, req: MapRequest) -> Result<MapResponse, ServiceError> {
+        self.submit_traced(req, 0)
+    }
+
+    /// [`MapService::submit`] with the front end's ingress (read +
+    /// parse) duration, so the trace timeline starts at the wire rather
+    /// than at admission. With tracing disabled this is `submit`.
+    pub fn submit_traced(
+        &self,
+        req: MapRequest,
+        ingress_us: u64,
+    ) -> Result<MapResponse, ServiceError> {
         let start = Instant::now();
-        if self.draining.load(Ordering::SeqCst) || self.stopping.load(Ordering::SeqCst) {
+        if self.draining.load(Ordering::SeqCst) {
             self.count_outcome("shutdown");
             return Err(ServiceError::Shutdown);
         }
@@ -714,7 +445,7 @@ impl Inner {
             None
         };
 
-        // L1: O(lookup) on the sharded cache, no queueing.
+        // L1: O(lookup) on the sharded cache.
         let l1 = self.cache.get(&fp);
         if let Some(t) = tctx.as_mut() {
             t.stage("l1");
@@ -748,11 +479,11 @@ impl Inner {
         // whose responses report `cached: true` — they were served
         // without a pipeline run of their own. The rendezvous is a
         // trace stage tagged with this caller's role: the leader never
-        // blocks here (its time goes to queue_wait/compute), followers
-        // attribute their whole wait to the coalescing.
+        // blocks here (its time goes to compute), followers attribute
+        // their whole wait to the coalescing.
         let join = self.coalesce.join(fp, deadline);
         if let Some(t) = tctx.as_mut() {
-            let role = if matches!(join, cachemap_util::coalesce::Join::Leader(_)) {
+            let role = if matches!(join, Join::Leader(_)) {
                 "leader"
             } else {
                 "follower"
@@ -761,16 +492,44 @@ impl Inner {
             t.record.push_tagged("coalesce", off, dur, role);
         }
         let (outcome, inherited) = match join {
-            cachemap_util::coalesce::Join::Leader(leader) => {
-                let outcome = self.queue_and_wait(fp, scope, &req, deadline, budget_ms, &mut tctx);
+            Join::Leader(leader) => {
+                // A flight that settled between the L1 miss above and
+                // this join left its mapping in L1: serve it as a hit
+                // rather than computing it twice.
+                if let Some(entry) = self.cache.get(&fp) {
+                    leader.complete(Ok(Arc::clone(&entry.mapping)));
+                    self.record_hit(start);
+                    return Ok(self.respond(
+                        &req,
+                        fp,
+                        entry.mapping,
+                        true,
+                        start,
+                        tctx,
+                        "ok_cached",
+                    ));
+                }
+                let (outcome, profile) = self.compute(fp, scope, &req, tctx.is_some());
                 leader.complete(outcome.clone());
-                (outcome, false)
+                if let Some(t) = tctx.as_mut() {
+                    let (off, dur) = t.close();
+                    t.record.push_profiled("compute", off, dur, profile);
+                }
+                // A leader past its own deadline still answers
+                // `deadline_exceeded`; its mapping is cached and went to
+                // its followers all the same.
+                match outcome {
+                    Ok(_) if deadline.is_some_and(|d| Instant::now() > d) => {
+                        (Err(ServiceError::DeadlineExceeded { budget_ms }), false)
+                    }
+                    outcome => (outcome, false),
+                }
             }
-            cachemap_util::coalesce::Join::Done(result) => {
+            Join::Done(result) => {
                 self.count_coalesced();
                 (result, true)
             }
-            cachemap_util::coalesce::Join::LeaderFailed => {
+            Join::LeaderFailed => {
                 self.count_coalesced();
                 (
                     Err(ServiceError::Internal {
@@ -779,7 +538,7 @@ impl Inner {
                     true,
                 )
             }
-            cachemap_util::coalesce::Join::TimedOut => {
+            Join::TimedOut => {
                 self.count_coalesced();
                 (Err(ServiceError::DeadlineExceeded { budget_ms }), true)
             }
@@ -807,6 +566,189 @@ impl Inner {
         }
     }
 
+    /// Closes a [`PendingTrace`] taken off a [`MapResponse`]: appends
+    /// the `serialize` stage, which ends now, observes the per-stage
+    /// latency metrics, records the trace into the flight recorder,
+    /// fires any anomaly triggers, and returns the trace JSON for the
+    /// wire. Call it once the response bytes are built.
+    // Takes the box because that is what callers hold: the trace rides
+    // `MapResponse` boxed so untraced responses stay pointer-sized.
+    #[allow(clippy::boxed_local)]
+    pub fn finalize_trace(&self, pending: Box<PendingTrace>) -> Json {
+        self.commit_trace(pending.finish())
+    }
+
+    /// Looks a recent trace up in the flight recorder by hex id
+    /// (`"last"` returns the most recent). `None` when tracing is off
+    /// or the id fell out of the ring.
+    pub fn trace_lookup(&self, trace_id: &str) -> Option<Json> {
+        let fl = self.flight.as_ref()?;
+        if trace_id == "last" {
+            fl.last()
+        } else {
+            fl.find(trace_id)
+        }
+    }
+
+    /// Renders the metric registry in Prometheus text format, with the
+    /// cache-entries gauge refreshed first.
+    pub fn metrics_text(&self) -> String {
+        let entries = self.cache.len();
+        let mut m = self.metrics.lock().expect("metrics poisoned");
+        m.gauge_set(
+            "cachemap_service_cache_entries",
+            "Current mapping-cache entry count",
+            &[],
+            entries as f64,
+        );
+        m.to_prometheus()
+    }
+
+    /// A snapshot of the service counters.
+    pub fn stats(&self) -> ServiceStats {
+        let m = self.metrics.lock().expect("metrics poisoned");
+        let outcome = |o: &str| {
+            m.counter(
+                "cachemap_service_requests_total",
+                &[("op", "map"), ("outcome", o)],
+            )
+            .unwrap_or(0)
+        };
+        let plain = |name: &str| m.counter(name, &[]).unwrap_or(0);
+        ServiceStats {
+            hits: plain("cachemap_service_cache_hits_total"),
+            misses: plain("cachemap_service_cache_misses_total"),
+            coalesced: plain("cachemap_service_coalesced_total"),
+            l2_hits: plain("cachemap_service_l2_hits_total"),
+            l2_promotions: plain("cachemap_service_l2_promotions_total"),
+            queue_full: 0,
+            quota_exceeded: 0,
+            deadline_exceeded: outcome("deadline_exceeded"),
+            cache_entries: self.cache.len() as u64,
+            drain_seconds: f64::from_bits(self.drain_seconds_bits.load(Ordering::SeqCst)),
+        }
+    }
+
+    /// Drops one fingerprint from both cache tiers (durably in L2: a
+    /// tombstone record survives restart).
+    pub fn invalidate_fingerprint(&self, fp: Fingerprint) -> std::io::Result<()> {
+        self.cache.remove(&fp);
+        if let Some(l2) = &self.l2 {
+            if let Some(store) = l2.lock().expect("l2 poisoned").as_mut() {
+                store.invalidate(fp, unix_now())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops every cached mapping computed under `(platform, version)`
+    /// — e.g. after a platform is reconfigured — from both tiers, with
+    /// one durable scope tombstone in L2.
+    pub fn invalidate_scope(&self, scope: Fingerprint) -> std::io::Result<()> {
+        self.cache.retain(|_, e| e.scope != scope);
+        if let Some(l2) = &self.l2 {
+            if let Some(store) = l2.lock().expect("l2 poisoned").as_mut() {
+                store.invalidate_scope(scope, unix_now())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The scope fingerprint for [`MapService::invalidate_scope`]: the
+    /// canonical content fingerprint of `(platform, version)`.
+    pub fn scope_fingerprint(
+        platform: &cachemap_storage::PlatformConfig,
+        version: cachemap_core::Version,
+    ) -> Fingerprint {
+        fingerprint_json(&Json::object(vec![
+            ("platform", platform.to_json()),
+            ("version", version.to_json()),
+        ]))
+    }
+
+    /// Number of live entries in the durable L2 index (`None` when the
+    /// disk tier is disabled, `0` once a drain has sealed it) — recovery
+    /// visibility for harnesses.
+    pub fn l2_entries(&self) -> Option<usize> {
+        self.l2.as_ref().map(|l2| {
+            l2.lock()
+                .expect("l2 poisoned")
+                .as_ref()
+                .map_or(0, L2Store::len)
+        })
+    }
+
+    /// Records a transport-level rejection by the TCP front end — a
+    /// connection refused at the cap (`"conn_limit"`) or one that sat
+    /// idle past the read timeout (`"read_timeout"`) — so `/metrics`
+    /// shows drops that never became requests next to request outcomes.
+    pub fn count_front_end_rejection(&self, reason: &str) {
+        let mut m = self.metrics.lock().expect("metrics poisoned");
+        m.counter_add(
+            "cachemap_service_front_end_rejections_total",
+            "Connections rejected by the TCP front end",
+            &[("reason", reason)],
+            1,
+        );
+    }
+
+    /// The current value of the front-end rejection counter for `reason`
+    /// (`0` before any rejection).
+    pub fn front_end_rejections(&self, reason: &str) -> u64 {
+        let m = self.metrics.lock().expect("metrics poisoned");
+        m.counter(
+            "cachemap_service_front_end_rejections_total",
+            &[("reason", reason)],
+        )
+        .unwrap_or(0)
+    }
+
+    /// Gracefully drains and stops the service. Idempotent. In order:
+    ///
+    /// 1. new submissions are rejected with a typed `shutdown` error;
+    /// 2. in-flight computations get up to `drain_limit_ms` to finish
+    ///    (each leader answers its own callers, so nothing is left over
+    ///    to reject);
+    /// 3. the L2 store is sealed and closed: a leader still computing
+    ///    past the limit answers its callers but appends nothing;
+    /// 4. the drain duration lands in `cachemap_service_drain_seconds`.
+    pub fn shutdown(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return; // already drained (or killed)
+        }
+        let start = Instant::now();
+        let limit = Duration::from_millis(self.cfg.drain_limit_ms);
+        while self.coalesce.in_flight() > 0 && start.elapsed() < limit {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if let Some(l2) = &self.l2 {
+            if let Some(mut store) = l2.lock().expect("l2 poisoned").take() {
+                let _ = store.seal();
+            }
+        }
+        self.record_drain(start.elapsed().as_secs_f64());
+        // A drain is always flight-worthy: preserve the ring (what the
+        // service was doing on its way out) next to the drain numbers.
+        self.flight_dump(
+            "drain",
+            vec![(
+                "drain_seconds",
+                Json::Float(f64::from_bits(
+                    self.drain_seconds_bits.load(Ordering::SeqCst),
+                )),
+            )],
+        );
+    }
+
+    /// Simulates a crash for recovery testing: submissions are rejected
+    /// as after [`MapService::shutdown`], but nothing waits and the L2
+    /// store is **not** sealed — exactly what a power cut after the
+    /// last kernel write-back would leave on disk. Leaders already
+    /// computing still answer their callers.
+    pub fn kill(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+    }
+
     fn count_coalesced(&self) {
         self.bump_counter(
             "cachemap_service_coalesced_total",
@@ -814,77 +756,10 @@ impl Inner {
         );
     }
 
-    /// The queue-admission + worker-wait leg of a cold miss (run only
-    /// by the coalescing leader).
-    fn queue_and_wait(
-        &self,
-        fp: Fingerprint,
-        scope: Fingerprint,
-        req: &MapRequest,
-        deadline: Option<Instant>,
-        budget_ms: u64,
-        tctx: &mut Option<PendingTrace>,
-    ) -> Result<Arc<MappedProgram>, ServiceError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        {
-            let mut q = self.queue.lock().expect("queue poisoned");
-            if self.draining.load(Ordering::SeqCst) || self.stopping.load(Ordering::SeqCst) {
-                return Err(ServiceError::Shutdown);
-            }
-            let limit = self.cfg.queue_limit;
-            if q.len() >= limit {
-                return Err(ServiceError::QueueFull {
-                    depth: q.len(),
-                    limit,
-                });
-            }
-            q.push_back(Job {
-                fp,
-                scope,
-                req: req.clone(),
-                deadline,
-                budget_ms,
-                enqueued: tctx.as_ref().map(|t| t.cursor),
-                reply: tx,
-            });
-        }
-        self.available.notify_one();
-
-        // Wait for the worker (or the deadline, whichever first).
-        let (mapping, _was_cached, wtrace) = match deadline {
-            None => rx.recv().map_err(|_| ServiceError::Shutdown)?,
-            Some(d) => {
-                let budget = d.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(budget) {
-                    Ok(res) => res,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        return Err(ServiceError::DeadlineExceeded { budget_ms })
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::Shutdown),
-                }
-            }
-        }?;
-        // Splice the worker-side measurements into this request's
-        // timeline: queue wait from the cursor the job was admitted at,
-        // then compute (carrying the mapper's profile span tree as a
-        // child), then the handoff from compute end until this thread
-        // resumed, which closes the span.
-        if let (Some(t), Some(w)) = (tctx.as_mut(), wtrace) {
-            let (off, dur) = t.close();
-            let compute_at = off + w.queue_wait_us;
-            let computed = compute_at + w.compute_us;
-            t.record.push_stage("queue_wait", off, w.queue_wait_us);
-            t.record
-                .push_profiled("compute", compute_at, w.compute_us, w.profile);
-            t.record
-                .push_stage("handoff", computed, (off + dur).saturating_sub(computed));
-        }
-        Ok(mapping)
-    }
-
     /// Reads `fp` from the disk tier, re-hydrates the mapping, and
-    /// promotes it into L1. Any L2 problem (disabled tier, expired or
-    /// invalidated entry, checksum miss, parse failure) is a miss.
+    /// promotes it into L1. Any L2 problem (disabled or sealed tier,
+    /// expired or invalidated entry, checksum miss, parse failure) is a
+    /// miss.
     fn l2_lookup(
         &self,
         fp: &Fingerprint,
@@ -894,7 +769,11 @@ impl Inner {
         let l2 = self.l2.as_ref()?;
         // The `l2` stage covers the mutex wait, index probe, disk read
         // and checksum.
-        let bytes = l2.lock().expect("l2 poisoned").get(fp, unix_now());
+        let bytes = l2
+            .lock()
+            .expect("l2 poisoned")
+            .as_mut()
+            .and_then(|store| store.get(fp, unix_now()));
         if let Some(t) = tctx.as_mut() {
             t.stage("l2");
         }
@@ -957,144 +836,80 @@ impl Inner {
         }
     }
 
-    fn worker_loop(&self) {
-        loop {
-            let job = {
-                let mut q = self.queue.lock().expect("queue poisoned");
-                loop {
-                    if let Some(job) = q.pop_front() {
-                        break job;
-                    }
-                    if self.stopping.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if self.draining.load(Ordering::SeqCst) {
-                        // Queue is empty and we are draining: the
-                        // backlog is done, tell shutdown() so.
-                        self.drained.notify_all();
-                        return;
-                    }
-                    q = self.available.wait(q).expect("queue poisoned");
-                }
-            };
-
-            // Late at dispatch: answer with the typed rejection rather
-            // than burning a worker on a result nobody is waiting for.
-            if let Some(d) = job.deadline {
-                if Instant::now() > d {
-                    let _ = job.reply.try_send(Err(ServiceError::DeadlineExceeded {
-                        budget_ms: job.budget_ms,
-                    }));
-                    self.note_drain_progress();
-                    continue;
-                }
-            }
-
-            let queue_wait_us = job.enqueued.map(|t| t.elapsed().as_micros() as u64);
-
-            // In-flight duplicate: another worker may have filled the
-            // cache since admission.
-            if let Some(entry) = self.cache.get(&job.fp) {
-                self.bump_counter("cachemap_service_cache_hits_total", "Mapping cache hits");
-                let wtrace = queue_wait_us.map(|q| WorkerTrace {
-                    queue_wait_us: q,
-                    compute_us: 0,
-                    profile: None,
-                });
-                let _ = job.reply.try_send(Ok((entry.mapping, true, wtrace)));
-                self.note_drain_progress();
-                continue;
-            }
-
-            let computed_at = Instant::now();
-            // Traced jobs run the pipeline with profiling enabled: the
-            // span tree rides back as the compute stage's child. The
-            // profile records wall-clock around the mapping, never into
-            // it, so the mapping bytes are identical either way
-            // (property-tested since the profiling PR).
-            let mut prof = if queue_wait_us.is_some() {
-                Profile::enabled()
-            } else {
-                Profile::disabled()
-            };
-            let result = self.compute(&job.req, &mut prof);
-            let profile = prof.is_enabled().then(|| prof.to_json());
-            let compute_us = computed_at.elapsed().as_micros() as u64;
-            match result {
-                Ok(mapping) => {
-                    let mapping = Arc::new(mapping);
-                    self.cache.insert(
-                        job.fp,
-                        CachedEntry {
-                            scope: job.scope,
-                            mapping: Arc::clone(&mapping),
-                        },
-                    );
-                    self.l2_write(job.fp, job.scope, &mapping);
-                    self.bump_counter(
-                        "cachemap_service_cache_misses_total",
-                        "Mapping cache misses (pipeline runs)",
-                    );
-                    {
-                        let mut m = self.metrics.lock().expect("metrics poisoned");
-                        m.histogram_observe(
-                            "cachemap_service_map_compute_seconds",
-                            "Cold mapping pipeline latency",
-                            &LATENCY_BUCKETS,
-                            &[],
-                            computed_at.elapsed().as_secs_f64(),
-                        );
-                    }
-                    let wtrace = queue_wait_us.map(|q| WorkerTrace {
-                        queue_wait_us: q,
-                        compute_us,
-                        profile,
-                    });
-                    let _ = job.reply.try_send(Ok((mapping, false, wtrace)));
-                }
-                Err(e) => {
-                    let _ = job.reply.try_send(Err(e));
-                }
-            }
-            self.note_drain_progress();
-        }
-    }
-
-    /// Wakes a draining `shutdown()` when the backlog empties.
-    fn note_drain_progress(&self) {
-        if self.draining.load(Ordering::SeqCst)
-            && self.queue.lock().expect("queue poisoned").is_empty()
-        {
-            self.drained.notify_all();
-        }
+    /// Runs the pipeline for a miss this caller leads, then fills L1 and
+    /// L2. A traced caller maps with profiling on and gets the mapper's
+    /// span tree back for its `compute` stage; the profile records
+    /// wall-clock around the mapping, never into it, so the mapping
+    /// bytes are identical either way.
+    fn compute(
+        &self,
+        fp: Fingerprint,
+        scope: Fingerprint,
+        req: &MapRequest,
+        traced: bool,
+    ) -> (Result<Arc<MappedProgram>, ServiceError>, Option<Json>) {
+        let started = Instant::now();
+        let mut prof = if traced {
+            Profile::enabled()
+        } else {
+            Profile::disabled()
+        };
+        let tree =
+            HierarchyTree::from_config(&req.platform).map_err(|e| ServiceError::BadRequest {
+                message: format!("platform: {e}"),
+            });
+        let result = tree.map(|tree| {
+            let data = DataSpace::new(&req.program.arrays, req.platform.chunk_bytes);
+            let mapper = cachemap_core::Mapper::new(req.mapper);
+            let mapping = Arc::new(mapper.map_profiled(
+                &req.program,
+                &data,
+                &req.platform,
+                &tree,
+                req.version,
+                &mut prof,
+            ));
+            self.cache.insert(
+                fp,
+                CachedEntry {
+                    scope,
+                    mapping: Arc::clone(&mapping),
+                },
+            );
+            self.l2_write(fp, scope, &mapping);
+            self.bump_counter(
+                "cachemap_service_cache_misses_total",
+                "Mapping cache misses (pipeline runs)",
+            );
+            let mut m = self.metrics.lock().expect("metrics poisoned");
+            m.histogram_observe(
+                "cachemap_service_map_compute_seconds",
+                "Cold mapping pipeline latency",
+                &LATENCY_BUCKETS,
+                &[],
+                started.elapsed().as_secs_f64(),
+            );
+            mapping
+        });
+        (result, prof.is_enabled().then(|| prof.to_json()))
     }
 
     /// Appends a freshly computed mapping to the durable tier. Write
-    /// errors are counted, not fatal: the mapping was already served
-    /// and L1-cached; losing the disk copy only costs a warm restart.
+    /// errors are counted, not fatal: the mapping was already L1-cached;
+    /// losing the disk copy only costs a warm restart.
     fn l2_write(&self, fp: Fingerprint, scope: Fingerprint, mapping: &MappedProgram) {
         let Some(l2) = &self.l2 else { return };
         let bytes = mapping.to_json().to_string_compact();
-        let res = l2
-            .lock()
-            .expect("l2 poisoned")
-            .put(fp, scope, bytes.as_bytes(), unix_now());
+        let res = match l2.lock().expect("l2 poisoned").as_mut() {
+            Some(store) => store.put(fp, scope, bytes.as_bytes(), unix_now()),
+            None => return, // sealed by a drain
+        };
         if res.is_err() {
             self.bump_counter(
                 "cachemap_service_l2_write_errors_total",
                 "Failed appends to the L2 mapping store",
             );
         }
-    }
-
-    fn compute(&self, req: &MapRequest, prof: &mut Profile) -> Result<MappedProgram, ServiceError> {
-        let tree =
-            HierarchyTree::from_config(&req.platform).map_err(|e| ServiceError::BadRequest {
-                message: format!("platform: {e}"),
-            })?;
-        let data = DataSpace::new(&req.program.arrays, req.platform.chunk_bytes);
-        let mapper = cachemap_core::Mapper::new(req.mapper);
-        Ok(mapper.map_profiled(&req.program, &data, &req.platform, &tree, req.version, prof))
     }
 
     fn reject_bad_request(&self, message: String) -> ServiceError {
@@ -1211,26 +1026,15 @@ impl Inner {
         );
     }
 
-    /// Closes a trace: appends the `serialize` stage, from the end of
-    /// the last stage to now, stamps the total at the same clock read,
-    /// observes the per-stage metrics, records the trace into the
-    /// flight ring, and fires the slow-request / rejection-burst
-    /// triggers.
-    fn finalize_trace(&self, mut p: PendingTrace) -> Json {
-        let (off, dur) = p.close();
-        p.record.push_stage("serialize", off, dur);
-        p.record.total_us = off + dur;
-        self.commit_trace(p.record)
-    }
-
-    /// Closes a rejected request's trace internally (errors carry no
-    /// response for the front end to finalize): no serialize stage, the
-    /// total ends now. With tracing off (`tctx` None) this is a no-op.
+    /// Closes a rejected request's trace the way a served one closes
+    /// (errors carry no response for the front end to finalize): the
+    /// `serialize` stage runs from the last stage to the clock read
+    /// that stamps the total, so the outcome bookkeeping lands in it.
+    /// With tracing off (`tctx` None) this is a no-op.
     fn finalize_rejected(&self, tctx: Option<PendingTrace>, code: &str) {
         if let Some(mut p) = tctx {
             p.record.outcome = code.to_string();
-            p.record.total_us = p.offset(Instant::now());
-            self.commit_trace(p.record);
+            self.commit_trace(p.finish());
         }
     }
 
@@ -1273,13 +1077,11 @@ impl Inner {
         json
     }
 
-    /// Dumps the flight ring for `trigger` with queue context attached.
-    /// Dump errors are counted, never fatal — losing a dump must not
-    /// take a request down with it.
-    fn flight_dump(&self, trigger: &str, mut extra: Vec<(&str, Json)>) {
+    /// Dumps the flight ring for `trigger` with the trigger's context
+    /// attached. Dump errors are counted, never fatal — losing a dump
+    /// must not take a request down with it.
+    fn flight_dump(&self, trigger: &str, extra: Vec<(&str, Json)>) {
         let Some(fl) = &self.flight else { return };
-        let depth = self.queue.lock().expect("queue poisoned").len();
-        extra.push(("queue_depth", Json::UInt(depth as u64)));
         let cooldown = FLIGHT_CAPACITY as u64 / 2;
         match fl.dump(&self.cfg.flight_dir, trigger, cooldown, extra) {
             Ok(Some(_)) => {
@@ -1303,47 +1105,10 @@ impl Inner {
             }
         }
     }
+}
 
-    fn refresh_gauges(&self) {
-        let depth = self.queue.lock().expect("queue poisoned").len();
-        let entries = self.cache.len();
-        let mut m = self.metrics.lock().expect("metrics poisoned");
-        m.gauge_set(
-            "cachemap_service_queue_depth",
-            "Current admission-queue depth",
-            &[],
-            depth as f64,
-        );
-        m.gauge_set(
-            "cachemap_service_cache_entries",
-            "Current mapping-cache entry count",
-            &[],
-            entries as f64,
-        );
-    }
-
-    fn stats(&self) -> ServiceStats {
-        let m = self.metrics.lock().expect("metrics poisoned");
-        let outcome = |o: &str| {
-            m.counter(
-                "cachemap_service_requests_total",
-                &[("op", "map"), ("outcome", o)],
-            )
-            .unwrap_or(0)
-        };
-        let plain = |name: &str| m.counter(name, &[]).unwrap_or(0);
-        ServiceStats {
-            hits: plain("cachemap_service_cache_hits_total"),
-            misses: plain("cachemap_service_cache_misses_total"),
-            coalesced: plain("cachemap_service_coalesced_total"),
-            l2_hits: plain("cachemap_service_l2_hits_total"),
-            l2_promotions: plain("cachemap_service_l2_promotions_total"),
-            queue_full: outcome("queue_full"),
-            quota_exceeded: 0,
-            deadline_exceeded: outcome("deadline_exceeded"),
-            cache_entries: self.cache.len() as u64,
-            queue_depth: self.queue.lock().expect("queue poisoned").len() as u64,
-            drain_seconds: f64::from_bits(self.drain_seconds_bits.load(Ordering::SeqCst)),
-        }
+impl Drop for MapService {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }

@@ -1,9 +1,8 @@
 //! Async front-end integration tests: wire identity with in-process
-//! dispatch, pipelined reply order, fault injection (slow-loris,
-//! truncated and dripped writes), capacity limits, simulated-clock
-//! deadlines, and metric preregistration.
+//! dispatch, pipelined reply order, write backpressure, a slow-loris
+//! peer held to the idle deadline on a simulated clock, capacity
+//! limits, and metric preregistration.
 
-use cachemap_aio::FaultPlan;
 use cachemap_core::{Mapper, MapperConfig, Version};
 use cachemap_polyhedral::DataSpace;
 use cachemap_service::aserver::{AsyncServer, AsyncServerConfig};
@@ -13,14 +12,12 @@ use cachemap_util::{Clock, Json, ToJson};
 use cachemap_workloads::{suite, Scale};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn service() -> Arc<MapService> {
-    Arc::new(MapService::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    }))
+    Arc::new(MapService::start(ServiceConfig::default()))
 }
 
 fn request(app_idx: usize, version: Version, id: u64) -> MapRequest {
@@ -204,19 +201,29 @@ fn slow_loris_hits_idle_deadline_with_typed_error_and_no_sleeping() {
     let cfg = AsyncServerConfig {
         idle_timeout_ms: 30_000,
         clock: Arc::clone(&clock),
-        // Swallow every byte: frames never complete, like a drip-feed
-        // attacker or a stalled NIC.
-        faults: FaultPlan {
-            seed: 1,
-            stall_read_ppm: 1_000_000,
-            ..FaultPlan::none()
-        },
         ..AsyncServerConfig::default()
     };
     let async_srv = AsyncServer::spawn_with("127.0.0.1:0", Arc::clone(&svc), cfg).unwrap();
     let mut c = TcpStream::connect(async_srv.addr()).unwrap();
-    c.write_all(b"{\"id\":1,\"op\":\"ping\"}\n").unwrap(); // swallowed
-    std::thread::sleep(Duration::from_millis(60)); // let the loop register + read
+    // A frame that never ends: no newline follows, so nothing reaches
+    // the dispatchers and only the idle deadline can free the slot.
+    let partial = b"{\"id\":1,\"op\":\"ping\"}";
+    c.write_all(partial).unwrap();
+    // The deadline runs from the last byte read, so let the loop read
+    // the partial frame before the clock moves.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while async_srv
+        .loop_stats()
+        .bytes_read_total
+        .load(Ordering::Relaxed)
+        < partial.len() as u64
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "partial frame never read"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let t0 = std::time::Instant::now();
     async_srv.advance_clock(31_000_000_000);
     let mut r = BufReader::new(c);
@@ -235,40 +242,48 @@ fn slow_loris_hits_idle_deadline_with_typed_error_and_no_sleeping() {
 }
 
 #[test]
-fn truncate_fault_tears_the_response_mid_frame() {
+fn unread_replies_pause_the_connection_then_all_arrive_in_order() {
+    // A client that pipelines a burst of `metrics` requests (each reply
+    // carries the whole Prometheus text, ~13 KB) and reads nothing: the
+    // replies fill the socket buffers, then the connection's write
+    // buffer passes its cap and the loop stops reading from it.
+    const REQUESTS: u64 = 800;
     let svc = service();
-    let cfg = AsyncServerConfig {
-        faults: FaultPlan {
-            seed: 2,
-            truncate_write_ppm: 1_000_000,
-            truncate_after_bytes: 10,
-            ..FaultPlan::none()
-        },
-        ..AsyncServerConfig::default()
-    };
-    let async_srv = AsyncServer::spawn_with("127.0.0.1:0", Arc::clone(&svc), cfg).unwrap();
+    let async_srv = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&svc)).unwrap();
     let mut c = TcpStream::connect(async_srv.addr()).unwrap();
-    c.write_all(b"{\"id\":9,\"op\":\"ping\"}\n").unwrap();
-    let mut got = Vec::new();
-    c.read_to_end(&mut got).unwrap(); // EOF after the cut
-    assert_eq!(got.len(), 10, "response torn at the configured offset");
-    assert!(!got.ends_with(b"\n"), "the frame must be half-written");
-}
-
-#[test]
-fn drip_fault_still_delivers_the_reply() {
-    let svc = service();
-    let cfg = AsyncServerConfig {
-        faults: FaultPlan {
-            seed: 3,
-            drip_write_ppm: 1_000_000,
-            ..FaultPlan::none()
-        },
-        ..AsyncServerConfig::default()
-    };
-    let async_srv = AsyncServer::spawn_with("127.0.0.1:0", Arc::clone(&svc), cfg).unwrap();
-    let reply = round_trip(async_srv.addr(), "{\"id\":4,\"op\":\"ping\"}");
-    assert!(reply.contains("\"pong\":true"), "{reply}");
+    let burst: String = (0..REQUESTS)
+        .map(|id| format!("{{\"id\":{id},\"op\":\"metrics\"}}\n"))
+        .collect();
+    c.write_all(burst.as_bytes()).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while async_srv
+        .loop_stats()
+        .backpressure_total
+        .load(Ordering::Relaxed)
+        == 0
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "an unread reply backlog never paused the connection"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Reading resumes the connection: every reply arrives, in order.
+    let mut r = BufReader::new(c);
+    for id in 0..REQUESTS {
+        let mut reply = String::new();
+        r.read_line(&mut reply).unwrap();
+        let parsed = cachemap_util::json::parse(&reply).unwrap();
+        assert_eq!(
+            parsed.get("id").and_then(Json::as_u64),
+            Some(id),
+            "replies out of request order"
+        );
+        assert!(
+            parsed.get("prometheus").and_then(Json::as_str).is_some(),
+            "reply {id} is not a metrics answer"
+        );
+    }
 }
 
 #[test]

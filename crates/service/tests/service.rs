@@ -1,5 +1,5 @@
 //! Service-level property and integration tests: fingerprint stability,
-//! cache byte-identity, typed admission errors, and the TCP/HTTP front
+//! cache byte-identity, typed rejections, and the TCP/HTTP front
 //! end. Transport limits (connection cap, idle deadline) are tested in
 //! `tests/aserver.rs`.
 
@@ -154,10 +154,7 @@ fn fingerprint_changes_under_any_single_field_perturbation() {
 
 #[test]
 fn cache_hit_is_byte_identical_to_cold_map() {
-    let service = MapService::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
+    let service = MapService::start(ServiceConfig::default());
     for (i, version) in [Version::InterProcessor, Version::InterProcessorScheduled]
         .into_iter()
         .enumerate()
@@ -198,37 +195,6 @@ fn zero_deadline_is_rejected_at_admission() {
 }
 
 #[test]
-fn full_queue_rejects_with_queue_full() {
-    // No workers and a zero-slot queue: admission must reject instantly.
-    let service = MapService::start(ServiceConfig {
-        workers: 0,
-        queue_limit: 0,
-        ..ServiceConfig::default()
-    });
-    match service.submit(request(0, Version::InterProcessor, 8)) {
-        Err(ServiceError::QueueFull { depth: 0, limit: 0 }) => {}
-        other => panic!("expected QueueFull, got {other:?}"),
-    }
-    assert_eq!(service.stats().queue_full, 1);
-}
-
-#[test]
-fn queued_request_times_out_with_deadline_exceeded() {
-    // No workers: the job is admitted but never served.
-    let service = MapService::start(ServiceConfig {
-        workers: 0,
-        queue_limit: 4,
-        ..ServiceConfig::default()
-    });
-    let mut req = request(0, Version::InterProcessor, 9);
-    req.deadline_ms = Some(25);
-    match service.submit(req) {
-        Err(ServiceError::DeadlineExceeded { budget_ms: 25 }) => {}
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-}
-
-#[test]
 fn shutdown_rejects_new_submissions() {
     let service = MapService::start(ServiceConfig::default());
     service.shutdown();
@@ -252,10 +218,7 @@ fn invalid_platform_is_a_bad_request() {
 
 #[test]
 fn concurrent_misses_coalesce_to_one_compute() {
-    let service = Arc::new(MapService::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(MapService::start(ServiceConfig::default()));
     let req = request(0, Version::InterProcessor, 0);
     let cold = cold_mapping_bytes(&req);
 
@@ -298,10 +261,7 @@ fn tenant_labels_leave_no_trace_in_the_metrics() {
     // A tenant label is free-form client input: the service must not
     // grow a series per label. One miss plus L1 hits, each with a label
     // of its own, all render without any of those labels.
-    let service = MapService::start(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    });
+    let service = MapService::start(ServiceConfig::default());
     let labels: Vec<String> = (0..24).map(|i| format!("client-label-{i:02}")).collect();
     for (i, label) in labels.iter().enumerate() {
         let mut r = request(0, Version::InterProcessor, i as u64);
@@ -322,46 +282,9 @@ fn tenant_labels_leave_no_trace_in_the_metrics() {
 }
 
 #[test]
-fn graceful_drain_rejects_queued_work_typed() {
-    // No workers: the drain cannot serve the backlog, so shutdown must
-    // answer it with a typed shutdown rejection — never a silent drop
-    // or a raced channel disconnect.
-    let service = Arc::new(MapService::start(ServiceConfig {
-        workers: 0,
-        queue_limit: 4,
-        drain_limit_ms: 50,
-        ..ServiceConfig::default()
-    }));
-    let svc = Arc::clone(&service);
-    let queued = std::thread::spawn(move || {
-        let mut r = request(0, Version::InterProcessor, 1);
-        r.deadline_ms = Some(30_000);
-        svc.submit(r)
-    });
-    for _ in 0..400 {
-        if service.stats().queue_depth >= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    service.shutdown();
-    match queued.join().unwrap() {
-        Err(ServiceError::Shutdown) => {}
-        other => panic!("expected a typed Shutdown rejection, got {other:?}"),
-    }
-    assert!(
-        service.stats().drain_seconds > 0.0,
-        "the drain duration must be recorded"
-    );
-}
-
-#[test]
 fn graceful_drain_finishes_in_flight_work() {
-    // With workers, a drain serves what was already admitted.
-    let service = Arc::new(MapService::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    }));
+    // A drain lets the leaders already computing finish.
+    let service = Arc::new(MapService::start(ServiceConfig::default()));
     let handles: Vec<_> = (0..4)
         .map(|i| {
             let svc = Arc::clone(&service);
@@ -382,7 +305,6 @@ fn graceful_drain_finishes_in_flight_work() {
 fn l2_store_survives_restart_and_promotes_to_l1() {
     let dir = temp_dir("warm");
     let cfg = ServiceConfig {
-        workers: 2,
         l2_dir: Some(dir.clone()),
         ..ServiceConfig::default()
     };
@@ -420,7 +342,6 @@ fn l2_store_survives_restart_and_promotes_to_l1() {
 fn scope_invalidation_sweeps_both_tiers_durably() {
     let dir = temp_dir("scope");
     let cfg = ServiceConfig {
-        workers: 2,
         l2_dir: Some(dir.clone()),
         ..ServiceConfig::default()
     };

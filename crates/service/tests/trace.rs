@@ -6,7 +6,7 @@
 use cachemap_core::{MapperConfig, Version};
 use cachemap_obs::{validate_flight_record, validate_trace};
 use cachemap_service::aserver::AsyncServer;
-use cachemap_service::{MapRequest, MapService, ServiceConfig};
+use cachemap_service::{MapRequest, MapService, ServiceConfig, ServiceError};
 use cachemap_util::json::{self, Json};
 use cachemap_util::ToJson;
 use cachemap_workloads::{suite, Scale};
@@ -56,7 +56,6 @@ fn request(app_idx: usize, version: Version, id: u64) -> MapRequest {
 
 fn traced_config(flight: &TempDir) -> ServiceConfig {
     ServiceConfig {
-        workers: 2,
         tracing: true,
         // Debug-build computes can outlive the default 10 s budget;
         // these tests measure attribution, not deadline policing.
@@ -114,8 +113,7 @@ fn trace_ids_are_deterministic_across_fresh_services() {
 fn stage_sum_tracks_end_to_end_latency() {
     // Property: over a random mix of programs, versions, and hit/miss
     // paths, the stage durations tile the request — their sum explains
-    // the trace's own total within 10% (plus a 200 µs floor for the
-    // sub-stage gaps: mutex handoffs, channel wakeups).
+    // the trace's own total within 10% (plus a 200 µs floor).
     let flight = TempDir::new("traced");
     let service = MapService::start(traced_config(&flight));
     let mut g = cachemap_util::check::Gen::from_seed(0x7ace);
@@ -129,13 +127,7 @@ fn stage_sum_tracks_end_to_end_latency() {
         let trace = submit_and_finalize(&service, request(app, version, case));
         validate_trace(&trace).expect("trace schema");
         let total = trace.get("total_us").and_then(Json::as_u64).unwrap();
-        let sum: u64 = trace
-            .get("stages")
-            .and_then(Json::as_array)
-            .unwrap()
-            .iter()
-            .map(|s| s.get("dur_us").and_then(Json::as_u64).unwrap())
-            .sum();
+        let sum = stage_sum(&trace);
         let slack = total / 10 + 200;
         assert!(
             sum <= total + slack && total <= sum + slack,
@@ -148,6 +140,70 @@ fn stage_sum_tracks_end_to_end_latency() {
     // 24 requests, so repeats must have hit).
     let stats = service.stats();
     assert!(stats.misses > 0 && stats.hits > 0);
+    service.shutdown();
+}
+
+/// The per-stage durations of a trace, summed.
+fn stage_sum(trace: &Json) -> u64 {
+    trace
+        .get("stages")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|s| s.get("dur_us").and_then(Json::as_u64).unwrap())
+        .sum()
+}
+
+#[test]
+fn late_leader_answers_deadline_exceeded_and_still_caches() {
+    // A 1 ms budget on a cold mapping: the leader computes anyway (its
+    // followers, if any, want the result), then answers its own caller
+    // `deadline_exceeded` because the compute outlived the budget.
+    // e_elem is the slowest test-scale app on the tiny platform: ~7 ms
+    // in release and ~80 ms in debug on a 2-vCPU VM.
+    let flight = TempDir::new("traced");
+    let service = MapService::start(traced_config(&flight));
+    let mut late = request(4, Version::InterProcessor, 1);
+    late.deadline_ms = Some(1);
+    match service.submit_traced(late, 0) {
+        Err(ServiceError::DeadlineExceeded { budget_ms: 1 }) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    let trace = service
+        .trace_lookup("last")
+        .expect("the rejection is traced");
+    validate_trace(&trace).expect("trace schema");
+    assert_eq!(
+        trace.get("outcome").and_then(Json::as_str),
+        Some("deadline_exceeded")
+    );
+    let names: Vec<&str> = trace
+        .get("stages")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|s| s.get("name").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(
+        names,
+        ["fingerprint", "l1", "coalesce", "compute", "serialize"]
+    );
+    // The stages tile the rejected request exactly, as a served one.
+    assert_eq!(
+        stage_sum(&trace),
+        trace.get("total_us").and_then(Json::as_u64).unwrap(),
+        "{}",
+        trace.to_string_compact()
+    );
+    // The late compute was cached: the same request without a deadline
+    // is an L1 hit.
+    let again = service
+        .submit(request(4, Version::InterProcessor, 2))
+        .expect("request maps");
+    assert!(again.cached, "the late leader's mapping must be cached");
+    let stats = service.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
+    assert_eq!(stats.deadline_exceeded, 1);
     service.shutdown();
 }
 
@@ -200,7 +256,6 @@ fn disabled_tracing_is_byte_identical_on_the_wire() {
     for tracing in [false, true] {
         let flight = TempDir::new("byteid");
         let service = Arc::new(MapService::start(ServiceConfig {
-            workers: 2,
             tracing,
             flight_dir: flight.0.clone(),
             ..ServiceConfig::default()
@@ -240,7 +295,6 @@ fn disabled_tracing_is_byte_identical_on_the_wire() {
 fn trace_op_round_trips_over_tcp() {
     let flight = TempDir::new("op");
     let service = Arc::new(MapService::start(ServiceConfig {
-        workers: 2,
         tracing: true,
         flight_dir: flight.0.clone(),
         ..ServiceConfig::default()
@@ -310,7 +364,6 @@ fn trace_op_round_trips_over_tcp() {
 #[test]
 fn tracing_off_answers_trace_ops_not_found() {
     let service = Arc::new(MapService::start(ServiceConfig {
-        workers: 2,
         tracing: false,
         ..ServiceConfig::default()
     }));
@@ -378,8 +431,6 @@ fn anomaly_triggers_dump_validating_flight_records() {
             .and_then(Json::as_str)
             .unwrap()
             .to_string();
-        // Dump context carries the admission queue state.
-        assert!(parsed.get("queue_depth").is_some(), "{name}: no context");
         seen.insert(trigger);
     }
     for trigger in ["slow_request", "rejection_burst", "drain"] {

@@ -130,13 +130,6 @@ impl<K: Hash + Eq + Clone, V: Clone, E: Clone> CoalesceMap<K, V, E> {
     /// concurrent callers block (until `deadline`, if given) for the
     /// leader's outcome.
     pub fn join(&self, key: K, deadline: Option<Instant>) -> Join<'_, K, V, E> {
-        self.join_timed(key, deadline).0
-    }
-
-    /// [`CoalesceMap::join`] plus the time this caller spent blocked on
-    /// the rendezvous, in nanoseconds (always 0 for the leader, which
-    /// never blocks). Used for per-request latency attribution.
-    pub fn join_timed(&self, key: K, deadline: Option<Instant>) -> (Join<'_, K, V, E>, u64) {
         let flight = {
             let mut flights = self.flights.lock().expect("coalesce map poisoned");
             match flights.get(&key) {
@@ -147,31 +140,21 @@ impl<K: Hash + Eq + Clone, V: Clone, E: Clone> CoalesceMap<K, V, E> {
                         settled: Condvar::new(),
                     });
                     flights.insert(key.clone(), Arc::clone(&f));
-                    return (
-                        Join::Leader(Leader {
-                            map: self,
-                            key,
-                            flight: f,
-                            completed: false,
-                        }),
-                        0,
-                    );
+                    return Join::Leader(Leader {
+                        map: self,
+                        key,
+                        flight: f,
+                        completed: false,
+                    });
                 }
             }
         };
 
-        let waited_from = Instant::now();
-        fn waited<K: Hash + Eq + Clone, V: Clone, E: Clone>(
-            from: Instant,
-            outcome: Join<'_, K, V, E>,
-        ) -> (Join<'_, K, V, E>, u64) {
-            (outcome, from.elapsed().as_nanos() as u64)
-        }
         let mut state = flight.state.lock().expect("flight poisoned");
         loop {
             match &*state {
-                FlightState::Done(r) => return waited(waited_from, Join::Done(r.clone())),
-                FlightState::Abandoned => return waited(waited_from, Join::LeaderFailed),
+                FlightState::Done(r) => return Join::Done(r.clone()),
+                FlightState::Abandoned => return Join::LeaderFailed,
                 FlightState::Running => {}
             }
             match deadline {
@@ -181,7 +164,7 @@ impl<K: Hash + Eq + Clone, V: Clone, E: Clone> CoalesceMap<K, V, E> {
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
-                        return waited(waited_from, Join::TimedOut);
+                        return Join::TimedOut;
                     }
                     let (s, timeout) = flight
                         .settled
@@ -191,15 +174,11 @@ impl<K: Hash + Eq + Clone, V: Clone, E: Clone> CoalesceMap<K, V, E> {
                     if timeout.timed_out() {
                         // Re-check once: the leader may have settled in
                         // the race between timeout and relock.
-                        match &*state {
-                            FlightState::Done(r) => {
-                                return waited(waited_from, Join::Done(r.clone()))
-                            }
-                            FlightState::Abandoned => {
-                                return waited(waited_from, Join::LeaderFailed)
-                            }
-                            FlightState::Running => return waited(waited_from, Join::TimedOut),
-                        }
+                        return match &*state {
+                            FlightState::Done(r) => Join::Done(r.clone()),
+                            FlightState::Abandoned => Join::LeaderFailed,
+                            FlightState::Running => Join::TimedOut,
+                        };
                     }
                 }
             }
@@ -388,30 +367,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         leader.complete(Ok(77));
         assert_eq!(waiter.join().unwrap(), 77);
-    }
-
-    #[test]
-    fn join_timed_attributes_follower_wait_but_not_leader() {
-        let map = Arc::new(Map::new());
-        let (join, leader_ns) = map.join_timed(11, None);
-        let Join::Leader(leader) = join else {
-            panic!("first join must lead");
-        };
-        assert_eq!(leader_ns, 0, "the leader never blocks");
-        let follower_map = Arc::clone(&map);
-        let follower = std::thread::spawn(move || {
-            let deadline = Some(Instant::now() + Duration::from_secs(5));
-            let (join, ns) = follower_map.join_timed(11, deadline);
-            assert!(matches!(join, Join::Done(Ok(99))));
-            ns
-        });
-        std::thread::sleep(Duration::from_millis(15));
-        leader.complete(Ok(99));
-        let ns = follower.join().unwrap();
-        assert!(
-            ns >= Duration::from_millis(5).as_nanos() as u64,
-            "follower wait must reflect the leader's compute time, got {ns}ns"
-        );
     }
 
     #[test]

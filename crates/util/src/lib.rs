@@ -24,7 +24,7 @@
 //! * [`coalesce`] — request coalescing (stampede protection): concurrent
 //!   misses on one key rendezvous so exactly one caller computes.
 //! * [`rng`] — a seeded xorshift64* generator for deterministic
-//!   test-input generation and the socket fault shim.
+//!   test-input generation and the load generators' schedules.
 //! * [`check`] — a miniature property-test harness built on [`rng`].
 //! * [`clock`] — real or simulated time behind one `Arc<Clock>` handle,
 //!   shared by the async front end's event loop and the tests driving

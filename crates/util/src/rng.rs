@@ -1,8 +1,8 @@
-//! A tiny deterministic PRNG (xorshift64*), shared by the socket fault
-//! shim and the in-repo property-test harness.
+//! A tiny deterministic PRNG (xorshift64*), shared by the in-repo
+//! property-test harness and the load generators.
 //!
 //! Determinism is load-bearing here: a failing property case and a
-//! shim's per-connection faults replay from the seed alone, so the
+//! load run's arrival schedule replay from the seed alone, so the
 //! generator must be fully specified by its seed with no platform or
 //! scheduling dependence. `xorshift64*` (Vigna, "An experimental
 //! exploration of Marsaglia's xorshift generators") is small, fast, and
